@@ -966,8 +966,8 @@ def build_index(
 
     total_seg_rows = sum(m["n_terms"] for m in manifests)
     num_parts = layout.num_parts_for(total_seg_rows)
-    # v4 in the fingerprint: a resume over a pre-v4 index re-merges (the
-    # segments are format-compatible; only the part files change shape)
+    # the fingerprint keys the merge's resume: a rerun whose manifests and
+    # part count match a finished merge skips it ("v4" names the layout)
     merge_fp = hashlib.md5(json.dumps(
         [(m["bucket"], m["fingerprint"], m["n_terms"]) for m in manifests]
         + [num_parts, "v4"]).encode()).hexdigest()
@@ -1011,9 +1011,8 @@ def build_index(
     _mark("merge_postings_dict", t0)
 
     # positions merge: phrase payload into its own term-partitioned part
-    # files (one-file phrase locality), resumable independently — a kill
-    # between the scoring merge and here re-runs only this exchange, and a
-    # pre-positions index upgrades in place without re-merging scoring
+    # files (one-file phrase locality), resumable on its own — a kill
+    # between the scoring merge and here re-runs only this exchange
     t0 = time.perf_counter()
     if manifests and merge_state.get("pos_fp") != merge_fp:
         pos_rows = _run_pos_merge(index_dir, num_parts, merge_fp)
@@ -1040,7 +1039,7 @@ def build_index(
         "n_terms": n_terms,
         "num_parts": num_parts,
         "langs": sorted(langs),
-        "format_version": 4,  # 4 = consolidated per-term posting rows
+        "format_version": layout.FORMAT_VERSION,
     }
     _atomic_write_json(stats, os.path.join(index_dir, "stats.json"))
 

@@ -28,14 +28,15 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+# stats.json ``format_version`` of the layout this module describes (4 =
+# consolidated per-term posting rows); the searcher opens no other version
+FORMAT_VERSION = 4
+
 SEG_ROWS_PER_PART = 16384
 # byte/row caps for one row group of a consolidated part file: points reads
-# decompress at most ~this many payload bytes per looked-up term (env
-# override is a bench/tuning hook; the default is the measured knee)
-import os as _os
-
-PART_ROW_GROUP_BYTES = int(_os.environ.get("PROSEARCH_PART_RG_BYTES",
-                                           1 << 20))
+# decompress at most ~this many payload bytes per looked-up term (the
+# measured knee)
+PART_ROW_GROUP_BYTES = 1 << 20
 PART_ROW_GROUP_ROWS = 1024
 
 # consolidated per-term schema of the merged postings part files

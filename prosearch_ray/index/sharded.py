@@ -426,9 +426,6 @@ def _merge_global_dict(root: str, dict_files,
                        os.path.join(staged, "_meta.json"))
     os.remove(cfg_path)
     shutil.rmtree(gd_final, ignore_errors=True)
-    legacy = os.path.join(root, "global_dict.parquet")
-    if os.path.exists(legacy):
-        os.remove(legacy)
     os.replace(staged, gd_final)
     shutil.rmtree(spill, ignore_errors=True)
     return int(n_terms)
@@ -492,9 +489,12 @@ DELTA_DRIVER_ROWS = 100_000
 
 
 def _shard_manifest_check(root: str, num_shards: int = None) -> int:
-    """Validate (and on first write, persist) the root's shard count.  A
+    """Validate (and on a fresh build, persist) the root's shard count.  A
     resume or delta run under a different ``num_shards`` would silently mix
-    corpus partitions routed under two hash moduli — refuse loudly."""
+    corpus partitions routed under two hash moduli — refuse loudly.  A root
+    without ``_sharding.json`` is not a sharded index this code wrote:
+    every operation but a fresh build (``num_shards`` given, no shard dirs
+    yet) refuses it."""
     from prosearch_ray.index.build import _atomic_write_json
 
     man_path = os.path.join(root, "_sharding.json")
@@ -508,15 +508,10 @@ def _shard_manifest_check(root: str, num_shards: int = None) -> int:
                 f"{num_shards} — keys would be misrouted. Use the original "
                 f"shard count or a fresh root.")
         return int(old["num_shards"])
-    # legacy roots predate the manifest: the existing shard dirs ARE the
-    # established count
-    existing = len(shard_dirs(root))
-    if num_shards is None:
-        num_shards = existing
-    elif existing and existing != num_shards:
+    if num_shards is None or shard_dirs(root):
         raise ValueError(
-            f"sharded index at {root} has {existing} shard dirs; this run "
-            f"requested num_shards={num_shards} — keys would be misrouted.")
+            f"{root} has no _sharding.json manifest, so its shard count is "
+            f"unknown; rebuild it with build_sharded_index into a fresh root.")
     _atomic_write_json({"num_shards": int(num_shards)}, man_path)
     return int(num_shards)
 

@@ -10,6 +10,7 @@ hit.  Use ``search_dataset`` to run a whole query table through the pool.
 
 from __future__ import annotations
 
+import os
 import time
 
 import pyarrow as pa
@@ -29,8 +30,10 @@ class QueryStage:
         # always warm the part HANDLES (parquet footer + row-group term
         # ranges): ~1 ms per part once per actor, vs paying it on the first
         # query that touches each part (tail-latency noise)
+        postings = os.path.join(index_dir, "postings")
         for part in range(self.searcher.num_parts):
-            self.searcher._part_handle(part)
+            self.searcher._handle(
+                os.path.join(postings, f"part={part:05d}.parquet"))
         if prewarm_terms:
             # opt-in: on corpora with a small Zipfian vocabulary the top-df
             # postings are near-full doc lists and bulk-decoding them per

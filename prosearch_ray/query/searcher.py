@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import os
 import bisect
-import time
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -32,9 +31,8 @@ import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
 from prosearch_ray.index import layout, scoring
-from prosearch_ray.index.codec import (decode_bitset, decode_bitset_grouped,
-                                       decode_deltas, decode_deltas_grouped,
-                                       decode_varints)
+from prosearch_ray.index.codec import (decode_bitset_grouped,
+                                       decode_deltas_grouped, decode_varints)
 from prosearch_ray.index.fieldnorm import id_to_fieldnorm
 from prosearch_ray.query.snippet import make_snippet
 
@@ -51,8 +49,7 @@ class _TermPostings:
 
     __slots__ = ("doc_ids", "tfs", "flags", "df_title", "df_body",
                  "seg_starts", "seg_ends", "seg_max_tf", "seg_min_nb",
-                 "seg_min_nt", "seg_bucket", "lut", "scores", "term",
-                 "published")
+                 "seg_min_nt", "seg_bucket", "lut", "scores")
 
     def __init__(self, seg_bucket: np.ndarray, seg_df: np.ndarray,
                  seg_max_tf: np.ndarray,
@@ -76,27 +73,6 @@ class _TermPostings:
         self.flags = decode_bitset_grouped(flag_blob, df)
         self.lut = None     # (body_lut, title_lut, tf_cap, may_overflow)
         self.scores = None  # cached boost-free per-posting contributions
-        self.term = ""      # set by the searcher at fetch time
-        self.published = False  # this bundle was offered to the registry
-
-    _SHARED_FIELDS = ("doc_ids", "tfs", "flags", "df_title", "df_body",
-                      "seg_starts", "seg_ends", "seg_max_tf", "seg_min_nb",
-                      "seg_min_nt", "seg_bucket", "scores")
-
-    def to_shared(self) -> dict:
-        """Bundle for the cross-actor object-store cache (read-only views on
-        the receiving side — nothing in the query path mutates these)."""
-        return {f: getattr(self, f) for f in self._SHARED_FIELDS}
-
-    @classmethod
-    def from_shared(cls, bundle: dict) -> "_TermPostings":
-        tp = cls.__new__(cls)
-        for f in cls._SHARED_FIELDS:
-            setattr(tp, f, bundle[f])
-        tp.lut = None
-        tp.term = ""
-        tp.published = True  # came FROM the registry — never republish
-        return tp
 
 
 def _list_row_np(col, i: int) -> np.ndarray:
@@ -131,6 +107,38 @@ def _term_rg_ranges(pf: "pq.ParquetFile"):
     return ranges
 
 
+def _open_term_sorted(path: str):
+    """(ParquetFile, row-group term ranges) of a term-sorted parquet, or
+    (None, []) when the file does not exist."""
+    if not os.path.exists(path):
+        return None, []
+    pf = pq.ParquetFile(path)
+    return pf, _term_rg_ranges(pf)
+
+
+def _point_rows(handle, terms: Sequence[str], columns: List[str]):
+    """Point read of ``terms`` from a term-sorted parquet: only the row
+    groups whose term range may hold one are read, then each term is
+    located by bisection (a filter() would gather-copy the fat binary
+    columns of the row group — measured 25x slower).  Returns
+    ``(table, {term: row})`` for the terms present."""
+    pf, ranges = handle
+    if pf is None:
+        return None, {}
+    rgs = sorted({rg for rg, (mn, mx) in enumerate(ranges)
+                  for t in terms if mn is None or (mn <= t <= mx)})
+    if not rgs:
+        return None, {}
+    tbl = pf.read_row_groups(rgs, columns=columns).combine_chunks()
+    term_strs = tbl.column("term").to_pylist()
+    rows = {}
+    for t in terms:
+        i = bisect.bisect_left(term_strs, t)
+        if i < len(term_strs) and term_strs[i] == t:
+            rows[t] = i
+    return tbl, rows
+
+
 class IndexSearcher:
     def __init__(self, index_dir: str,
                  boost_terms: frozenset = scoring.DEFAULT_BOOST_TERMS,
@@ -138,6 +146,11 @@ class IndexSearcher:
         self.index_dir = index_dir
         with open(os.path.join(index_dir, "stats.json")) as f:
             st = json.load(f)
+        if st.get("format_version") != layout.FORMAT_VERSION:
+            raise ValueError(
+                f"index {index_dir} has format_version "
+                f"{st.get('format_version')}; this searcher reads only "
+                f"format_version {layout.FORMAT_VERSION} — rebuild the index")
         self.n_docs = st["n_docs"]
         self.avgdl_title = st["avgdl_title"]
         self.avgdl_body = st["avgdl_body"]
@@ -148,9 +161,10 @@ class IndexSearcher:
         # build.  score_n_docs feeds idf only — local n_docs keeps sizing
         # the doc-id-indexed arrays.
         self.score_n_docs = self.n_docs
-        self._global_dict_handles: Dict[int, tuple] = {}
-        self._global_dict_path = None
-        self._global_dict_parts = 0  # >0 = partitioned global_dict/ layout
+        # cached (ParquetFile, row-group term ranges) per term-sorted file
+        self._handles: Dict[str, tuple] = {}
+        self._global_dict_path = None  # set = sharded mode
+        self._global_dict_parts = 0  # 0 = no merged dictionary (no terms)
         self._overlay_files: List[str] = []
         self._overlay = None
         if global_stats_dir is not None:
@@ -160,16 +174,13 @@ class IndexSearcher:
             self.score_n_docs = g["n_docs"]
             self.avgdl_title = g["avgdl_title"]
             self.avgdl_body = g["avgdl_body"]
-            # term-partitioned directory (index/sharded.py's merge output);
-            # a bare global_dict.parquet is the legacy single-file layout
-            gd_dir = os.path.join(global_stats_dir, "global_dict")
-            if os.path.isdir(gd_dir):
-                with open(os.path.join(gd_dir, "_meta.json")) as f:
+            # term-partitioned directory (index/sharded.py's merge output)
+            self._global_dict_path = os.path.join(global_stats_dir,
+                                                  "global_dict")
+            if os.path.isdir(self._global_dict_path):
+                with open(os.path.join(self._global_dict_path,
+                                       "_meta.json")) as f:
                     self._global_dict_parts = int(json.load(f)["num_parts"])
-                self._global_dict_path = gd_dir
-            else:
-                self._global_dict_path = os.path.join(global_stats_dir,
-                                                      "global_dict.parquet")
             # delta overlay segments (index/sharded.py add_documents_sharded):
             # term-sorted (term, df) contributions of folds not yet merged
             # into the main dict — point reads SUM main + overlay
@@ -253,9 +264,6 @@ class IndexSearcher:
                 self._merge_fp = json.load(f).get("fingerprint", "")
         except (OSError, ValueError):
             self._merge_fp = ""
-        self._part_cache: Dict[int, tuple] = {}
-        self._pos_part_cache: Dict[int, tuple] = {}
-        self._pos_parts_present: Optional[bool] = None
         # byte-budgeted LRU of per-term position cumsums (phrase payload)
         self._pos_gaps_lru: "OrderedDict[str, Optional[np.ndarray]]" = OrderedDict()
         self._pos_gaps_bytes = 0
@@ -264,14 +272,6 @@ class IndexSearcher:
         # so hot terms (the boost set, stopword-grade tokens) stay resident
         self._postings_lru: "OrderedDict[str, Optional[_TermPostings]]" = OrderedDict()
         self._postings_lru_cap = 4096
-        # locally-cached view of the cross-actor shared-bundle key set
-        self._shared_known: set = set()
-        self._shared_known_at = float("-inf")
-        self._share_publish = True
-        # separate (smaller) LRU for decoded phrase position keys — entries
-        # are fatter (one uint64 per occurrence)
-        self._positions_lru: "OrderedDict[str, Optional[np.ndarray]]" = OrderedDict()
-        self._positions_lru_cap = 512
         self._docs_ds = None  # lazy; only needed for snippets
         # total live match count of the LAST search()/search_phrase() call —
         # the (TopDocs, Count) multicollector analog (serve.rs:413-419,
@@ -297,9 +297,9 @@ class IndexSearcher:
         phrase query on a stopword-grade term is the one-time decode +
         cumsum over its ~10^7-occurrence gap blob (minutes at envelope
         scale), and this moves it from the first user query to warmup.
-        With the shared poscache enabled the decoded cumsums land in the
-        object store, so ONE warming actor pays the decode and every pool
-        peer maps it zero-copy.
+        An unsharded searcher under Ray publishes the decoded cumsums to
+        the object store (``state/poscache.py``), so ONE warming actor pays
+        the decode and every pool peer maps it zero-copy.
 
         ``budget_bytes`` caps the HEAP the warm set may occupy (decoded
         ids+tfs+flags+score cache; top-df bundles are near-full doc lists,
@@ -324,13 +324,6 @@ class IndexSearcher:
             order = np.argsort(-df, kind="stable")[:max(n_top_terms,
                                                         n_pos_terms)]
             terms = [d.column("term")[int(i)].as_py() for i in order]
-        # prewarm decodes locally and publishes NOTHING while warming: the
-        # whole pool warms concurrently while early-ready actors already
-        # serve queries, so object-store churn here would tax live query
-        # latency for bundles every peer is busy building anyway.  The
-        # bundles are NOT lost to sharing: publish gating is per-bundle
-        # (tp.published), so the first query-time USE of a prewarmed term
-        # offers it to the registry (fire-and-forget).
         spent = 0
         warmed = 0
         postings: Dict[str, _TermPostings] = {}
@@ -339,62 +332,65 @@ class IndexSearcher:
             return (tp.doc_ids.nbytes + tp.tfs.nbytes + tp.flags.nbytes
                     + tp.scores.nbytes)
 
-        self._share_publish = False
-        try:
-            # stage 1 — POSITION cumsums first, term by term: they are the
-            # expensive first-touch (minutes per hot term at envelope
-            # scale) AND the largest warm-set artifacts, so under a budget
-            # they take priority and are counted like everything else
-            for t in terms[:n_pos_terms]:
-                if budget_bytes is not None and spent >= budget_bytes:
-                    break
-                got = self.fetch_postings([t])
+        # stage 1 — POSITION cumsums first, term by term: they are the
+        # expensive first-touch (minutes per hot term at envelope
+        # scale) AND the largest warm-set artifacts, so under a budget
+        # they take priority and are counted like everything else
+        for t in terms[:n_pos_terms]:
+            if budget_bytes is not None and spent >= budget_bytes:
+                break
+            got = self.fetch_postings([t])
+            tp = got.get(t)
+            if tp is None:
+                continue
+            self._term_contrib(tp)
+            postings[t] = tp
+            spent += _bundle_bytes(tp)
+            warmed += 1
+            c = self._cached_pos_cumsum([t], {t: tp}).get(t)
+            if c is not None:
+                spent += c.nbytes
+        # stage 2 — remaining top-df postings with the leftover
+        # budget; chunked fetch bounds the decode temporaries (the
+        # peak, not the steady state) when a whole pool warms at once
+        rest = [t for t in terms if t not in postings]
+        for i in range(0, len(rest), 8):
+            if budget_bytes is not None and spent >= budget_bytes:
+                break
+            got = self.fetch_postings(rest[i:i + 8])
+            for t in rest[i:i + 8]:
                 tp = got.get(t)
                 if tp is None:
                     continue
-                self._term_contrib(tp)
+                self._term_contrib(tp)  # precompute the score cache
                 postings[t] = tp
                 spent += _bundle_bytes(tp)
                 warmed += 1
-                c = self._cached_pos_cumsum([t], {t: tp}).get(t)
-                if c is not None:
-                    spent += c.nbytes
-            # stage 2 — remaining top-df postings with the leftover
-            # budget; chunked fetch bounds the decode temporaries (the
-            # peak, not the steady state) when a whole pool warms at once
-            rest = [t for t in terms if t not in postings]
-            for i in range(0, len(rest), 8):
-                if budget_bytes is not None and spent >= budget_bytes:
-                    break
-                got = self.fetch_postings(rest[i:i + 8])
-                for t in rest[i:i + 8]:
-                    tp = got.get(t)
-                    if tp is None:
-                        continue
-                    self._term_contrib(tp)  # precompute the score cache
-                    postings[t] = tp
-                    spent += _bundle_bytes(tp)
-                    warmed += 1
-        finally:
-            self._share_publish = True
         return warmed
 
     # ------------------------------------------------------------------ fetch
-    def _part_handle(self, part: int):
-        """Cached (ParquetFile, per-row-group (min_term, max_term)) for one
-        term-hash partition — the term-dictionary/posting-seek analog: a term
-        maps to one file and, via row-group stats, ~one row group."""
-        h = self._part_cache.get(part)
+    def _handle(self, path: str):
+        """Cached ``_open_term_sorted`` handle — the term-dictionary /
+        posting-seek analog: a term maps to one part file and, via
+        row-group stats, ~one row group."""
+        h = self._handles.get(path)
         if h is None:
-            path = os.path.join(self.index_dir, "postings",
-                                f"part={part:05d}.parquet")
-            if not os.path.exists(path):
-                h = (None, [])
-            else:
-                pf = pq.ParquetFile(path)
-                h = (pf, _term_rg_ranges(pf))
-            self._part_cache[part] = h
+            h = self._handles[path] = _open_term_sorted(path)
         return h
+
+    def _part_rows(self, part_dir: str, terms: Sequence[str],
+                   columns: List[str], num_parts: int):
+        """Point reads of ``terms`` from ``part_dir/part=K.parquet``, grouped
+        by the part each term hashes to (``layout.term_part``); yields
+        ``(table, {term: row})`` per part holding any of them."""
+        by_part: Dict[int, List[str]] = {}
+        for t in terms:
+            by_part.setdefault(layout.term_part(t, num_parts), []).append(t)
+        for part, part_terms in by_part.items():
+            path = os.path.join(part_dir, f"part={part:05d}.parquet")
+            tbl, rows = _point_rows(self._handle(path), part_terms, columns)
+            if rows:
+                yield tbl, rows
 
     def fetch_postings(self, terms: Sequence[str]) -> Dict[str, _TermPostings]:
         if not terms:
@@ -411,62 +407,14 @@ class IndexSearcher:
                 missing.append(t)
         if not missing:
             return out
-        # cross-actor shared bundles first: another actor on this node may
-        # already have fetched + decoded + scored these terms — reuse its
-        # arrays zero-copy from the object store instead of re-doing the
-        # row-group read, varint decode and contribution pass per actor
+        # format v4: one consolidated row per term, term-sorted
         found: Dict[str, _TermPostings] = {}
-        to_fetch = missing
-        # sharded mode disables cross-actor bundle reuse: a bundle published
-        # by a local-stats searcher of the same shard would carry shard-local
-        # dfs/contributions under the same fingerprint
-        if (self._merge_fp and self._global_dict_path is None
-                and self._share_postings_enabled()):
-            from prosearch_ray.state import poscache
-            if poscache.enabled():
-                # locally-cached published-key set (short refresh): terms
-                # that were never shared cost a set test here, not an RPC
-                now = time.monotonic()
-                if now - self._shared_known_at > 60.0:
-                    self._shared_known = set(poscache.known_keys(
-                        f"tp:{self._merge_fp}:"))
-                    self._shared_known_at = now
-                ask = [t for t in missing
-                       if f"tp:{self._merge_fp}:{t}" in self._shared_known]
-                if ask:
-                    hit = poscache.fetch(
-                        [f"tp:{self._merge_fp}:{t}" for t in ask])
-                    for t in ask:
-                        b = hit.get(f"tp:{self._merge_fp}:{t}")
-                        if b is not None:
-                            found[t] = _TermPostings.from_shared(b)
-                    to_fetch = [t for t in missing if t not in found]
-        by_part: Dict[int, List[str]] = {}
-        for t in to_fetch:
-            by_part.setdefault(layout.term_part(t, self.num_parts), []).append(t)
-        for part, part_terms in by_part.items():
-            pf, ranges = self._part_handle(part)
-            if pf is None:
-                continue
-            rgs = sorted({
-                rg for rg, (mn, mx) in enumerate(ranges)
-                for t in part_terms
-                if mn is None or (mn <= t <= mx)
-            })
-            if not rgs:
-                continue
-            tbl = pf.read_row_groups(
-                rgs, columns=layout.PART_COLUMNS).combine_chunks()
-            # format v4: one consolidated row per term, term-sorted.  Locate
-            # it by bisection — a filter() here would gather-copy the fat
-            # binary columns of the row group (measured 25x slower).
-            term_strs = tbl.column("term").to_pylist()
+        for tbl, rows in self._part_rows(
+                os.path.join(self.index_dir, "postings"), missing,
+                layout.PART_COLUMNS, self.num_parts):
             dft = tbl.column("df_title").to_numpy()
             dfb = tbl.column("df_body").to_numpy()
-            for t in part_terms:
-                i = bisect.bisect_left(term_strs, t)
-                if i >= len(term_strs) or term_strs[i] != t:
-                    continue
+            for t, i in rows.items():
                 found[t] = _TermPostings(
                     _list_row_np(tbl.column("seg_bucket"), i),
                     _list_row_np(tbl.column("seg_df"), i),
@@ -477,7 +425,6 @@ class IndexSearcher:
                     _large_binary_row(tbl.column("doc_ids"), i),
                     _large_binary_row(tbl.column("tfs"), i),
                     _large_binary_row(tbl.column("title_flags"), i))
-                found[t].term = t
         if self._global_dict_path is not None and found:
             for t, (dft, dfb) in self._global_df(list(found)).items():
                 found[t].df_title = dft
@@ -493,25 +440,18 @@ class IndexSearcher:
 
     def _global_df(self, terms: List[str]) -> Dict[str, Tuple[int, int]]:
         """Corpus-wide (df_title, df_body) for the given terms from the
-        sharded build's merged dictionary.  Partitioned layout: each term
+        sharded build's term-partitioned merged dictionary: each term
         hashes to ONE part file (``layout.term_part``, the postings-routing
-        scheme); within a part the read is a term-sorted point-read
-        (row-group min/max stats + bisect, same seek shape as the postings
-        fetch).  Legacy single-file dictionaries read the same way with one
-        handle."""
+        scheme) and is point-read there, plus any delta-overlay counts."""
         out: Dict[str, Tuple[int, int]] = {}
         if self._global_dict_parts:
-            by_part: Dict[int, List[str]] = {}
-            for t in terms:
-                by_part.setdefault(
-                    layout.term_part(t, self._global_dict_parts), []).append(t)
-            for p, ts in by_part.items():
-                path = os.path.join(self._global_dict_path,
-                                    f"part={p:05d}.parquet")
-                out.update(self._global_df_from_file(p, path, ts))
-        else:
-            out.update(self._global_df_from_file(
-                -1, self._global_dict_path, terms))
+            for tbl, rows in self._part_rows(
+                    self._global_dict_path, terms,
+                    ["term", "df_title", "df_body"], self._global_dict_parts):
+                dft = tbl.column("df_title").to_numpy()
+                dfb = tbl.column("df_body").to_numpy()
+                for t, i in rows.items():
+                    out[t] = (int(dft[i]), int(dfb[i]))
         if self._overlay_files:
             o_terms, o_dft, o_dfb = self._load_overlay()
             for t in terms:
@@ -536,37 +476,6 @@ class IndexSearcher:
                              m.column("df_body").to_numpy())
         return self._overlay
 
-    def _global_df_from_file(self, cache_key: int, path: str,
-                             terms: List[str]) -> Dict[str, Tuple[int, int]]:
-        h = self._global_dict_handles.get(cache_key)
-        if h is None:
-            if not os.path.exists(path):
-                h = (None, [])
-            else:
-                pf = pq.ParquetFile(path)
-                h = (pf, _term_rg_ranges(pf))
-            self._global_dict_handles[cache_key] = h
-        pf, ranges = h
-        out: Dict[str, Tuple[int, int]] = {}
-        if pf is None:
-            return out
-        rgs = sorted({
-            rg for rg, (mn, mx) in enumerate(ranges)
-            for t in terms
-            if mn is None or (mn <= t <= mx)})
-        if not rgs:
-            return out
-        tbl = pf.read_row_groups(
-            rgs, columns=["term", "df_title", "df_body"]).combine_chunks()
-        term_strs = tbl.column("term").to_pylist()
-        dft = tbl.column("df_title").to_numpy()
-        dfb = tbl.column("df_body").to_numpy()
-        for t in terms:
-            i = bisect.bisect_left(term_strs, t)
-            if i < len(term_strs) and term_strs[i] == t:
-                out[t] = (int(dft[i]), int(dfb[i]))
-        return out
-
     # ------------------------------------------------------------------ score
     def _topk(self, scores: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
         """Top-k indices with the searcher's tie order: (-score, doc_id)
@@ -577,20 +486,6 @@ class IndexSearcher:
         return scoring.top_k_indices(scores, self.tie_rank[ids], k)
 
     _LUT_TF_CAP = 255
-    # only stopword-grade terms are worth a cross-actor shared bundle — the
-    # registry round-trip costs more than a small term's local decode
-    _SHARE_MIN_DF = 65536
-
-    @staticmethod
-    def _share_postings_enabled() -> bool:
-        """Cross-actor postings-bundle sharing is OPT-IN
-        (PROSEARCH_SHARED_POSTINGS=1): it trades query latency during the
-        cold-start window (object-store puts + registry RPCs land while the
-        pool is still warming; measured +40% p50 on a 57-query burst right
-        after pool startup) for an N-actors-to-1 heap dedup of hot-term
-        arrays — the right default for long-lived memory-constrained pools,
-        the wrong one for short query jobs."""
-        return os.environ.get("PROSEARCH_SHARED_POSTINGS", "0") == "1"
 
     def _term_lut(self, tp: _TermPostings):
         """(body_lut, title_lut, tf_cap) for one term, cached on the postings
@@ -631,20 +526,6 @@ class IndexSearcher:
             tp.scores = self._score_lut(
                 tp, tp.tfs, tp.flags, self.norm_title_id[ids],
                 self.norm_body_id[ids], None, 1.0)
-        # big terms: publish the full decoded+scored bundle for the other
-        # actors of the pool (fire-and-forget — no registry ack in the
-        # query path).  Gated on tp.published, NOT on scores-is-None, so a
-        # term decoded during prewarm (publishing suppressed pool-wide) is
-        # still shared by its first query-time user.
-        if (not tp.published and self._share_publish and tp.term
-                and len(tp.doc_ids) >= self._SHARE_MIN_DF and self._merge_fp
-                and self._global_dict_path is None
-                and self._share_postings_enabled()):
-            tp.published = True  # one offer per bundle, whatever the outcome
-            from prosearch_ray.state import poscache
-            if poscache.enabled():
-                poscache.publish(
-                    f"tp:{self._merge_fp}:{tp.term}", tp.to_shared())
         return tp.scores
 
     def _term_scores(self, tp: _TermPostings, idx: np.ndarray, boost: float
@@ -957,160 +838,29 @@ class IndexSearcher:
         return cand[top], scores[top]
 
     # ----------------------------------------------------------------- phrase
-    _POS_SHIFT = 22  # packed occurrence key = (doc_id << 22) | position
-
-    @staticmethod
-    def _dedup_sorted(keys: np.ndarray) -> np.ndarray:
-        """O(n) mask-dedup of an ascending key array: keys ascend by
-        construction EXCEPT exact repeats (two expansions of one raw token
-        can emit the same term at the same position — position-increment-0 —
-        and phrase tf counts DISTINCT positions)."""
-        if len(keys) > 1:
-            keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-        return keys
-
-    @staticmethod
-    def _occurrence_keys(doc_ids: np.ndarray, tfs: np.ndarray,
-                         gaps: np.ndarray, shift: int) -> np.ndarray:
-        """Packed ``(doc_id << shift) | position`` keys from per-doc
-        delta-gap positions — one vectorized groupwise-cumsum pass (a doc's
-        first gap is its absolute first position).  All uint64, no widening
-        copies (these arrays hit tens of millions for stopword terms)."""
-        c = np.cumsum(gaps, dtype=np.uint64)
-        starts = np.concatenate(([0], np.cumsum(tfs)[:-1]))
-        nz = tfs > 0
-        base = np.where(starts[nz] > 0, c[np.maximum(starts[nz] - 1, 0)],
-                        np.uint64(0))
-        pos = c - np.repeat(base, tfs[nz])
-        doc_rep = np.repeat(doc_ids[nz].astype(np.uint64), tfs[nz])
-        return IndexSearcher._dedup_sorted(
-            (doc_rep << np.uint64(shift)) | pos)
-
-    def _pos_part_handle(self, part: int):
-        """Cached (ParquetFile, per-row-group term ranges) for a POSITIONS
-        part file; (None, []) when this index has no merged positions."""
-        h = self._pos_part_cache.get(part)
-        if h is None:
-            path = os.path.join(self.index_dir, "positions",
-                                f"part={part:05d}.parquet")
-            if not os.path.exists(path):
-                h = (None, [])
-            else:
-                pf = pq.ParquetFile(path)
-                term_idx = pf.schema_arrow.get_field_index("term")
-                ranges = []
-                for rg in range(pf.metadata.num_row_groups):
-                    stats = pf.metadata.row_group(rg).column(term_idx).statistics
-                    ranges.append((stats.min, stats.max)
-                                  if stats is not None and stats.has_min_max
-                                  else (None, None))
-                h = (pf, ranges)
-            self._pos_part_cache[part] = h
-        return h
-
-    def _has_pos_parts(self) -> bool:
-        if self._pos_parts_present is None:
-            d = os.path.join(self.index_dir, "positions")
-            self._pos_parts_present = os.path.isdir(d) and any(
-                f.endswith(".parquet") for f in os.listdir(d))
-        return self._pos_parts_present
-
     def _pos_gaps(self, terms: Sequence[str],
                   postings: Dict[str, _TermPostings]) -> Dict[str, np.ndarray]:
         """Raw per-term position GAP arrays (uint64) from the merged
         positions parts — one point read per term, grouped by part.  Terms
         absent from ``postings`` or with empty blobs are omitted."""
-        by_part: Dict[int, List[str]] = {}
-        for t in terms:
-            if t in postings:  # zero-df terms have no positions either
-                by_part.setdefault(
-                    layout.term_part(t, self.num_parts), []).append(t)
         out: Dict[str, np.ndarray] = {}
-        for part, part_terms in by_part.items():
-            pf, ranges = self._pos_part_handle(part)
-            if pf is None:
-                continue
-            rgs = sorted({
-                rg for rg, (mn, mx) in enumerate(ranges)
-                for t in part_terms if mn is None or (mn <= t <= mx)})
-            if not rgs:
-                continue
-            tbl = pf.read_row_groups(
-                rgs, columns=layout.POS_PART_COLUMNS).combine_chunks()
-            term_strs = tbl.column("term").to_pylist()
-            for t in part_terms:
-                i = bisect.bisect_left(term_strs, t)
-                if i >= len(term_strs) or term_strs[i] != t:
-                    continue
-                assert np.array_equal(
-                    _list_row_np(tbl.column("seg_bucket"), i),
-                    postings[t].seg_bucket), "positions/scoring bucket drift"
+        # zero-df terms have no positions either
+        for tbl, rows in self._part_rows(
+                os.path.join(self.index_dir, "positions"),
+                [t for t in terms if t in postings],
+                layout.POS_PART_COLUMNS, self.num_parts):
+            for t, i in rows.items():
+                if not np.array_equal(
+                        _list_row_np(tbl.column("seg_bucket"), i),
+                        postings[t].seg_bucket):
+                    raise ValueError(
+                        f"index {self.index_dir}: positions and postings of "
+                        f"{t!r} cover different buckets")
                 gaps = decode_varints(
                     _large_binary_row(tbl.column("positions"), i))
                 if len(gaps):
                     out[t] = gaps
         return out
-
-    def fetch_position_keys(self, terms: Sequence[str]) -> Dict[str, np.ndarray]:
-        """Per term: SORTED packed occurrence keys
-        ``(doc_id << 22) | position`` over the body field.
-
-        Fast path: the positions merge writes term-partitioned consolidated
-        part files (one row per term), so a term is ONE point read; its
-        per-doc tf counts come from the scoring fetch of the same term
-        (identical bucket order — asserted via seg_bucket).  Keys come out
-        sorted by construction (doc_ids ascend across buckets, positions
-        ascend within a doc).  Fallback for indexes built before the
-        positions merge: scan segments/ with a term filter."""
-        out_cached: Dict[str, np.ndarray] = {}
-        missing: List[str] = []
-        for t in terms:
-            if t in self._positions_lru:
-                self._positions_lru.move_to_end(t)
-                hit = self._positions_lru[t]
-                if hit is not None:
-                    out_cached[t] = hit
-            else:
-                missing.append(t)
-        if not missing:
-            return out_cached
-        found: Dict[str, np.ndarray] = {}
-        if self._has_pos_parts():
-            postings = self.fetch_postings(missing)
-            for t, gaps in self._pos_gaps(missing, postings).items():
-                found[t] = self._occurrence_keys(
-                    postings[t].doc_ids, postings[t].tfs, gaps,
-                    self._POS_SHIFT)
-        else:
-            seg_dir = os.path.join(self.index_dir, "segments")
-            seg = pads.dataset(seg_dir)
-            if "positions" not in seg.schema.names:
-                raise ValueError(
-                    "this index was built without body positions "
-                    "(format_version < 3); rebuild it to enable phrase search")
-            tbl = seg.to_table(
-                columns=["term", "bucket", "doc_ids", "tfs", "positions"],
-                filter=pads.field("term").isin(missing))
-            acc: Dict[str, List[np.ndarray]] = {}
-            for r in tbl.sort_by([("term", "ascending"),
-                                  ("bucket", "ascending")]).to_pylist():
-                gaps = decode_varints(r["positions"])  # stays uint64
-                if len(gaps) == 0:
-                    continue
-                ids = decode_deltas(r["doc_ids"]).astype(np.int64)
-                tfs = decode_varints(r["tfs"]).astype(np.int64)
-                acc.setdefault(r["term"], []).append(
-                    self._occurrence_keys(ids, tfs, gaps, self._POS_SHIFT))
-            for t, parts in acc.items():
-                found[t] = np.concatenate(parts)
-        for t in missing:
-            arr = found.get(t)
-            self._positions_lru[t] = arr
-            if len(self._positions_lru) > self._positions_lru_cap:
-                self._positions_lru.popitem(last=False)
-            if arr is not None:
-                out_cached[t] = arr
-        return out_cached
 
     def search_phrase(self, query: str, k: int = scoring.DEFAULT_K,
                       filter=None) -> Tuple[np.ndarray, np.ndarray]:
@@ -1237,28 +987,18 @@ class IndexSearcher:
         matches.
 
         Scale shape: candidate docs (AND of the tokens' already-decoded
-        posting lists) come first and are nearly free; for uncached terms
-        whose candidate set is much smaller than their df — the stopword-in-
-        a-selective-phrase case — positions decode to keys for CANDIDATE
-        docs only instead of materializing tens of millions of occurrence
-        keys.  Adjacency starts from the smallest key set (pivot) and probes
-        the rest in ascending size."""
+        posting lists) come first and are nearly free; adjacency is then
+        probed over the candidates only (``_phrase_probe``), so a
+        stopword-grade token never materializes its tens of millions of
+        occurrences."""
         uniq = list(dict.fromkeys(tokens))
         postings = self.fetch_postings(uniq)
         if any(t not in postings for t in uniq):
             return None
-        order = sorted(uniq, key=lambda t: len(postings[t].doc_ids))
-        cand = postings[order[0]].doc_ids
-        for t in order[1:]:
-            cand = cand[np.isin(cand, postings[t].doc_ids,
-                                assume_unique=True)]
-            if len(cand) == 0:
-                return None
-
-        if self._has_pos_parts():
-            r = self._phrase_probe(tokens, uniq, postings, cand)
-        else:
-            r = self._phrase_probe_keys(tokens, uniq, cand)
+        cand = self._phrase_candidates_and(uniq, postings)
+        if len(cand) == 0:
+            return None
+        r = self._phrase_probe(tokens, uniq, postings, cand)
         if r is None:
             return None
         occ_docs, occ_pos = r
@@ -1269,6 +1009,72 @@ class IndexSearcher:
         if len(ids) == 0:
             return None
         return ids, counts
+
+    def _phrase_candidates_and(self, uniq, postings) -> np.ndarray:
+        """AND of the tokens' posting lists — the candidate step of every
+        multi-token phrase probe (title-only docs survive here and are
+        rejected by the positions probe, which indexes body only)."""
+        order = sorted(uniq, key=lambda t: len(postings[t].doc_ids))
+        cand = postings[order[0]].doc_ids
+        for t in order[1:]:
+            cand = cand[np.isin(cand, postings[t].doc_ids,
+                                assume_unique=True)]
+            if len(cand) == 0:
+                break
+        return cand
+
+    def _probe_prep(self, uniq, postings, cand):
+        """Per term: ``(c, starts, sel, tfs)`` — its global position cumsum
+        ``c``, the index in ``c`` where each posting's run starts, the
+        posting index of every candidate doc, and its tfs — plus its
+        occurrence count within ``cand``.  None when a term has no body
+        positions."""
+        cumsums = self._cached_pos_cumsum(uniq, postings)
+        prep, occ_in_cand = {}, {}
+        for t in uniq:
+            c = cumsums.get(t)
+            if c is None:
+                return None
+            tp = postings[t]
+            sel = np.searchsorted(tp.doc_ids, cand)
+            prep[t] = (c, np.cumsum(tp.tfs) - tp.tfs, sel, tp.tfs)
+            occ_in_cand[t] = int(tp.tfs[sel].sum())
+        return prep, occ_in_cand
+
+    @staticmethod
+    def _doc_runs(prep_t, rows: np.ndarray):
+        """For candidate docs ``rows``: the run ``[v_lo, v_hi)`` of the
+        term's occurrences in its cumsum and the cumsum value before the
+        run (a position is ``c[i] - base``)."""
+        c, starts, sel, tfs = prep_t
+        s = sel[rows]
+        v_lo = starts[s]
+        v_hi = v_lo + tfs[s]
+        base = np.where(v_lo > 0, c[np.maximum(v_lo - 1, 0)], np.uint64(0))
+        return v_lo, v_hi, base
+
+    def _pivot_occurrences(self, prep_t, cand):
+        """Materialize one term's occurrences over the candidate docs as
+        ``(docs, pos, idx)`` — doc id, in-doc position and global cumsum
+        index per occurrence, position-increment-0 repeats dropped (phrase
+        tf counts DISTINCT positions).  None when it never occurs there."""
+        c, _, sel, tfs = prep_t
+        rows = np.flatnonzero(tfs[sel] > 0)
+        v_lo, v_hi, base = self._doc_runs(prep_t, rows)
+        tf_nz = v_hi - v_lo
+        total = int(tf_nz.sum())
+        if total == 0:
+            return None
+        out_starts = np.cumsum(tf_nz) - tf_nz
+        idx = (np.arange(total, dtype=np.int64)
+               - np.repeat(out_starts, tf_nz) + np.repeat(v_lo, tf_nz))
+        pos = (c[idx] - np.repeat(base, tf_nz)).astype(np.int64)
+        docs = np.repeat(cand[rows], tf_nz)
+        if len(pos) > 1:
+            keep = np.concatenate(
+                ([True], (docs[1:] != docs[:-1]) | (pos[1:] != pos[:-1])))
+            docs, pos, idx = docs[keep], pos[keep], idx[keep]
+        return docs, pos, idx
 
     # a repeated token within this many offsets of its previous probe is
     # chained (window gathers) instead of binary-searched; beyond it the
@@ -1289,40 +1095,15 @@ class IndexSearcher:
         ``c[(i, i+g]]`` (keys are distinct sorted ints), so the probe is g
         O(1) gathers per survivor instead of another log-N search.
         Returns surviving (docs, start_positions)."""
-        cumsums = self._cached_pos_cumsum(uniq, postings)
-        prep = {}
-        occ_in_cand = {}
-        for t in uniq:
-            c = cumsums.get(t)
-            if c is None:
-                return None
-            tp = postings[t]
-            starts = np.cumsum(tp.tfs) - tp.tfs
-            sel = np.searchsorted(tp.doc_ids, cand)
-            prep[t] = (c, starts, sel)
-            occ_in_cand[t] = int(tp.tfs[sel].sum())
-        pivot = min(range(len(tokens)), key=lambda j: occ_in_cand[tokens[j]])
-
-        # materialize the pivot's occurrences over cand
-        tp_p = postings[tokens[pivot]]
-        c_p, starts_p, sel_p = prep[tokens[pivot]]
-        tf_sel = tp_p.tfs[sel_p]
-        nz = tf_sel > 0
-        v_lo = starts_p[sel_p[nz]]
-        tf_nz = tf_sel[nz]
-        total = int(tf_nz.sum())
-        if total == 0:
+        r = self._probe_prep(uniq, postings, cand)
+        if r is None:
             return None
-        out_starts = np.cumsum(tf_nz) - tf_nz
-        idx = (np.arange(total, dtype=np.int64)
-               - np.repeat(out_starts, tf_nz) + np.repeat(v_lo, tf_nz))
-        base = np.where(v_lo > 0, c_p[np.maximum(v_lo - 1, 0)], np.uint64(0))
-        pos = (c_p[idx] - np.repeat(base, tf_nz)).astype(np.int64)
-        docs = np.repeat(cand[nz], tf_nz)
-        if len(pos) > 1:  # position-increment-0 repeats: count DISTINCT
-            keep = np.concatenate(
-                ([True], (docs[1:] != docs[:-1]) | (pos[1:] != pos[:-1])))
-            docs, pos, idx = docs[keep], pos[keep], idx[keep]
+        prep, occ_in_cand = r
+        pivot = min(range(len(tokens)), key=lambda j: occ_in_cand[tokens[j]])
+        r = self._pivot_occurrences(prep[tokens[pivot]], cand)
+        if r is None:
+            return None
+        docs, pos, idx = r
         start_ok = pos >= pivot
         occ_docs, occ_pos = docs[start_ok], pos[start_ok] - pivot
         if len(occ_docs) == 0:
@@ -1341,13 +1122,8 @@ class IndexSearcher:
                         key=lambda j: occ_in_cand[tokens[j]])
         for j in others:
             t = tokens[j]
-            tp_j = postings[t]
-            c_j, starts_j, sel_j = prep[t]
-            sj = sel_j[ci]
-            v_lo_j = starts_j[sj]
-            v_hi_j = v_lo_j + tp_j.tfs[sj]
-            base_j = np.where(v_lo_j > 0, c_j[np.maximum(v_lo_j - 1, 0)],
-                              np.uint64(0))
+            c_j = prep[t][0]
+            v_lo_j, v_hi_j, base_j = self._doc_runs(prep[t], ci)
             tv = base_j + (occ_pos + j).astype(np.uint64)
             prev = last_idx.get(t)
             if prev is not None and 0 < j - prev[0] <= self._CHAIN_MAX_GAP:
@@ -1407,31 +1183,6 @@ class IndexSearcher:
         if len(live):  # window exhausted below tv: one binary search
             m[live] = np.searchsorted(c, tv_l, side="left")
         return m
-
-    def _phrase_probe_keys(self, tokens, uniq, cand
-                           ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """Legacy (pre-positions-merge indexes): full occurrence-key arrays
-        from the segment scan, sorted-membership adjacency."""
-        keys = self.fetch_position_keys(uniq)
-        if any(t not in keys for t in uniq):
-            return None
-        pivot = min(range(len(tokens)), key=lambda j: len(keys[tokens[j]]))
-        kp = keys[tokens[pivot]]
-        pmask = (kp & np.uint64((1 << self._POS_SHIFT) - 1)) >= pivot
-        occ0 = kp[pmask].astype(np.int64) - pivot
-        if len(occ0) == 0:
-            return None
-        for j in sorted((j for j in range(len(tokens)) if j != pivot),
-                        key=lambda j: len(keys[tokens[j]])):
-            karr = keys[tokens[j]]
-            target = (occ0 + j).astype(np.uint64)
-            idx = np.searchsorted(karr, target)
-            valid = idx < len(karr)
-            valid[valid] = karr[idx[valid]] == target[valid]
-            occ0 = occ0[valid]
-            if len(occ0) == 0:
-                return None
-        return occ0 >> self._POS_SHIFT, occ0 & ((1 << self._POS_SHIFT) - 1)
 
     # ------------------------------------------------------------- raw syntax
     def _match_terms_full(self, terms, boost: float = 1.0):
@@ -1556,21 +1307,7 @@ class IndexSearcher:
         from prosearch_ray.text.tokenizer import phrase_tokens
 
         tokens = phrase_tokens(text)
-        if not tokens:
-            return None
-        if len(tokens) == 1:
-            postings = self.fetch_postings(tokens)
-            tp = postings.get(tokens[0])
-            if tp is None:
-                return None
-            mask = tp.tfs > 0
-            ids = tp.doc_ids[mask]
-            if len(self.tombstones):
-                ids = ids[~np.isin(ids, self.tombstones, assume_unique=True)]
-            if len(ids) == 0:
-                return None
-            return ids, tp.tfs[np.searchsorted(tp.doc_ids, ids)]
-        return self._phrase_doc_tfs(tokens)
+        return self._phrase_candidates(tokens) if tokens else None
 
     def _match_phrase_full(self, text: str, df_override: Optional[int] = None,
                            collect_dfs: Optional[dict] = None,
@@ -2006,27 +1743,11 @@ class IndexSearcher:
         else:
             cand = self._phrase_candidates_and(uniq, postings)
             if len(cand):
-                cand = (self._slop_probe(tokens, uniq, postings, cand,
-                                         slop)
-                        if self._has_pos_parts()
-                        else self._slop_probe_keys(tokens, uniq, slop))
+                cand = self._slop_probe(tokens, uniq, postings, cand, slop)
         if len(self.tombstones) and len(cand):
             cand = cand[~np.isin(cand, self.tombstones, assume_unique=True)]
         if filter and len(cand):
             cand = cand[self._filter_mask(filter)[cand]]
-        return cand
-
-    def _phrase_candidates_and(self, uniq, postings) -> np.ndarray:
-        """AND of the tokens' posting lists — the exact candidate step of
-        ``_phrase_doc_tfs`` (title-only docs survive here and are
-        rejected by the positions probe, which indexes body only)."""
-        order = sorted(uniq, key=lambda t: len(postings[t].doc_ids))
-        cand = postings[order[0]].doc_ids
-        for t in order[1:]:
-            cand = cand[np.isin(cand, postings[t].doc_ids,
-                                assume_unique=True)]
-            if len(cand) == 0:
-                break
         return cand
 
     def _slop_probe(self, tokens, uniq, postings, cand,
@@ -2034,59 +1755,27 @@ class IndexSearcher:
         """Docs in ``cand`` holding an ordered token sequence with span
         <= (n-1)+slop (see ``slop_phrase_candidates``).  Pivot = sparsest
         token in cand; greedy bidirectional nearest-position chaining."""
-        cumsums = self._cached_pos_cumsum(uniq, postings)
-        prep = {}
-        occ_in_cand = {}
-        for t in uniq:
-            c = cumsums.get(t)
-            if c is None:
-                return np.empty(0, np.int64)
-            tp = postings[t]
-            starts = np.cumsum(tp.tfs) - tp.tfs
-            sel = np.searchsorted(tp.doc_ids, cand)
-            prep[t] = (c, starts, sel)
-            occ_in_cand[t] = int(tp.tfs[sel].sum())
+        empty = np.empty(0, np.int64)
+        r = self._probe_prep(uniq, postings, cand)
+        if r is None:
+            return empty
+        prep, occ_in_cand = r
         pivot = min(range(len(tokens)), key=lambda j: occ_in_cand[tokens[j]])
-
-        # materialize the pivot's occurrences over cand (the exact-phrase
-        # pivot block: cumsum values -> per-doc positions)
-        tp_p = postings[tokens[pivot]]
-        c_p, starts_p, sel_p = prep[tokens[pivot]]
-        tf_sel = tp_p.tfs[sel_p]
-        nz = tf_sel > 0
-        v_lo = starts_p[sel_p[nz]]
-        tf_nz = tf_sel[nz]
-        total = int(tf_nz.sum())
-        if total == 0:
-            return np.empty(0, np.int64)
-        out_starts = np.cumsum(tf_nz) - tf_nz
-        idx = (np.arange(total, dtype=np.int64)
-               - np.repeat(out_starts, tf_nz) + np.repeat(v_lo, tf_nz))
-        base = np.where(v_lo > 0, c_p[np.maximum(v_lo - 1, 0)], np.uint64(0))
-        pos = (c_p[idx] - np.repeat(base, tf_nz)).astype(np.int64)
-        docs = np.repeat(cand[nz], tf_nz)
-        if len(pos) > 1:
-            keep = np.concatenate(
-                ([True], (docs[1:] != docs[:-1]) | (pos[1:] != pos[:-1])))
-            docs, pos = docs[keep], pos[keep]
-
+        r = self._pivot_occurrences(prep[tokens[pivot]], cand)
+        if r is None:
+            return empty
+        docs, pos, _ = r
         ci = np.searchsorted(cand, docs)
         lo_pos = pos.copy()   # position of the EARLIEST chained token
         hi_pos = pos.copy()   # position of the LATEST chained token
-        prev = pos
 
-        def _step(j, prev_pos, docs, ci, forward):
+        def _step(j, prev_pos, ci, forward):
             """Nearest in-order occurrence of token ``j`` per survivor:
             forward = smallest position > prev, backward = largest
             position < prev.  Returns (ok_mask, new_positions)."""
             t = tokens[j]
-            c_j, starts_j, sel_j = prep[t]
-            tp_j = postings[t]
-            sj = sel_j[ci]
-            v_lo_j = starts_j[sj]
-            v_hi_j = v_lo_j + tp_j.tfs[sj]
-            base_j = np.where(v_lo_j > 0, c_j[np.maximum(v_lo_j - 1, 0)],
-                              np.uint64(0))
+            c_j = prep[t][0]
+            v_lo_j, v_hi_j, base_j = self._doc_runs(prep[t], ci)
             key = base_j + prev_pos.astype(np.uint64)
             if forward:
                 # first in-doc key > key: clamp UP to the doc's range —
@@ -2111,59 +1800,17 @@ class IndexSearcher:
         # chain backward (pivot-1 .. 0), then forward (pivot+1 .. n-1);
         # each step drops dead survivors before the next searchsorted
         for j in range(pivot - 1, -1, -1):
-            ok, newp = _step(j, lo_pos, docs, ci, forward=False)
+            ok, newp = _step(j, lo_pos, ci, forward=False)
             docs, ci, lo_pos, hi_pos = (docs[ok], ci[ok], newp[ok],
                                         hi_pos[ok])
             if len(docs) == 0:
-                return np.empty(0, np.int64)
+                return empty
         for j in range(pivot + 1, len(tokens)):
-            ok, newp = _step(j, hi_pos, docs, ci, forward=True)
+            ok, newp = _step(j, hi_pos, ci, forward=True)
             docs, ci, lo_pos, hi_pos = (docs[ok], ci[ok], lo_pos[ok],
                                         newp[ok])
             if len(docs) == 0:
-                return np.empty(0, np.int64)
-        ok = (hi_pos - lo_pos) <= (len(tokens) - 1 + slop)
-        return np.unique(docs[ok])
-
-    def _slop_probe_keys(self, tokens, uniq, slop: int) -> np.ndarray:
-        """Legacy (pre-positions-merge indexes) sloppy probe: the same
-        bidirectional greedy over full (doc << POS_SHIFT | pos) occurrence
-        key arrays from the segment scan."""
-        keys = self.fetch_position_keys(uniq)
-        if any(t not in keys for t in uniq):
-            return np.empty(0, np.int64)
-        shift = self._POS_SHIFT
-        mask = np.uint64((1 << shift) - 1)
-        pivot = min(range(len(tokens)), key=lambda j: len(keys[tokens[j]]))
-        kp = keys[tokens[pivot]]
-        docs = (kp >> np.uint64(shift)).astype(np.int64)
-        lo_pos = (kp & mask).astype(np.int64)
-        hi_pos = lo_pos.copy()
-
-        def _step(j, prev_pos, docs, forward):
-            karr = keys[tokens[j]]
-            key = ((docs.astype(np.uint64) << np.uint64(shift))
-                   + prev_pos.astype(np.uint64))
-            if forward:
-                i = np.searchsorted(karr, key, side="right")
-                ok = i < len(karr)
-            else:
-                i = np.searchsorted(karr, key, side="left") - 1
-                ok = i >= 0
-            got = karr[np.clip(i, 0, len(karr) - 1)]
-            ok &= (got >> np.uint64(shift)).astype(np.int64) == docs
-            return ok, (got & mask).astype(np.int64)
-
-        for j in range(pivot - 1, -1, -1):
-            ok, newp = _step(j, lo_pos, docs, forward=False)
-            docs, lo_pos, hi_pos = docs[ok], newp[ok], hi_pos[ok]
-            if len(docs) == 0:
-                return np.empty(0, np.int64)
-        for j in range(pivot + 1, len(tokens)):
-            ok, newp = _step(j, hi_pos, docs, forward=True)
-            docs, lo_pos, hi_pos = docs[ok], lo_pos[ok], newp[ok]
-            if len(docs) == 0:
-                return np.empty(0, np.int64)
+                return empty
         ok = (hi_pos - lo_pos) <= (len(tokens) - 1 + slop)
         return np.unique(docs[ok])
 

@@ -54,9 +54,13 @@ class _ShardWorker:
     def _keys(self, ids) -> List[str]:
         return [self.s.doc_keys[int(i)].as_py() for i in ids]
 
-    def search(self, query: str, k: int, filter=None):
-        ids, scs = self.s.search(query, int(k), filter=filter)
+    def _partial(self, ids, scs):
+        """(doc_keys, scores, live count) — the per-shard half of every
+        scored scatter-gather."""
         return self._keys(ids), [float(x) for x in scs], int(self.s.last_count)
+
+    def search(self, query: str, k: int, filter=None):
+        return self._partial(*self.s.search(query, int(k), filter=filter))
 
     def prewarm(self, n_top_terms: int = 64, n_pos_terms: int = 0,
                 budget_bytes=None, terms=None) -> int:
@@ -84,39 +88,12 @@ class _ShardWorker:
         ks = sorted(str(x) for x in keys.take(top).to_pylist())
         return ks, [1.0] * len(ks), n
 
-    def search_regex(self, pattern: str, k: int, filter=None,
-                     max_expansions: int = 1024):
-        return self._const_score_partial(
-            self.s.regex_candidates(pattern, max_expansions, filter), k)
-
-    def search_fuzzy(self, term: str, k: int, distance: int = 1,
-                     filter=None):
-        return self._const_score_partial(
-            self.s.fuzzy_candidates(term, distance, filter=filter), k)
-
-    def search_term_set(self, terms, k: int, filter=None):
-        return self._const_score_partial(
-            self.s._union_candidates(sorted(set(terms)), filter), k)
-
-    def search_term_range(self, lower, upper, k: int,
-                          include_lower: bool = True,
-                          include_upper: bool = False,
-                          max_expansions: int = 1024, filter=None):
-        return self._const_score_partial(
-            self.s.range_candidates(lower, upper, include_lower,
-                                    include_upper, max_expansions, filter),
-            k)
-
-    def search_phrase_slop(self, text: str, k: int, slop: int = 0,
-                           filter=None):
-        return self._const_score_partial(
-            self.s.slop_phrase_candidates(text, slop, filter), k)
-
-    def search_phrase_prefix(self, text: str, k: int,
-                             max_expansions: int = 50, filter=None):
-        return self._const_score_partial(
-            self.s.phrase_prefix_candidates(text, max_expansions, filter),
-            k)
+    def const_score(self, method: str, k: int, *args):
+        """One constant-score query on this shard: ``method`` names the
+        ``IndexSearcher`` ``*_candidates`` method that yields the match set
+        (regex, fuzzy, term set, term range, slop phrase, phrase prefix),
+        called with ``args``."""
+        return self._const_score_partial(getattr(self.s, method)(*args), k)
 
     def aggregate_partial(self, query: str, aggs: dict, filter=None):
         return self.s.aggregate_partial(query, aggs, filter=filter)
@@ -163,18 +140,14 @@ class _ShardWorker:
         cq, cache = getattr(self, "_raw_cache", (None, None))
         if cq != query:
             cache = None  # actor restarted / different query: evaluate fresh
-        ids, scs = self.s.search_raw(query, int(k),
-                                     phrase_df_overrides=overrides,
-                                     phrase_cache=cache, filter=filter,
-                                     min_should_match=min_should_match)
-        return self._keys(ids), [float(x) for x in scs], int(self.s.last_count)
+        return self._partial(*self.s.search_raw(
+            query, int(k), phrase_df_overrides=overrides, phrase_cache=cache,
+            filter=filter, min_should_match=min_should_match))
 
     def search_dismax(self, query: str, k: int, tie_breaker: float,
                       filter=None):
-        ids, scs = self.s.search_dismax(query, int(k),
-                                        tie_breaker=tie_breaker,
-                                        filter=filter)
-        return self._keys(ids), [float(x) for x in scs], int(self.s.last_count)
+        return self._partial(*self.s.search_dismax(
+            query, int(k), tie_breaker=tie_breaker, filter=filter))
 
     def phrase_candidates(self, query: str) -> int:
         """Phase 1: evaluate the phrase locally, cache candidates, return
@@ -285,14 +258,27 @@ class ShardedSearcher:
         actor = ray.remote(num_cpus=num_cpus_per_actor)(_ShardWorker)
         return [actor.remote() for _ in range(num_shards)]
 
-    @staticmethod
-    def _merge(parts, k: int) -> Tuple[List[str], List[float]]:
-        rows = []
-        for keys, scs in parts:
-            rows.extend(zip(keys, scs))
+    def _gather(self, futures, k: int) -> Tuple[List[str], List[float]]:
+        """Gather per-shard ``(keys, scores, count)`` partials: sum the
+        counts into ``last_count`` and merge the top-k by (score desc,
+        doc_key asc)."""
+        res = ray.get(futures)
+        self.last_count = sum(n for _, _, n in res)
+        rows = [r for keys, scs, _ in res for r in zip(keys, scs)]
         rows.sort(key=lambda r: (-r[1], r[0]))
         rows = rows[:k]
         return [r[0] for r in rows], [r[1] for r in rows]
+
+    def _const_score(self, k: int, method: str, *args
+                     ) -> Tuple[List[str], List[float]]:
+        """Constant-score scatter-gather: every shard evaluates
+        ``IndexSearcher.<method>(*args)`` over its own dict and postings (a
+        doc lives in exactly one shard, so match counts are additive) and
+        returns its k smallest matching doc_keys; constant scores make the
+        merge a pure doc_key merge — the unsharded answer modulo the
+        documented doc_id-vs-doc_key tie-break of every sharded surface."""
+        return self._gather([a.const_score.remote(method, k, *args)
+                             for a in self.actors], k)
 
     def search(self, query: str, k: int = scoring.DEFAULT_K, filter=None
                ) -> Tuple[List[str], List[float]]:
@@ -300,9 +286,8 @@ class ShardedSearcher:
         shard worker (each shard holds its own sidecar over its local
         doc_id space — build with fastfields.build_fast_fields_sharded);
         the merge is unchanged, counts sum the per-shard filtered counts."""
-        res = ray.get([a.search.remote(query, k, filter) for a in self.actors])
-        self.last_count = sum(c for _, _, c in res)
-        return self._merge([(keys, scs) for keys, scs, _ in res], k)
+        return self._gather([a.search.remote(query, k, filter)
+                             for a in self.actors], k)
 
     def search_many(self, queries, ks) -> List[Tuple[List[str], List[float]]]:
         """Pipelined scatter-gather: submit EVERY query's shard RPCs up
@@ -312,13 +297,7 @@ class ShardedSearcher:
         ``search``."""
         futs = [[a.search.remote(q, int(k)) for a in self.actors]
                 for q, k in zip(queries, ks)]
-        out = []
-        for fs, k in zip(futs, ks):
-            res = ray.get(fs)
-            self.last_count = sum(c for _, _, c in res)
-            out.append(self._merge([(keys, scs) for keys, scs, _ in res],
-                                   int(k)))
-        return out
+        return [self._gather(fs, int(k)) for fs, k in zip(futs, ks)]
 
     def facet_counts(self, query: str, column: str, filter=None
                      ) -> List[Tuple[object, int]]:
@@ -411,11 +390,9 @@ class ShardedSearcher:
                               for a in self.actors]):
                 for text, c in d.items():
                     overrides[text] = overrides.get(text, 0) + int(c)
-        res = ray.get([a.search_raw.remote(query, k, overrides, filter,
-                                           min_should_match)
-                       for a in self.actors])
-        self.last_count = sum(c for _, _, c in res)
-        return self._merge([(keys, scs) for keys, scs, _ in res], k)
+        return self._gather([a.search_raw.remote(query, k, overrides, filter,
+                                                 min_should_match)
+                             for a in self.actors], k)
 
     def search_dismax(self, query: str, k: int = scoring.DEFAULT_K,
                       tie_breaker: float = 0.0,
@@ -426,31 +403,21 @@ class ShardedSearcher:
         lives in exactly one shard — so per-shard dismax + the (score,
         doc_key) merge is bit-identical to the unsharded scoring; counts
         are shard-additive."""
-        res = ray.get([a.search_dismax.remote(query, k, tie_breaker, filter)
-                       for a in self.actors])
-        self.last_count = sum(c for _, _, c in res)
-        return self._merge([(keys, scs) for keys, scs, _ in res], k)
+        return self._gather([a.search_dismax.remote(query, k, tie_breaker,
+                                                    filter)
+                             for a in self.actors], k)
 
     def search_regex(self, pattern: str, k: int = scoring.DEFAULT_K,
                      filter=None, max_expansions: int = 1024
                      ) -> Tuple[List[str], List[float]]:
-        """Regex term query scatter-gather (tantivy RegexQuery analog):
-        every shard expands the pattern over its OWN dict (a doc lives in
-        exactly one shard, so per-shard match counts are additive) and
-        returns its k smallest matching doc_keys; constant scores make the
-        merge a pure doc_key merge — bit-identical to the unsharded
-        ``IndexSearcher.search_regex`` modulo the documented doc_id-vs-
-        doc_key tie-break difference of every sharded surface.
+        """Regex term query scatter-gather (tantivy RegexQuery analog).
         ``max_expansions`` is enforced PER SHARD (each shard caps its own
         dict expansion): a pattern whose global expansion exceeds the cap
         can still be accepted when no single shard's vocabulary slice
         does — the cap is a per-searcher work guardrail, not a global
         result-semantics bound."""
-        res = ray.get([a.search_regex.remote(pattern, k, filter,
-                                             max_expansions)
-                       for a in self.actors])
-        self.last_count = sum(n for _, _, n in res)
-        return self._merge([(keys, scs) for keys, scs, _ in res], k)
+        return self._const_score(k, "regex_candidates", pattern,
+                                 max_expansions, filter)
 
     def search_wildcard(self, wc: str, k: int = scoring.DEFAULT_K,
                         max_expansions: int = 1024,
@@ -467,37 +434,27 @@ class ShardedSearcher:
                      distance: int = 1,
                      filter=None) -> Tuple[List[str], List[float]]:
         """Fuzzy term query scatter-gather (tantivy FuzzyTermQuery analog):
-        per-shard one-edit dict expansion, constant-score doc_key merge,
-        shard-additive counts — the same shape as ``search_regex``."""
-        res = ray.get([a.search_fuzzy.remote(term, k, distance, filter)
-                       for a in self.actors])
-        self.last_count = sum(n for _, _, n in res)
-        return self._merge([(keys, scs) for keys, scs, _ in res], k)
+        per-shard edit-distance dict expansion."""
+        return self._const_score(k, "fuzzy_candidates", term, distance,
+                                 filter)
 
     def search_phrase_prefix(self, text: str, k: int = scoring.DEFAULT_K,
                              max_expansions: int = 50,
                              filter=None) -> Tuple[List[str], List[float]]:
-        """Phrase-prefix scatter-gather (PhrasePrefixQuery analog):
-        constant-score doc_key merge, shard-additive counts.  Each shard
-        expands the prefix over its OWN dict and truncates at
+        """Phrase-prefix scatter-gather (PhrasePrefixQuery analog): each
+        shard expands the prefix over its OWN dict and truncates at
         ``max_expansions`` — exactly tantivy's per-segment truncation, and
         like tantivy the truncated sets can differ between shardings when
         a prefix exceeds the cap (prefixes under the cap are
         sharding-invariant, pinned in pytest)."""
-        res = ray.get([a.search_phrase_prefix.remote(
-            text, k, max_expansions, filter) for a in self.actors])
-        self.last_count = sum(n for _, _, n in res)
-        return self._merge([(keys, scs) for keys, scs, _ in res], k)
+        return self._const_score(k, "phrase_prefix_candidates", text,
+                                 max_expansions, filter)
 
     def search_term_set(self, terms, k: int = scoring.DEFAULT_K,
                         filter=None) -> Tuple[List[str], List[float]]:
-        """Term-set query scatter-gather (tantivy TermSetQuery analog):
-        constant-score doc_key merge, shard-additive counts."""
-        terms = list(terms)
-        res = ray.get([a.search_term_set.remote(terms, k, filter)
-                       for a in self.actors])
-        self.last_count = sum(n for _, _, n in res)
-        return self._merge([(keys, scs) for keys, scs, _ in res], k)
+        """Term-set query scatter-gather (tantivy TermSetQuery analog)."""
+        return self._const_score(k, "_union_candidates", sorted(set(terms)),
+                                 filter)
 
     # pool-wide postings-warm heap budget (split across shard actors):
     # co-located pools pay N × per-actor warm RSS on one box, so the TOTAL
@@ -535,26 +492,20 @@ class ShardedSearcher:
                           max_expansions: int = 1024,
                           filter=None) -> Tuple[List[str], List[float]]:
         """Term-range scatter-gather (tantivy RangeQuery over a str field):
-        per-shard row-group-pruned dict range expansion, constant-score
-        doc_key merge, shard-additive counts.  Like regex, the
+        per-shard row-group-pruned dict range expansion.  Like regex, the
         ``max_expansions`` guardrail binds per shard's vocabulary slice."""
-        res = ray.get([a.search_term_range.remote(
-            lower, upper, k, include_lower, include_upper, max_expansions,
-            filter) for a in self.actors])
-        self.last_count = sum(n for _, _, n in res)
-        return self._merge([(keys, scs) for keys, scs, _ in res], k)
+        return self._const_score(k, "range_candidates", lower, upper,
+                                 include_lower, include_upper,
+                                 max_expansions, filter)
 
     def search_phrase_slop(self, text: str, k: int = scoring.DEFAULT_K,
                            slop: int = 0,
                            filter=None) -> Tuple[List[str], List[float]]:
         """Proximity-phrase scatter-gather ('"a b"~N', ordered slop
-        semantics — see IndexSearcher.slop_phrase_candidates):
-        constant-score doc_key merge, shard-additive counts.  Phrase
+        semantics — see IndexSearcher.slop_phrase_candidates).  Phrase
         matching is doc-local, so sharding cannot change the match set."""
-        res = ray.get([a.search_phrase_slop.remote(text, k, slop, filter)
-                       for a in self.actors])
-        self.last_count = sum(n for _, _, n in res)
-        return self._merge([(keys, scs) for keys, scs, _ in res], k)
+        return self._const_score(k, "slop_phrase_candidates", text, slop,
+                                 filter)
 
     def search_phrase(self, query: str, k: int = scoring.DEFAULT_K,
                       filter=None) -> Tuple[List[str], List[float]]:
@@ -564,10 +515,8 @@ class ShardedSearcher:
         if df_p == 0:
             self.last_count = 0
             return [], []
-        res = ray.get([a.phrase_topk.remote(query, df_p, k, filter)
-                       for a in self.actors])
-        self.last_count = sum(n for _, _, n in res)
-        return self._merge([(keys, scs) for keys, scs, _ in res], k)
+        return self._gather([a.phrase_topk.remote(query, df_p, k, filter)
+                             for a in self.actors], k)
 
     def shutdown(self) -> None:
         global _RESERVED_CPUS

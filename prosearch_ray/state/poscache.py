@@ -1,15 +1,12 @@
-"""Cross-actor cache of decoded per-term arrays (keyed blobs).
+"""Cross-actor cache of decoded per-term phrase position cumsums.
 
-Every query actor keeps local LRUs of per-term decoded arrays: phrase
-position cumsums and, for stopword-grade terms, full postings bundles
-(ids/tfs/flags + the boost-free contribution array, ``tp:`` keys).  On a
-node running N actors that means N copies of each hot term's arrays.  This
+Every query actor keeps a local LRU of per-term position cumsums; on a node
+running N actors that means N copies of each hot term's array.  This
 registry de-duplicates them through the Ray OBJECT STORE: the first actor
-to decode a term ``ray.put``s the array(s) and publishes the ref under
-(kind, index fingerprint, term); every other actor maps the SAME
-shared-memory object zero-copy (``ray.get`` of a numpy array is a
-read-only view over plasma — no heap copy, and the store can spill cold
-entries).
+to decode a term ``ray.put``s the array and publishes the ref under (index
+fingerprint, term); every other actor maps the SAME shared-memory object
+zero-copy (``ray.get`` of a numpy array is a read-only view over plasma —
+no heap copy, and the store can spill cold entries).
 
 Design notes for multi-node: the registry is a ``num_cpus=0`` named actor
 (one per job); object locality is per-node — a remote node's first reader
@@ -19,7 +16,6 @@ never a correctness dependency)."""
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional
 
 _ACTOR_NAME = "prosearch-pos-cumsum-registry"
@@ -27,8 +23,6 @@ _NAMESPACE = "prosearch_ray"
 
 
 def enabled() -> bool:
-    if os.environ.get("PROSEARCH_SHARED_POS_CACHE", "1") == "0":
-        return False
     try:
         import ray
         return ray.is_initialized()
@@ -63,9 +57,6 @@ def _registry():
         def publish(self, key: str, wrapped_ref: list) -> None:
             self._refs.setdefault(key, wrapped_ref)
 
-        def keys_with_prefix(self, prefix: str) -> List[str]:
-            return [k for k in self._refs if k.startswith(prefix)]
-
         def size(self) -> int:
             return len(self._refs)
 
@@ -91,43 +82,16 @@ def fetch(keys: List[str]) -> Dict[str, "object"]:
         return {}
 
 
-def known_keys(prefix: str) -> List[str]:
-    """Keys currently published under ``prefix`` — callers cache this set
-    locally (with a short refresh interval) so per-query lookups for
-    never-shared terms cost a set membership test, not a registry RPC."""
+def publish(key: str, arr) -> None:
+    """Publish a decoded array; best-effort and FIRE-AND-FORGET: one
+    ``ray.put`` plus an un-awaited registry send, so a slow or overloaded
+    registry can never stall the caller (the query path publishes on first
+    touch of a term).  A racing duplicate publish ships a redundant object
+    the registry's ``setdefault`` drops and plasma reclaims."""
     import ray
 
     try:
         reg = _registry()
-        return ray.get(reg.keys_with_prefix.remote(prefix), timeout=5)
-    except Exception:
-        return []
-
-
-def publish(key: str, arr, wait: bool = False) -> None:
-    """Publish a decoded array; best-effort.
-
-    Default is FIRE-AND-FORGET: one ``ray.put`` plus an un-awaited registry
-    send — a slow or overloaded registry can never stall the caller (the
-    query path publishes on first touch of a big term).  A racing duplicate
-    publish ships a redundant object the registry's ``setdefault`` drops
-    and plasma reclaims — callers dedup the common case with their local
-    ``known_keys`` view.
-
-    ``wait=True`` restores the race-free contract (pre-lookup to skip the
-    multi-MB put when the key exists, then an acked publish — once it
-    returns, a lookup from any actor sees the key); tests use it."""
-    import ray
-
-    try:
-        reg = _registry()
-        if wait:
-            if ray.get(reg.lookup.remote([key]), timeout=5)[0]:
-                return
-            ref = ray.put(arr)
-            ray.get(reg.publish.remote(key, [ref]), timeout=5)
-        else:
-            ref = ray.put(arr)
-            reg.publish.remote(key, [ref])
+        reg.publish.remote(key, [ray.put(arr)])
     except Exception:
         pass

@@ -156,3 +156,24 @@ def test_position_overflow_fails_loudly():
     })
     with pytest.raises(ValueError, match="22-bit"):
         build_segment(0, docs, 0)
+
+
+def test_other_format_version_refused(tiny_index, tmp_path):
+    """The searcher reads one index format: an index whose stats.json
+    carries another format_version must fail to open, naming the version,
+    instead of being read through a fallback."""
+    import json
+    import shutil
+
+    from prosearch_ray.query.searcher import IndexSearcher
+
+    idx = str(tmp_path / "v3")
+    shutil.copytree(tiny_index[0], idx)
+    stats_path = f"{idx}/stats.json"
+    with open(stats_path) as f:
+        stats = json.load(f)
+    stats["format_version"] = 3
+    with open(stats_path, "w") as f:
+        json.dump(stats, f)
+    with pytest.raises(ValueError, match="format_version 3"):
+        IndexSearcher(idx)

@@ -7,6 +7,29 @@ import pytest
 from prosearch_ray.fixtures.gen import STOPWORDISH, WORD_POOL
 
 
+def _slop_matches(texts, q, slop):
+    """Brute-force ORDERED sloppy phrase: the keys of ``texts`` ({key:
+    body}) holding the query tokens at ``expand_token`` positions
+    p_0 < p_1 < ... < p_{n-1} with p_{n-1} - p_0 <= (n-1) + slop.  Every
+    increasing position sequence inside the span is tried."""
+    from prosearch_ray.text.tokenizer import expand_token, phrase_tokens
+
+    toks = phrase_tokens(q)
+    width = len(toks) - 1 + slop
+    hits = set()
+    for key, text in texts.items():
+        terms = [set(expand_token(raw)) for raw in text.split()]
+        occ = [[p for p, ts in enumerate(terms) if t in ts] for t in toks]
+
+        def chain(j, prev, last):
+            return j == len(toks) or any(
+                chain(j + 1, p, last) for p in occ[j] if prev < p <= last)
+
+        if any(chain(1, p0, p0 + width) for p0 in occ[0]):
+            hits.add(key)
+    return hits
+
+
 @pytest.fixture(scope="module")
 def phrase_setup(ray_session, tmp_path_factory):
     import ray.data as rd
@@ -78,26 +101,6 @@ def test_phrase_on_fixture_corpus(ray_session, tiny_index, tiny_oracle):
     assert n_hit >= 1  # at least one phrase actually matches the corpus
 
 
-def test_positions_fast_path_matches_segment_scan(phrase_setup, tiny_index):
-    """The merged positions parts must yield byte-identical occurrence keys
-    to the legacy segments/ scan (incl. position-increment-0 dedup)."""
-    import numpy as np
-
-    from prosearch_ray.query.searcher import IndexSearcher
-
-    s_fast = IndexSearcher(tiny_index[0])
-    s_scan = IndexSearcher(tiny_index[0])
-    s_scan._pos_parts_present = False  # force the fallback
-    assert s_fast._has_pos_parts(), "build must produce positions parts"
-    for t in ["parse", "buffer", "the", "merge", "zzznothing"]:
-        a = s_fast.fetch_position_keys([t]).get(t)
-        b = s_scan.fetch_position_keys([t]).get(t)
-        if a is None or b is None:
-            assert a is None and b is None, t
-        else:
-            assert np.array_equal(a, b), t
-
-
 def test_positions_parts_follow_delta(ray_session, tmp_path):
     """add_documents must fold the delta's positions into the merged
     positions parts — a phrase matching only the delta doc must hit."""
@@ -117,7 +120,6 @@ def test_positions_parts_follow_delta(ray_session, tmp_path):
     res = add_documents(idx, rd.from_arrow(delta))
     assert res["added"] == 1
     s = IndexSearcher(idx)
-    assert s._has_pos_parts()
     ids, scores = s.search_phrase("qqalpha qqbeta qqgamma", 10)
     assert len(ids) == 1 and len(scores) == 1
 
@@ -146,39 +148,36 @@ def test_position_cumsums_shared_across_searchers(phrase_setup, tiny_index):
     assert reg_size >= 1
 
 
-def test_probe_path_matches_key_path_randomized(ray_session, tiny_index):
+def test_probe_path_matches_oracle_randomized(ray_session, tiny_index,
+                                             tiny_oracle):
     """The cumsum-probe evaluation (single-binary-search run-overlap test)
-    must agree with the independent occurrence-key implementation on
-    random 2-4 token phrases over the fixture corpus."""
+    must agree with the brute-force oracle — ids and scores over the full
+    match set — on random 2-4 token phrases over the fixture corpus."""
     import numpy as np
 
     from prosearch_ray.query.searcher import IndexSearcher
 
     rng = np.random.default_rng(5)
-    s_probe = IndexSearcher(tiny_index[0])
-    s_keys = IndexSearcher(tiny_index[0])
-    s_keys._pos_parts_present = False  # force the key-based fallback
+    s = IndexSearcher(tiny_index[0])
     vocab = list(STOPWORDISH[:6]) + list(WORD_POOL[:10]) + ["zzznothing"]
     checked = agreed_nonempty = 0
     for _ in range(60):
         n = int(rng.integers(2, 5))
-        toks = [vocab[int(i)] for i in rng.integers(0, len(vocab), n)]
-        a = s_probe._phrase_doc_tfs(toks)
-        b = s_keys._phrase_doc_tfs(toks)
+        q = " ".join(vocab[int(i)] for i in rng.integers(0, len(vocab), n))
+        ids, scores = s.search_phrase(q, 10 ** 6)
+        want = tiny_oracle.search_phrase(q, 10 ** 6)
         checked += 1
-        if a is None or b is None:
-            assert a is None and b is None, toks
-            continue
-        assert np.array_equal(a[0], b[0]), toks
-        assert np.array_equal(a[1], b[1]), toks
-        agreed_nonempty += 1
+        assert [int(i) for i in ids] == [d for d, _, _ in want], q
+        assert np.allclose(scores, [sc for _, _, sc in want], atol=1e-5), q
+        agreed_nonempty += bool(len(want))
     assert checked == 60 and agreed_nonempty >= 5
 
 
-def test_repeated_token_phrases_chain_correctly(ray_session, tiny_index):
+def test_repeated_token_phrases_chain_correctly(ray_session, tiny_index,
+                                                tiny_oracle):
     """Repeated-token phrases take the chained window probe (O(gap) gathers
-    from the previous match index) — results must equal both the key-based
-    fallback and a chain-disabled probe (_CHAIN_MAX_GAP=0)."""
+    from the previous match index) — results must equal both the
+    brute-force oracle and a chain-disabled probe (_CHAIN_MAX_GAP=0)."""
     import numpy as np
 
     from prosearch_ray.query.searcher import IndexSearcher
@@ -186,23 +185,25 @@ def test_repeated_token_phrases_chain_correctly(ray_session, tiny_index):
     s_chain = IndexSearcher(tiny_index[0])
     s_nochain = IndexSearcher(tiny_index[0])
     s_nochain._CHAIN_MAX_GAP = 0  # instance override: always binary-search
-    s_keys = IndexSearcher(tiny_index[0])
-    s_keys._pos_parts_present = False
     stop = STOPWORDISH[0]
     w = WORD_POOL[0]
     phrases = [[stop, stop], [stop, stop, stop], [stop, w, stop],
                [stop, stop, w], [w, stop, stop, stop], [stop] * 5]
     n_hit = 0
     for toks in phrases:
+        q = " ".join(toks)
+        ids, scores = s_chain.search_phrase(q, 10 ** 6)
+        want = tiny_oracle.search_phrase(q, 10 ** 6)
+        assert [int(i) for i in ids] == [d for d, _, _ in want], toks
+        assert np.allclose(scores, [sc for _, _, sc in want],
+                           atol=1e-5), toks
         a = s_chain._phrase_doc_tfs(toks)
         b = s_nochain._phrase_doc_tfs(toks)
-        c = s_keys._phrase_doc_tfs(toks)
         if a is None:
-            assert b is None and c is None, toks
+            assert b is None, toks
             continue
-        for other in (b, c):
-            assert np.array_equal(a[0], other[0]), toks
-            assert np.array_equal(a[1], other[1]), toks
+        assert np.array_equal(a[0], b[0]), toks
+        assert np.array_equal(a[1], b[1]), toks
         n_hit += bool(len(a[0]))
     assert n_hit >= 2, "fixture corpus must contain repeated-stopword runs"
 
@@ -286,51 +287,25 @@ def test_phrase_prefix_sharded_parity(ray_session, tmp_path):
 
 def test_phrase_slop_matches_bruteforce(phrase_setup):
     """Sloppy phrase ('"a b"~N', ORDERED semantics: increasing positions
-    with span <= n-1+slop) vs an exhaustive brute-force over the corpus,
-    on BOTH probe paths (cumsum greedy + key-array fallback); slop=0
-    must equal the exact phrase match set."""
-    import itertools
-
+    with span <= n-1+slop) vs the exhaustive brute-force matcher over the
+    corpus; slop=0 must equal the exact phrase match set."""
     import numpy as np
 
-    from prosearch_ray.query.searcher import IndexSearcher
-
     s, _oracle, corpus = phrase_setup
-    s_keys = IndexSearcher(s.index_dir)
-    s_keys._pos_parts_present = False  # force the key-based fallback
     texts = {f"r/a/f{i}.py": c
              for i, c in enumerate(corpus.column("content").to_pylist())}
-
-    def brute(q, slop):
-        toks = q.lower().split()
-        hits = set()
-        for key, text in texts.items():
-            words = text.split()
-            poss = [[p for p, w in enumerate(words) if w == t]
-                    for t in toks]
-            if any(not p for p in poss):
-                continue
-            for combo in itertools.product(*poss):
-                if (all(combo[j] < combo[j + 1]
-                        for j in range(len(combo) - 1))
-                        and combo[-1] - combo[0] <= len(toks) - 1 + slop):
-                    hits.add(key)
-                    break
-        return hits
-
     queries = ["beta gamma", "beta x gamma", "alpha gamma", "gamma alpha",
                "beta beta", "beta gamma beta", "alpha beta gamma",
                "prefix suffix", "beta zzznothing"]
     nonempty = 0
     for q in queries:
         for slop in (0, 1, 2, 5):
-            want = brute(q, slop)
-            for eng in (s, s_keys):
-                ids, scs = eng.search_phrase_slop(q, 10 ** 6, slop=slop)
-                got = {str(eng.doc_keys[int(i)]) for i in ids}
-                assert got == want, (q, slop, eng is s_keys)
-                assert np.all(np.asarray(scs) == 1.0)
-                assert eng.last_count == len(want)
+            want = _slop_matches(texts, q, slop)
+            ids, scs = s.search_phrase_slop(q, 10 ** 6, slop=slop)
+            got = {str(s.doc_keys[int(i)]) for i in ids}
+            assert got == want, (q, slop)
+            assert np.all(np.asarray(scs) == 1.0)
+            assert s.last_count == len(want)
             nonempty += bool(want)
         # slop=0 == exact phrase match set
         ids0, _ = s.search_phrase_slop(q, 10 ** 6, slop=0)
@@ -342,18 +317,17 @@ def test_phrase_slop_matches_bruteforce(phrase_setup):
         s.search_phrase_slop("beta gamma", 10, slop=-1)
 
 
-def test_phrase_slop_randomized(ray_session, tiny_index):
+def test_phrase_slop_randomized(ray_session, tiny_index, tiny_oracle):
     """Seeded random 2-4 token phrases over the fixture corpus: the
-    cumsum-greedy probe must agree with the key-array fallback for every
+    cumsum-greedy probe must agree with the brute-force matcher for every
     slop — two independent implementations of the ordered-slop contract."""
     import numpy as np
 
     from prosearch_ray.query.searcher import IndexSearcher
 
     rng = np.random.default_rng(11)
-    s_probe = IndexSearcher(tiny_index[0])
-    s_keys = IndexSearcher(tiny_index[0])
-    s_keys._pos_parts_present = False
+    s = IndexSearcher(tiny_index[0])
+    texts = {d["doc_id"]: d["content"] for d in tiny_oracle.docs}
     vocab = list(STOPWORDISH[:6]) + list(WORD_POOL[:10]) + ["zzznothing"]
     agreed_nonempty = 0
     for _ in range(40):
@@ -361,11 +335,11 @@ def test_phrase_slop_randomized(ray_session, tiny_index):
         toks = " ".join(vocab[int(i)]
                         for i in rng.integers(0, len(vocab), n))
         slop = int(rng.integers(0, 4))
-        a = s_probe.slop_phrase_candidates(toks, slop)
-        b = s_keys.slop_phrase_candidates(toks, slop)
-        assert np.array_equal(a, b), (toks, slop)
+        a = s.slop_phrase_candidates(toks, slop)
+        assert set(a.tolist()) == _slop_matches(texts, toks, slop), (
+            toks, slop)
         # slop grows monotonically: every slop-s match also matches s+1
-        a2 = s_probe.slop_phrase_candidates(toks, slop + 1)
+        a2 = s.slop_phrase_candidates(toks, slop + 1)
         assert set(a.tolist()) <= set(a2.tolist()), (toks, slop)
         agreed_nonempty += bool(len(a))
     assert agreed_nonempty >= 5

@@ -325,6 +325,21 @@ def test_search_regex_sharded_matches_unsharded(ray_session, tmp_path):
             assert list(keys) == want[:k]
             assert all(x == 1.0 for x in scs)
             assert m.last_count == count
+        # the other constant-score surfaces share the same shard path
+        cases = [
+            ("search_term_set", (["merge", "hash", "zzq"],), 9),
+            ("search_term_set", (["zzqnothing"],), 4),
+            ("search_wildcard", ("mer*",), 6),
+            ("search_wildcard", ("h?sh",), 12),
+        ]
+        for method, args, k in cases:
+            ids, _ = getattr(s, method)(*args, 10 ** 6)
+            want = sorted(str(s.doc_keys[int(i)]) for i in ids)
+            count = s.last_count
+            keys, scs = getattr(m, method)(*args, k)
+            assert list(keys) == want[:k], (method, args)
+            assert m.last_count == count, (method, args)
+            assert all(x == 1.0 for x in scs), (method, args)
     finally:
         m.shutdown()
 

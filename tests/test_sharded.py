@@ -429,6 +429,32 @@ def test_num_shards_mismatch_refused(both_indexes, tmp_path):
         build_sharded_index(None, root, num_shards=5)
 
 
+def test_root_without_manifest_refused(both_indexes, tmp_path):
+    """A root without _sharding.json has no recorded shard count: a delta
+    must raise instead of inferring the count from the shard=* dirs, and a
+    build must not adopt the existing dirs."""
+    import os
+    import shutil
+
+    import pyarrow as pa
+
+    from prosearch_ray.index.sharded import (add_documents_sharded,
+                                             build_sharded_index)
+
+    _, root_src, _, _ = both_indexes
+    root = str(tmp_path / "shards")
+    shutil.copytree(root_src, root)
+    os.remove(os.path.join(root, "_sharding.json"))
+    delta = pa.table({"repo": ["org9999/newrepo"], "path": ["fresh/x.py"],
+                      "commit": ["e" * 40], "lang": ["py"],
+                      "content": ["brandnewuniq merge hash token"]})
+    with pytest.raises(ValueError, match="_sharding.json"):
+        add_documents_sharded(root, delta)
+    with pytest.raises(ValueError, match="_sharding.json"):
+        build_sharded_index(None, root, num_shards=3)
+    assert not os.path.exists(os.path.join(root, "_sharding.json"))
+
+
 def test_boundary_ties_resolve_by_doc_key(ray_session, tmp_path):
     """A tie group larger than k straddling every shard's local k-boundary:
     per-shard truncation must rank ties by doc_key (like the merge), so the

@@ -208,31 +208,27 @@ def test_html_stats_page():
     assert "4096 bytes" in page or "4.0 KiB" in page or "kB" in page
 
 
-def test_shared_postings_bundles_across_searchers(tiny_index, monkeypatch):
-    """Cross-actor postings sharing: a second searcher must pick up the
-    first one's decoded+scored bundle from the object-store registry and
-    return identical results (ids, scores, count)."""
-    import numpy as np
+def test_search_dataset_matches_searcher(ray_session, tiny_index):
+    """The actor-pool path (QueryStage over a queries Dataset, including
+    its per-actor warm-up) returns the in-process searcher's hits, rank for
+    rank."""
+    import pyarrow as pa
+    import ray.data as rd
 
-    monkeypatch.setenv("PROSEARCH_SHARED_POSTINGS", "1")
-
-    from prosearch_ray.query.searcher import IndexSearcher
+    from prosearch_ray.query import IndexSearcher, search_dataset
 
     index_dir, _ = tiny_index
-    q = "merge hash"
-    s1 = IndexSearcher(index_dir)
-    s1._SHARE_MIN_DF = 1  # share every term at fixture scale
-    ids1, sc1 = s1.search(q)
-    c1 = s1.last_count
-
-    s2 = IndexSearcher(index_dir)
-    s2._SHARE_MIN_DF = 1
-    from prosearch_ray.index import scoring as _scoring
-    terms = [t for t, _ in _scoring.query_plan(q, s2.boost_terms)]
-    tps = s2.fetch_postings(terms)
-    # the bundle arrives pre-scored (contributions computed by s1)
-    assert all(tps[t].scores is not None for t in tps)
-    ids2, sc2 = s2.search(q)
-    assert np.array_equal(ids1, ids2)
-    assert np.array_equal(sc1, sc2)
-    assert s2.last_count == c1
+    queries = ["merge hash", "the", "zzznothing"]
+    ds = rd.from_arrow(pa.table({
+        "qid": pa.array(range(len(queries)), pa.int32()),
+        "query": pa.array(queries, pa.string()),
+        "k": pa.array([5] * len(queries), pa.int32())}))
+    rows = search_dataset(ds, index_dir, concurrency=1).take_all()
+    s = IndexSearcher(index_dir)
+    for qid, q in enumerate(queries):
+        got = sorted((r["rank"], r["doc_id"], r["score"])
+                     for r in rows if r["qid"] == qid)
+        ids, scs = s.search(q, 5)
+        assert [(d, sc) for _, d, sc in got] == [
+            (int(d), float(sc)) for d, sc in zip(ids, scs)], q
+    assert any(r["qid"] == 0 for r in rows)
