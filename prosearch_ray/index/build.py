@@ -5,10 +5,13 @@ Replaces the reference's crawl→commit→tantivy-segment path
 /root/reference/tantivy-cli/src/commands/index.rs:20-148) with:
 
     read_parquet(corpus)
-      ── stage A: map_batches(normalize + sha256 + lang filter + bucket) →
-         groupby(bucket).map_groups(writer: in-bucket last-write-wins upsert,
-         sort by doc_key, write docs/bucket parquet atomically) — the ONLY
-         pass over content and the ONLY content shuffle
+      ── stage A: normalize + sha256 + lang filter + bucket, then the ONE
+         content exchange to per-bucket writers (in-bucket last-write-wins
+         upsert, sort by doc_key, write docs/bucket parquet atomically) — the
+         ONLY pass over content.  Path sources run it as the resumable spill
+         exchange of exchange.py (map: normalize and spill by bucket group;
+         reduce: one writer per bucket); Dataset sources, which have no
+         stable work plan, as groupby(bucket).map_groups
       ── content-dedup fixup: scan staged KEY columns (doc_key, sha, bucket),
          pick min-doc_key winner per sha, rewrite just the buckets holding
          losers (cross-bucket dups are rare; the scan never touches content)
@@ -16,12 +19,13 @@ Replaces the reference's crawl→commit→tantivy-segment path
       ── stage B: Dataset of bucket work-items → one task per bucket:
          tokenize, build segment postings, write segments+docmeta+manifest
          atomically (resume skips buckets with a valid manifest)
-      ── merge: segments → groupby(hash(term) % P).map_groups → final
-         term-partitioned postings + dict shards (forcemerge analog).
+      ── merge: segments → spill exchange keyed on hash(term) % P → final
+         term-partitioned postings + dict shards, then positions parts the
+         same way (forcemerge analog).
 
 Scale notes (explicitly designed for the 100 TB case):
 - exactly ONE pass over content and ONE content shuffle (the bucket
-  groupby); upsert dedup is in-bucket (doc_key ⇒ bucket), content dedup is a
+  exchange); upsert dedup is in-bucket (doc_key ⇒ bucket), content dedup is a
   key-column scan + loser-bucket rewrite — content is never re-read;
 - skew: the shuffle key is ``bucket`` — uniformly distributed by md5 and
   bounded at ``docs_per_bucket`` docs, so no Zipf-heavy term or repo can
@@ -49,11 +53,9 @@ import pyarrow.parquet as pq
 
 import ray
 import ray.data
-from ray.data.aggregate import Count, Min
 
-from prosearch_ray.index import docid, layout
+from prosearch_ray.index import docid, exchange, layout
 from prosearch_ray.index.segment import build_segment
-from prosearch_ray.state.broadcast import bget, bput
 
 DEFAULT_LANGS: FrozenSet[str] = frozenset(["java", "py", "rs", "js", "go", "md", "txt"])
 CORPUS_COLUMNS = ["repo", "path", "commit", "lang", "content"]
@@ -155,9 +157,11 @@ def _normalize_batch(langs: FrozenSet[str], num_buckets: int):
 def _canonicalize_bucket(group: pa.Table) -> pa.Table:
     """Canonical in-bucket form: sort by (doc_key asc, commit desc, sha desc)
     and keep the first row per doc_key — the last-write-wins upsert (D3;
-    delete-then-reinsert analog, TantivyCommitter.java:48-82).  All rows of a
-    doc_key hash to the same bucket, so this implements max-(commit, sha)
-    globally with no extra shuffle, deterministically for any arrival order."""
+    delete-then-reinsert analog, TantivyCommitter.java:48-82), and the only
+    one: delta batches and the sharded key scans resolve upserts with it
+    too.  All rows of a doc_key hash to the same bucket, so this implements
+    max-(commit, sha) globally with no extra shuffle, deterministically for
+    any arrival order."""
     group = group.sort_by([("doc_key", "ascending"),
                            ("commit", "descending"),
                            ("sha_hex", "descending")])
@@ -172,39 +176,25 @@ def _canonicalize_bucket(group: pa.Table) -> pa.Table:
     return group.filter(pa.array(keep))
 
 
-def _stage_a_writer(staged_dir: str, return_keys: bool):
+def _stage_a_writer(staged_dir: str):
     """groupby(bucket).map_groups body: canonical in-bucket order + atomic
     docs file; emits (bucket, n_docs)."""
     def fn(group: pa.Table) -> pa.Table:
         bucket = int(group.column("bucket")[0].as_py())
         group = _canonicalize_bucket(group)
-        path = os.path.join(staged_dir, f"bucket={bucket:08d}.parquet")
-        _atomic_write_table(group, path)
-        if return_keys:
-            # ship the (tiny) key columns back with the counts so the
-            # content-dedup fixup needs no re-scan of staged files
-            return pa.table({
-                "bucket": pa.array([bucket] * group.num_rows, pa.int32()),
-                "n_docs": pa.array([group.num_rows] * group.num_rows, pa.int64()),
-                "doc_key": group.column("doc_key"),
-                "sha_hex": group.column("sha_hex"),
-            })
+        _atomic_write_table(group, os.path.join(
+            staged_dir, f"bucket={bucket:08d}.parquet"))
         return pa.table({"bucket": pa.array([bucket], pa.int32()),
-                         "n_docs": pa.array([group.num_rows], pa.int64()),
-                         "doc_key": pa.array([None], pa.string()),
-                         "sha_hex": pa.array([None], pa.string())})
+                         "n_docs": pa.array([group.num_rows], pa.int64())})
     return fn
 
 
 # --------------------------------------------------------------------------
-# Stage-A spill-file exchange: a deterministic, RESUMABLE map/reduce over
-# files instead of Ray's in-memory sort shuffle.  Map tasks (one per planned
-# row-group span) normalize their rows and write them partitioned by bucket
-# GROUP (bucket % n_groups) as spill parquet; reduce tasks (one per group)
-# read the group's spill, canonicalize each bucket and write the staged
-# bucket files.  Both sides are keyed work items with done-markers, so a
-# killed build resumes mid-stage-A without re-normalizing finished input
-# spans (the groupby path restarts stage A from scratch).  Only available
+# Stage A of a path source runs as a spill exchange (exchange.py): map tasks
+# (one per planned row-group span) normalize their rows and spill them by
+# bucket GROUP (bucket % n_groups); reduce tasks (one per group) canonicalize
+# each bucket and write the staged bucket files.  A killed build resumes
+# mid-stage-A without re-normalizing finished input spans.  Only available
 # when the source is a parquet path (a Dataset has no stable work plan).
 # --------------------------------------------------------------------------
 
@@ -213,7 +203,8 @@ def _plan_spill_items(source: str, target_items: int) -> list:
     the input.  An item is a list of contiguous row-group SPANS that may
     cover several whole small files (a hive-partitioned upstream write
     produces hundreds of sub-MB files; one task per file would drown the
-    stage in per-task and per-spill-write fixed costs)."""
+    stage in per-task and per-spill-write fixed costs).  ``fp`` names the
+    item's input for its done-marker."""
     files = ([os.path.join(source, f) for f in sorted(os.listdir(source))
               if f.endswith(".parquet")]
              if os.path.isdir(source) else [source])
@@ -226,8 +217,10 @@ def _plan_spill_items(source: str, target_items: int) -> list:
     def flush():
         nonlocal spans, span_rows
         if spans:
+            fp = ";".join(f"{s['path']}:{s['rg0']}-{s['rg1']}:{s['fsize']}"
+                          for s in spans) + f":{span_rows}"
             items.append({"item": len(items), "spans": spans,
-                          "n_rows": span_rows})
+                          "n_rows": span_rows, "fp": fp})
             spans, span_rows = [], 0
 
     for path, md in metas:
@@ -251,111 +244,52 @@ def _plan_spill_items(source: str, target_items: int) -> list:
     return items
 
 
-def _spill_fingerprint(it: dict) -> str:
-    return ";".join(f"{s['path']}:{s['rg0']}-{s['rg1']}:{s['fsize']}"
-                    for s in it["spans"]) + f":{it['n_rows']}"
+def _read_spans(it: dict) -> pa.Table:
+    """The corpus rows of one planned spill item."""
+    return pa.concat_tables(
+        [pq.ParquetFile(s["path"]).read_row_groups(
+            list(range(int(s["rg0"]), int(s["rg1"]) + 1)),
+            columns=CORPUS_COLUMNS) for s in it["spans"]],
+        promote_options="default")
 
 
-def _spill_map_fn(spill_dir: str, langs: FrozenSet[str], num_buckets: int,
-                  n_groups: int, exclude_ref=None):
-    normalize = _normalize_batch(langs, num_buckets)
-
-    def fn(it: dict) -> dict:
-        item = int(it["item"])
-        marker = os.path.join(spill_dir, "_done", f"item={item:06d}.json")
-        fp = _spill_fingerprint(it)
-        if os.path.exists(marker):
-            try:
-                if json.load(open(marker)).get("fp") == fp:
-                    return {"item": item, "skipped": True}
-            except (ValueError, OSError):
-                pass
-        parts = []
-        for s in it["spans"]:
-            pf = pq.ParquetFile(s["path"])
-            parts.append(pf.read_row_groups(
-                list(range(int(s["rg0"]), int(s["rg1"]) + 1)),
-                columns=CORPUS_COLUMNS))
-        tbl = pa.concat_tables(parts, promote_options="default")
-        norm = normalize(tbl)
-        if exclude_ref is not None:
-            # broadcast loser-key set (ray.put once, read per task): drop
-            # cross-shard content-dup losers before bucketing
-            norm = norm.filter(pc.invert(pc.is_in(
-                norm.column("doc_key"), value_set=ray.get(exclude_ref))))
-        groups = (norm.column("bucket").to_numpy() % n_groups).astype(np.int64)
-        order = np.argsort(groups, kind="stable")
-        sorted_tbl = norm.take(pa.array(order, pa.int64()))
-        gsorted = groups[order]
-        bounds = np.flatnonzero(np.diff(gsorted)) + 1
-        starts = np.concatenate(([0], bounds))
-        ends = np.concatenate((bounds, [len(gsorted)]))
-        for s, e in zip(starts, ends):
-            if s == e:
-                continue
-            g = int(gsorted[s])
-            gdir = os.path.join(spill_dir, f"g={g:04d}")
-            os.makedirs(gdir, exist_ok=True)
-            _atomic_write_table(sorted_tbl.slice(s, e - s),
-                                os.path.join(gdir, f"item={item:06d}.parquet"))
-        _atomic_write_json({"fp": fp}, marker)
-        return {"item": item, "skipped": False}
-    return fn
+def _drop_keys(tbl: pa.Table, keys_ref) -> pa.Table:
+    """Rows whose doc_key is not in the broadcast key array ``keys_ref``."""
+    if keys_ref is None:
+        return tbl
+    return tbl.filter(pc.invert(pc.is_in(tbl.column("doc_key"),
+                                         value_set=ray.get(keys_ref))))
 
 
-def _spill_reduce_fn(staged_dir: str, spill_dir: str, exclude_ref=None):
-    """``exclude_ref`` (broadcast sorted doc_key array) drops those keys
+def _stage_a_reduce(staged_dir: str, exclude_ref=None):
+    """Stage-A reduce body: one canonical staged file per bucket of the
+    group.  ``exclude_ref`` (broadcast doc_key array) drops those keys
     before the in-bucket upsert — the REDUCE-side hook for cross-shard
     dedup losers, used by the fused sharded stage A where the loser set is
     only known after the map phase ran (the map itself computes the shas)."""
-    def fn(it: dict) -> list:
-        g = int(it["g"])
-        marker = os.path.join(spill_dir, "_done", f"group={g:04d}.json")
-        if os.path.exists(marker):
-            try:
-                counts = json.load(open(marker))["counts"]
-                return [{"bucket": int(b), "n_docs": int(n)}
-                        for b, n in counts.items()]
-            except (ValueError, OSError, KeyError):
-                pass
-        gdir = os.path.join(spill_dir, f"g={g:04d}")
-        if not os.path.isdir(gdir):
-            _atomic_write_json({"counts": {}}, marker)
+    def reduce(g: int, tbl) -> list:
+        if tbl is None:
             return []
-        import pyarrow.dataset as pads
-
-        tbl = pads.dataset(
-            [os.path.join(gdir, f) for f in sorted(os.listdir(gdir))
-             if f.endswith(".parquet")]).to_table()
-        if exclude_ref is not None:
-            tbl = tbl.filter(pc.invert(pc.is_in(
-                tbl.column("doc_key"), value_set=ray.get(exclude_ref))))
-        tbl = tbl.sort_by([("bucket", "ascending")])
-        buckets = tbl.column("bucket").to_numpy()
-        bounds = np.flatnonzero(np.diff(buckets)) + 1
-        starts = np.concatenate(([0], bounds))
-        ends = np.concatenate((bounds, [len(buckets)]))
-        counts = {}
-        for s, e in zip(starts, ends):
-            bucket = int(buckets[s])
-            docs = _canonicalize_bucket(tbl.slice(s, e - s))
+        tbl = _drop_keys(tbl, exclude_ref)
+        out = []
+        for bucket, rows in exchange.key_slices(
+                tbl, tbl.column("bucket").to_numpy()):
+            docs = _canonicalize_bucket(rows)
             _atomic_write_table(
                 docs, os.path.join(staged_dir, f"bucket={bucket:08d}.parquet"))
-            counts[str(bucket)] = docs.num_rows
-        _atomic_write_json({"counts": counts}, marker)
-        return [{"bucket": int(b), "n_docs": int(n)} for b, n in counts.items()]
-    return fn
+            out.append({"bucket": bucket, "n_docs": docs.num_rows})
+        return out
+    return reduce
 
 
-def _stage_a_spill_exchange(source: str, staged_dir: str,
-                            langs: FrozenSet[str], num_buckets: int,
-                            exclude_doc_keys=None) -> Dict[int, int]:
-    """Run stage A as the resumable spill exchange; returns bucket counts.
-    ``exclude_doc_keys`` (sorted iterable) drops those keys after normalize
-    — the broadcast-filter hook for cross-shard dedup losers."""
-    index_dir = os.path.dirname(os.path.normpath(staged_dir))
-    spill_dir = os.path.join(index_dir, "spill")
-    ncpu = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
+def _stage_a_exchange(source: str, staged_dir: str, langs: FrozenSet[str],
+                      num_buckets: int,
+                      exclude_doc_keys=None) -> exchange.Exchange:
+    """Stage A of a path source as a spill exchange under ``spill/`` of the
+    index dir.  ``exclude_doc_keys`` (sorted iterable) drops those keys
+    after normalize — the broadcast-filter hook for cross-shard dedup
+    losers."""
+    ncpu = exchange.cluster_cpus()
     items = _plan_spill_items(source, target_items=4 * ncpu)
     n_groups = int(max(1, min(num_buckets, 4 * ncpu)))
     exclude_ref = exclude_digest = None
@@ -364,39 +298,25 @@ def _stage_a_spill_exchange(source: str, staged_dir: str,
         exclude_digest = hashlib.md5(
             "\x00".join(ex_sorted).encode()).hexdigest()
         exclude_ref = ray.put(pa.array(ex_sorted, pa.string()))
-    config = {"num_buckets": num_buckets, "n_groups": n_groups,
-              "langs": sorted(langs), "exclude": exclude_digest,
-              "plan": [_spill_fingerprint(it) for it in items]}
-    cfg_path = os.path.join(spill_dir, "_config.json")
-    stale = True
-    if os.path.exists(cfg_path):
-        try:
-            stale = json.load(open(cfg_path)) != config
-        except (ValueError, OSError):
-            pass
-    if stale:
-        import shutil
-        shutil.rmtree(spill_dir, ignore_errors=True)
-    os.makedirs(os.path.join(spill_dir, "_done"), exist_ok=True)
-    if stale:
-        _atomic_write_json(config, cfg_path)
+    normalize = _normalize_batch(langs, num_buckets)
 
-    ray.data.from_items(items).map(
-        _spill_map_fn(spill_dir, langs, num_buckets, n_groups,
-                      exclude_ref=exclude_ref)).materialize()
-    counts: Dict[int, int] = {}
-    reduce_rows = ray.data.from_items(
-        [{"g": g} for g in range(n_groups)]).flat_map(
-        _spill_reduce_fn(staged_dir, spill_dir)).take_all()
-    for r in reduce_rows:
-        counts[int(r["bucket"])] = int(r["n_docs"])
-    return counts
+    def produce(it: dict):
+        norm = _drop_keys(normalize(_read_spans(it)), exclude_ref)
+        return norm, norm.column("bucket").to_numpy() % n_groups
+
+    return exchange.Exchange(
+        os.path.join(os.path.dirname(os.path.normpath(staged_dir)), "spill"),
+        n_groups, reduce=_stage_a_reduce(staged_dir), produce=produce,
+        items=items,
+        config={"num_buckets": num_buckets, "n_groups": n_groups,
+                "langs": sorted(langs), "exclude": exclude_digest,
+                "plan": [it["fp"] for it in items]})
 
 
 PRESTAGED_META = "_prestaged.json"
 
 
-def _stage_a_from_prestaged(index_dir: str, staged_dir: str) -> Dict[int, int]:
+def _stage_a_from_prestaged(index_dir: str, staged_dir: str) -> list:
     """Stage A when the spill MAP phase already ran externally (the fused
     sharded build writes every shard's ``spill/g=*/item=*.parquet`` in one
     corpus pass — see sharded._fused_corpus_spill): run only the per-group
@@ -404,38 +324,54 @@ def _stage_a_from_prestaged(index_dir: str, staged_dir: str) -> Dict[int, int]:
     cross-shard loser exclusion (``spill/_exclude.parquet``)."""
     spill_dir = os.path.join(index_dir, "spill")
     meta = json.load(open(os.path.join(spill_dir, PRESTAGED_META)))
-    os.makedirs(os.path.join(spill_dir, "_done"), exist_ok=True)
     exclude_ref = None
     expath = os.path.join(spill_dir, "_exclude.parquet")
     if os.path.exists(expath):
         ex = pq.read_table(expath).column("doc_key").combine_chunks()
         if len(ex):
             exclude_ref = ray.put(ex)
-    rows = ray.data.from_items(
-        [{"g": g} for g in range(int(meta["n_groups"]))]).flat_map(
-        _spill_reduce_fn(staged_dir, spill_dir,
-                         exclude_ref=exclude_ref)).take_all()
-    return {int(r["bucket"]): int(r["n_docs"]) for r in rows}
+    return exchange.Exchange(
+        spill_dir, int(meta["n_groups"]),
+        reduce=_stage_a_reduce(staged_dir, exclude_ref)).run_reduce()
 
 
-def _dup_losers_from_keys(rows) -> Dict[int, set]:
-    """min-doc_key-per-sha winners from an iterable of (doc_key, sha, bucket);
-    returns losers per bucket."""
-    best: Dict[str, str] = {}
-    owner: Dict[str, int] = {}
-    losers_by_bucket: Dict[int, set] = {}
-    for key, sha, bucket in rows:
-        cur = best.get(sha)
-        if cur is None:
-            best[sha] = key
-            owner[sha] = bucket
-        elif key < cur:
-            losers_by_bucket.setdefault(owner[sha], set()).add(cur)
-            best[sha] = key
-            owner[sha] = bucket
-        else:
-            losers_by_bucket.setdefault(bucket, set()).add(key)
-    return losers_by_bucket
+def content_dup_losers(keys: pa.Table) -> pa.Table:
+    """The content-dedup rule (D1; checksum dedup analog,
+    CrawlerRunner.java:134): the rows of ``keys`` (doc_key, sha_hex, any
+    other columns; doc_keys unique) whose doc_key is not the min doc_key
+    of their sha_hex."""
+    vc = pc.value_counts(keys.column("sha_hex"))
+    dup_shas = vc.field("values").filter(pc.greater(vc.field("counts"), 1))
+    if not len(dup_shas):
+        return keys.slice(0, 0)
+    # duplicated shas first (hash-based value_counts — no global string
+    # sort), then all-but-min-key per sha over only the duplicated rows
+    sub = keys.filter(pc.is_in(keys.column("sha_hex"), value_set=dup_shas))
+    sub = sub.sort_by([("sha_hex", "ascending"), ("doc_key", "ascending")])
+    sha = sub.column("sha_hex").combine_chunks()
+    loser = np.zeros(sub.num_rows, dtype=bool)
+    loser[1:] = pc.equal(sha.slice(1), sha.slice(0, len(sha) - 1)).to_numpy(
+        zero_copy_only=False)
+    return sub.filter(pa.array(loser))
+
+
+SHA_GROUPS = 512
+
+
+def content_dup_losers_distributed(keys_ds: "ray.data.Dataset") -> list:
+    """``content_dup_losers`` over key rows too many for the driver, as
+    rows: BOUNDED sha groups, never per-sha groups (a per-sha map_groups
+    would invoke the UDF once per sha — millions of Python calls at corpus
+    scale).  Every row of a sha lands in the same one of ``SHA_GROUPS``
+    groups, and the rule runs once per group, fully vectorized."""
+    def tag(t: pa.Table) -> pa.Table:
+        return t.append_column("sha_group", pa.array(docid.buckets_of(
+            t.column("sha_hex").to_pylist(), SHA_GROUPS), pa.int64()))
+
+    return (keys_ds.map_batches(tag, batch_format="pyarrow")
+            .groupby("sha_group").map_groups(
+                lambda g: content_dup_losers(g).drop_columns(["sha_group"]),
+                batch_format="pyarrow").take_all())
 
 
 def _rewrite_one_loser_bucket(staged_dir: str, bucket: int, losers) -> int:
@@ -469,73 +405,28 @@ def _rewrite_loser_buckets(staged_dir: str, counts: Dict[int, int],
 
 def _content_dedup_fixup(staged_dir: str, counts: Dict[int, int],
                          driver_threshold: int = 2_000_000) -> Dict[int, int]:
-    """Exact content dedup across buckets (D1; checksum dedup analog,
-    CrawlerRunner.java:134): scan ONLY the staged key columns
-    (doc_key, sha_hex, bucket), keep the min doc_key per sha, and rewrite
-    just the buckets that contain losers.  Under ``driver_threshold`` docs the
-    scan runs on the driver via pyarrow; above it, the duplicate-sha detection
-    is a distributed groupby whose (tiny) loser list comes back to the driver.
-    """
+    """Exact content dedup across buckets: scan ONLY the staged key columns
+    (doc_key, sha_hex, bucket) of the ``counts`` buckets, apply
+    ``content_dup_losers``, and rewrite just the buckets that contain
+    losers.  Under ``driver_threshold`` docs the scan runs on the driver
+    via pyarrow; above it, ``content_dup_losers_distributed`` runs it and
+    only the (tiny) loser rows come back to the driver."""
     import pyarrow.dataset as pads
 
-    files = sorted(f for f in os.listdir(staged_dir)
-                   if f.startswith("bucket=") and f.endswith(".parquet"))
-    if not files:
+    paths = [os.path.join(staged_dir, f"bucket={b:08d}.parquet")
+             for b in sorted(counts)]
+    if not paths:
         return counts
-    paths = [os.path.join(staged_dir, f) for f in files]
-    n_total = sum(counts.values())
-    losers_by_bucket: Dict[int, set] = {}
-    if n_total <= driver_threshold:
-        tbl = pads.dataset(paths).to_table(columns=["doc_key", "sha_hex", "bucket"])
-        # duplicated shas first (hash-based value_counts — no global string
-        # sort), then min-key-per-sha over only the duplicated rows
-        vc = pc.value_counts(tbl.column("sha_hex"))
-        dup_shas = vc.field("values").filter(pc.greater(vc.field("counts"), 1))
-        if len(dup_shas):
-            sub = tbl.filter(pc.is_in(tbl.column("sha_hex"),
-                                      value_set=dup_shas))
-            st = sub.take(pc.sort_indices(
-                sub, sort_keys=[("sha_hex", "ascending"),
-                                ("doc_key", "ascending")]))
-            n = st.num_rows
-            sha = st.column("sha_hex").combine_chunks()
-            dup = np.zeros(n, dtype=bool)
-            dup[1:] = pc.equal(sha.slice(1), sha.slice(0, n - 1)).to_numpy(
-                zero_copy_only=False)
-            lk = st.column("doc_key").take(
-                pa.array(np.flatnonzero(dup), pa.int64())).to_pylist()
-            lb = st.column("bucket").to_numpy()[dup]
-            for b, k in zip(lb, lk):
-                losers_by_bucket.setdefault(int(b), set()).add(k)
+    columns = ["doc_key", "sha_hex", "bucket"]
+    if sum(counts.values()) <= driver_threshold:
+        rows = content_dup_losers(
+            pads.dataset(paths).to_table(columns=columns)).to_pylist()
     else:
-        keys_ds = ray.data.read_parquet(staged_dir,
-                                        columns=["doc_key", "sha_hex", "bucket"])
-        agg = keys_ds.groupby("sha_hex").aggregate(
-            Count(alias_name="n_keys"), Min("doc_key", alias_name="keeper"))
-        dup = {r["sha_hex"]: r["keeper"] for r in
-               agg.map_batches(
-                   lambda t: t.filter(pc.greater(t.column("n_keys"), 1)),
-                   batch_format="pyarrow").take_all()}
-        if dup:
-            ref = bput(dup)
-
-            def find_losers(t: pa.Table) -> pa.Table:
-                d = bget(ref)
-                ks, bs = [], []
-                for key, sha, bucket in zip(t.column("doc_key").to_pylist(),
-                                            t.column("sha_hex").to_pylist(),
-                                            t.column("bucket").to_pylist()):
-                    keeper = d.get(sha)
-                    if keeper is not None and key != keeper:
-                        ks.append(key)
-                        bs.append(bucket)
-                return pa.table({"doc_key": pa.array(ks, pa.string()),
-                                 "bucket": pa.array(bs, pa.int32())})
-
-            for r in keys_ds.map_batches(find_losers,
-                                         batch_format="pyarrow").take_all():
-                losers_by_bucket.setdefault(r["bucket"], set()).add(r["doc_key"])
-
+        rows = content_dup_losers_distributed(
+            ray.data.read_parquet(paths, columns=columns))
+    losers_by_bucket: Dict[int, set] = {}
+    for r in rows:
+        losers_by_bucket.setdefault(int(r["bucket"]), set()).add(r["doc_key"])
     return _rewrite_loser_buckets(staged_dir, counts, losers_by_bucket)
 
 
@@ -593,191 +484,118 @@ def _part_row_group_bounds(v4: pa.Table) -> list:
     return bounds
 
 
-def _write_one_part(index_dir: str, part: int, tbl: pa.Table) -> int:
-    """Write one term-hash partition: consolidated per-term postings file
+def _part_rows(seg_rows: pa.Table, positions: bool) -> pa.Table:
+    """Segment rows of one term-hash partition as consolidated part rows
     (format v4 — each term ONE row, its bucket segments' blobs concatenated
-    in bucket order) + its dict shard (df totals fall out of consolidation —
-    no separate dict pass).  Returns the part's distinct-term count."""
-    tbl = tbl.sort_by([("term", "ascending"), ("bucket", "ascending")])
-    v4 = layout.consolidate_part_rows(layout.segments_to_part_rows(tbl))
-    return _write_part_files(index_dir, part, v4)
+    in bucket order): the positions payload, or the scoring payload."""
+    seg_rows = seg_rows.sort_by([("term", "ascending"), ("bucket", "ascending")])
+    to_rows = (layout.segments_to_pos_rows if positions
+               else layout.segments_to_part_rows)
+    return layout.consolidate_part_rows(to_rows(seg_rows))
 
 
-def _write_part_files(index_dir: str, part: int, v4: pa.Table) -> int:
+def _write_part_files(index_dir: str, part: int, v4: pa.Table,
+                      positions: bool = False) -> int:
+    """Write one consolidated part with byte-bounded row groups: the
+    positions part, or the postings part plus its dict shard (df totals
+    fall out of consolidation — no separate dict pass).  Returns the part's
+    distinct-term count."""
     name = f"part={part:05d}.parquet"
-    path = os.path.join(index_dir, "postings", name)
+    path = os.path.join(index_dir, "positions" if positions else "postings",
+                        name)
     bounds = _part_row_group_bounds(v4)
     tmp = path + ".tmp"
     with pq.ParquetWriter(tmp, v4.schema) as w:
         for s, e in zip(bounds[:-1], bounds[1:]):
             w.write_table(v4.slice(s, e - s))
     os.replace(tmp, path)
-    d = v4.select(["term", "df", "df_title", "df_body"])
-    _atomic_write_table(d, os.path.join(index_dir, "dict", name))
+    if not positions:
+        d = v4.select(["term", "df", "df_title", "df_body"])
+        _atomic_write_table(d, os.path.join(index_dir, "dict", name))
     return v4.num_rows
-
-
-def _write_pos_part_file(index_dir: str, part: int, v4: pa.Table) -> int:
-    """Write one consolidated POSITIONS part (term-partitioned phrase
-    payload, byte-bounded row groups like the scoring parts)."""
-    path = os.path.join(index_dir, "positions",
-                        f"part={part:05d}.parquet")
-    bounds = _part_row_group_bounds(v4)
-    tmp = path + ".tmp"
-    with pq.ParquetWriter(tmp, v4.schema) as w:
-        for s, e in zip(bounds[:-1], bounds[1:]):
-            w.write_table(v4.slice(s, e - s))
-    os.replace(tmp, path)
-    return v4.num_rows
-
-
-def _pos_write_part(index_dir: str, part: int, tbl: pa.Table) -> int:
-    tbl = tbl.sort_by([("term", "ascending"), ("bucket", "ascending")])
-    v4 = layout.consolidate_part_rows(layout.segments_to_pos_rows(tbl))
-    return _write_pos_part_file(index_dir, part, v4)
 
 
 POS_MERGE_COLUMNS = ["term", "bucket", "df", "positions"]
 
 
-def _merge_map_fn(spill_dir: str, num_parts: int, n_red: int,
-                  columns: list):
-    add_part = layout.add_part_column(num_parts)
-
-    def fn(it: dict) -> dict:
-        item = int(it["item"])
-        marker = os.path.join(spill_dir, "_done", f"item={item:06d}.json")
-        fp = it["fp"]
-        if os.path.exists(marker):
-            try:
-                if json.load(open(marker)).get("fp") == fp:
-                    return {"item": item, "skipped": True}
-            except (ValueError, OSError):
-                pass
-        tbl = pa.concat_tables([pq.read_table(p, columns=columns)
-                                for p in it["files"]])
-        tbl = add_part(tbl)
-        pg = (tbl.column("part").to_numpy() % n_red).astype(np.int64)
-        order = np.argsort(pg, kind="stable")
-        sorted_tbl = tbl.take(pa.array(order, pa.int64()))
-        pg_sorted = pg[order]
-        bounds = np.flatnonzero(np.diff(pg_sorted)) + 1
-        for s, e in zip(np.concatenate(([0], bounds)),
-                        np.concatenate((bounds, [len(pg_sorted)]))):
-            if s == e:
-                continue
-            g = int(pg_sorted[s])
-            gdir = os.path.join(spill_dir, f"g={g:04d}")
-            os.makedirs(gdir, exist_ok=True)
-            _atomic_write_table(sorted_tbl.slice(s, e - s),
-                                os.path.join(gdir, f"item={item:06d}.parquet"))
-        _atomic_write_json({"fp": fp}, marker)
-        return {"item": item, "skipped": False}
-    return fn
+def merge_fingerprint(manifests: list, num_parts: int) -> str:
+    """Identity of a merge's input: a finished merge with this fingerprint
+    in ``_merge.json`` covers exactly these bucket manifests at this part
+    count ("v4" names the layout)."""
+    return hashlib.md5(json.dumps(
+        [(m["bucket"], m["fingerprint"], m["n_terms"]) for m in manifests]
+        + [num_parts, "v4"]).encode()).hexdigest()
 
 
-def _merge_reduce_fn(index_dir: str, spill_dir: str, write_part):
-    def fn(it: dict) -> list:
-        g = int(it["g"])
-        marker = os.path.join(spill_dir, "_done", f"group={g:04d}.json")
-        if os.path.exists(marker):
-            try:
-                return json.load(open(marker))["parts"]
-            except (ValueError, OSError, KeyError):
-                pass
-        gdir = os.path.join(spill_dir, f"g={g:04d}")
-        if not os.path.isdir(gdir):
-            _atomic_write_json({"parts": []}, marker)
-            return []
-        import pyarrow.dataset as pads
+def _merge_exchange(index_dir: str, num_parts: int, merge_fp: str,
+                    positions: bool = False) -> exchange.Exchange:
+    """The term-partitioned merge as a spill exchange: map tasks read
+    segment-file spans and spill rows by reducer group (part % n_red);
+    reduce tasks write one consolidated part per term-hash partition.  The
+    scoring merge reads SCORING_COLUMNS into ``merge_spill/`` and writes
+    postings + dict parts; the positions merge reads POS_MERGE_COLUMNS into
+    ``pos_spill/`` and writes positions parts, off the scoring merge's
+    critical path."""
+    from prosearch_ray.index.segment import SCORING_COLUMNS
 
-        tbl = pads.dataset(
-            [os.path.join(gdir, f) for f in sorted(os.listdir(gdir))
-             if f.endswith(".parquet")]).to_table()
-        tbl = tbl.sort_by([("part", "ascending")])
-        parts = tbl.column("part").to_numpy()
-        bounds = np.flatnonzero(np.diff(parts)) + 1
-        out = []
-        for s, e in zip(np.concatenate(([0], bounds)),
-                        np.concatenate((bounds, [len(parts)]))):
-            part = int(parts[s])
-            n_terms = write_part(index_dir, part,
-                                 tbl.slice(s, e - s).drop_columns(["part"]))
-            out.append({"part": part, "n_terms": int(n_terms)})
-        _atomic_write_json({"parts": out}, marker)
-        return out
-    return fn
-
-
-def _run_merge(index_dir: str, num_parts: int, merge_fp: str, *,
-               spill_name: str = "merge_spill", columns: list = None,
-               write_part=None) -> list:
-    """Term-partitioned merge as a resumable spill exchange (same pattern as
-    stage A): map tasks read segment-file spans and spill rows partitioned
-    by reducer group (part % n_red); reduce tasks write the final postings +
-    dict shards, one file per part.  Returns [{part, n_terms}].  Replaces a
-    Ray sort shuffle whose all-to-all materialization dominated merge wall
-    time; done-markers make a killed merge resume at item/part-group
-    granularity.  Caller removes the spill dir after recording _merge.json.
-
-    The positions exchange (`_run_pos_merge`) reuses this machinery with its
-    own spill dir, a column-pruned segment read, and the POS part writer.
-    """
-    if columns is None:
-        from prosearch_ray.index.segment import SCORING_COLUMNS
-        columns = SCORING_COLUMNS
-    if write_part is None:
-        write_part = _write_one_part
+    columns = POS_MERGE_COLUMNS if positions else SCORING_COLUMNS
     seg_dir = os.path.join(index_dir, "segments")
     files = [os.path.join(seg_dir, f) for f in sorted(os.listdir(seg_dir))
              if f.endswith(".parquet")]
-    if not files:
-        return []
-    ncpu = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    n_items = min(len(files), 4 * ncpu)
-    spans = np.array_split(np.array(files, dtype=object), n_items)
+    ncpu = exchange.cluster_cpus()
     items = []
-    for i, span in enumerate(spans):
+    for i, span in enumerate(np.array_split(np.array(files, dtype=object),
+                                            min(len(files), 4 * ncpu))):
         fl = [str(p) for p in span]
-        if not fl:
-            continue
-        sizes = ",".join(str(os.path.getsize(p)) for p in fl)
-        items.append({"item": i, "files": fl,
-                      "fp": f"{merge_fp}:{len(fl)}:{sizes}"})
+        if fl:
+            sizes = ",".join(str(os.path.getsize(p)) for p in fl)
+            items.append({"item": i, "files": fl,
+                          "fp": f"{merge_fp}:{len(fl)}:{sizes}"})
     n_red = int(max(1, min(num_parts, 2 * ncpu)))
+    add_part = layout.add_part_column(num_parts)
 
-    spill_dir = os.path.join(index_dir, spill_name)
-    cfg_path = os.path.join(spill_dir, "_config.json")
-    config = {"merge_fp": merge_fp, "n_red": n_red,
-              "plan": [it["fp"] for it in items]}
-    stale = True
-    if os.path.exists(cfg_path):
-        try:
-            stale = json.load(open(cfg_path)) != config
-        except (ValueError, OSError):
-            pass
-    if stale:
-        import shutil
-        shutil.rmtree(spill_dir, ignore_errors=True)
-    os.makedirs(os.path.join(spill_dir, "_done"), exist_ok=True)
-    if stale:
-        _atomic_write_json(config, cfg_path)
+    def produce(it: dict):
+        tbl = add_part(pa.concat_tables([pq.read_table(p, columns=columns)
+                                         for p in it["files"]]))
+        return tbl, tbl.column("part").to_numpy() % n_red
 
-    ray.data.from_items(items).map(
-        _merge_map_fn(spill_dir, num_parts, n_red, columns)).materialize()
-    return ray.data.from_items(
-        [{"g": g} for g in range(n_red)]).flat_map(
-        _merge_reduce_fn(index_dir, spill_dir, write_part)).take_all()
+    def reduce(g: int, tbl) -> list:
+        if tbl is None:
+            return []
+        return [{"part": part, "n_terms": _write_part_files(
+                    index_dir, part,
+                    _part_rows(rows.drop_columns(["part"]), positions),
+                    positions)}
+                for part, rows in exchange.key_slices(
+                    tbl, tbl.column("part").to_numpy())]
+
+    return exchange.Exchange(
+        os.path.join(index_dir, "pos_spill" if positions else "merge_spill"),
+        n_red, reduce=reduce, produce=produce, items=items,
+        config={"merge_fp": merge_fp, "n_red": n_red,
+                "plan": [it["fp"] for it in items]})
 
 
-def _run_pos_merge(index_dir: str, num_parts: int, merge_fp: str) -> list:
-    """Positions merge: the phrase payload's own spill exchange, OFF the
-    scoring-merge critical path (ROADMAP one-file phrase locality).  Reads
-    only (term, bucket, df, positions) from segments/ and writes
-    positions/part=*.parquet consolidated per term."""
-    return _run_merge(index_dir, num_parts, merge_fp,
-                      spill_name="pos_spill", columns=POS_MERGE_COLUMNS,
-                      write_part=_pos_write_part)
+def _run_merge(index_dir: str, num_parts: int, merge_fp: str,
+               positions: bool = False) -> list:
+    """Run the merge exchange (``_merge_exchange``), remove part files it
+    did not write and its spill dir; returns [{part, n_terms}].  The
+    exchange replaces a Ray sort shuffle whose all-to-all materialization
+    dominated merge wall time; its done-markers make a killed merge resume
+    at item/part-group granularity."""
+    if not any(f.endswith(".parquet")
+               for f in os.listdir(os.path.join(index_dir, "segments"))):
+        return []
+    ex = _merge_exchange(index_dir, num_parts, merge_fp, positions)
+    rows = ex.run()
+    live = {f"part={int(r['part']):05d}.parquet" for r in rows}
+    for sub in (("positions",) if positions else ("postings", "dict")):
+        for f in os.listdir(os.path.join(index_dir, sub)):
+            if f.endswith(".parquet") and f not in live:
+                os.remove(os.path.join(index_dir, sub, f))
+    import shutil
+    shutil.rmtree(ex.spill_dir, ignore_errors=True)
+    return rows
 
 
 def build_index(
@@ -832,10 +650,9 @@ def build_index(
                 f"spill/{PRESTAGED_META} nor durable staged offsets")
     else:
         if isinstance(source, str):
-            ncpu = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
             ds_raw = ray.data.read_parquet(
                 source, columns=CORPUS_COLUMNS,
-                override_num_blocks=max(2 * ncpu, 8))
+                override_num_blocks=max(2 * exchange.cluster_cpus(), 8))
         else:
             ds_raw = source
         n_est = n_input_estimate if n_input_estimate is not None else ds_raw.count()
@@ -858,16 +675,11 @@ def build_index(
         # mid-stage-A skips finished input spans on resume); Dataset sources
         # have no stable work plan and use the in-memory groupby shuffle.
         t0 = time.perf_counter()
-        return_keys = (n_est <= 2_000_000 and not prestaged_spill
-                       and not isinstance(source, str))
         if prestaged_spill:
-            counts = _stage_a_from_prestaged(index_dir, staged_dir)
-            key_cols = sha_cols = bucket_cols = None
+            rows = _stage_a_from_prestaged(index_dir, staged_dir)
         elif isinstance(source, str):
-            counts = _stage_a_spill_exchange(source, staged_dir, langs,
-                                             num_buckets,
-                                             exclude_doc_keys=exclude_doc_keys)
-            key_cols = sha_cols = bucket_cols = None
+            rows = _stage_a_exchange(source, staged_dir, langs, num_buckets,
+                                     exclude_doc_keys=exclude_doc_keys).run()
         elif exclude_doc_keys:
             raise ValueError(
                 "exclude_doc_keys requires a parquet-path source; filter the "
@@ -875,18 +687,9 @@ def build_index(
         else:
             norm = ds_raw.map_batches(_normalize_batch(langs, num_buckets),
                                       batch_format="pyarrow", zero_copy_batch=True)
-            result_ds = norm.groupby("bucket").map_groups(
-                _stage_a_writer(staged_dir, return_keys), batch_format="pyarrow")
-            counts = {}
-            key_cols, sha_cols, bucket_cols = [], [], []
-            for b in result_ds.iter_batches(batch_format="pyarrow"):
-                for bk, nd in zip(b.column("bucket").to_pylist(),
-                                  b.column("n_docs").to_pylist()):
-                    counts[int(bk)] = int(nd)
-                if return_keys:
-                    key_cols.extend(b.column("doc_key").to_pylist())
-                    sha_cols.extend(b.column("sha_hex").to_pylist())
-                    bucket_cols.extend(b.column("bucket").to_pylist())
+            rows = norm.groupby("bucket").map_groups(
+                _stage_a_writer(staged_dir), batch_format="pyarrow").take_all()
+        counts = {int(r["bucket"]): int(r["n_docs"]) for r in rows}
         _mark("stage_a_bucketed_docs", t0)
 
         # ----- content dedup fixup: key columns only, rewrite losers only
@@ -894,12 +697,7 @@ def build_index(
         # keep cross-key content duplicates exactly as the eager delta fold
         # does — delta upserts never content-dedup until compaction)
         t0 = time.perf_counter()
-        if not content_dedup:
-            pass
-        elif return_keys:
-            losers = _dup_losers_from_keys(zip(key_cols, sha_cols, bucket_cols))
-            counts = _rewrite_loser_buckets(staged_dir, counts, losers)
-        else:
+        if content_dedup:
             counts = _content_dedup_fixup(staged_dir, counts)
         _mark("content_dedup_fixup", t0)
 
@@ -967,10 +765,8 @@ def build_index(
     total_seg_rows = sum(m["n_terms"] for m in manifests)
     num_parts = layout.num_parts_for(total_seg_rows)
     # the fingerprint keys the merge's resume: a rerun whose manifests and
-    # part count match a finished merge skips it ("v4" names the layout)
-    merge_fp = hashlib.md5(json.dumps(
-        [(m["bucket"], m["fingerprint"], m["n_terms"]) for m in manifests]
-        + [num_parts, "v4"]).encode()).hexdigest()
+    # part count match a finished merge skips it
+    merge_fp = merge_fingerprint(manifests, num_parts)
     merge_path = os.path.join(index_dir, "_merge.json")
     merge_state = None
     if resume and os.path.exists(merge_path):
@@ -988,12 +784,6 @@ def build_index(
         # position bytes never move
         part_rows = _run_merge(index_dir, num_parts, merge_fp)
         n_terms = int(sum(r["n_terms"] for r in part_rows))
-        # drop stale part files from an earlier layout
-        live = {f"part={int(r['part']):05d}.parquet" for r in part_rows}
-        for sub in ("postings", "dict"):
-            for f in os.listdir(os.path.join(index_dir, sub)):
-                if f.endswith(".parquet") and f not in live:
-                    os.remove(os.path.join(index_dir, sub, f))
         merge_state = {"fingerprint": merge_fp, "num_parts": num_parts,
                        "n_terms": n_terms,
                        # per-part term counts enable the delta path's
@@ -1001,9 +791,6 @@ def build_index(
                        "parts": {str(int(r["part"])): int(r["n_terms"])
                                  for r in part_rows}}
         _atomic_write_json(merge_state, merge_path)
-        import shutil
-        shutil.rmtree(os.path.join(index_dir, "merge_spill"),
-                      ignore_errors=True)
         merged = True
     else:
         n_terms = int(merge_state["n_terms"]) if merge_state else 0
@@ -1015,17 +802,9 @@ def build_index(
     # between the scoring merge and here re-runs only this exchange
     t0 = time.perf_counter()
     if manifests and merge_state.get("pos_fp") != merge_fp:
-        pos_rows = _run_pos_merge(index_dir, num_parts, merge_fp)
-        live = {f"part={int(r['part']):05d}.parquet" for r in pos_rows}
-        pos_dir = os.path.join(index_dir, "positions")
-        for f in os.listdir(pos_dir):
-            if f.endswith(".parquet") and f not in live:
-                os.remove(os.path.join(pos_dir, f))
+        _run_merge(index_dir, num_parts, merge_fp, positions=True)
         merge_state["pos_fp"] = merge_fp
         _atomic_write_json(merge_state, merge_path)
-        import shutil
-        shutil.rmtree(os.path.join(index_dir, "pos_spill"),
-                      ignore_errors=True)
     _mark("merge_positions", t0)
 
     stats = {

@@ -39,6 +39,7 @@ from prosearch_ray.index.build import (
     DEFAULT_LANGS,
     _atomic_write_json,
     _atomic_write_table,
+    _canonicalize_bucket,
     _normalize_batch,
     build_index,
 )
@@ -125,14 +126,7 @@ def add_documents(index_dir: str, source, *, langs=DEFAULT_LANGS,
             return {"added": 0, "tombstoned": 0}
         delta = pa.concat_tables(batches, promote_options="default")
     # in-delta upsert: keep max (commit, sha) per doc_key
-    delta = delta.sort_by([("doc_key", "ascending"), ("commit", "descending"),
-                           ("sha_hex", "descending")])
-    keys = delta.column("doc_key").to_pylist()
-    keep = np.ones(len(keys), dtype=bool)
-    for i in range(1, len(keys)):
-        if keys[i] == keys[i - 1]:
-            keep[i] = False
-    delta = delta.filter(pa.array(keep))
+    delta = _canonicalize_bucket(delta)
 
     # delete-then-reinsert: tombstone existing versions of these keys
     tombstoned = delete_docs(index_dir, delta.column("doc_key").to_pylist())
@@ -215,33 +209,26 @@ def _incremental_part_merge(index_dir: str, num_parts: int,
     import pyarrow.dataset as pads
 
     from prosearch_ray.index import layout
-    from prosearch_ray.index.build import (_write_part_files,
-                                           _write_pos_part_file)
+    from prosearch_ray.index.build import _part_rows, _write_part_files
+    from prosearch_ray.index.exchange import key_slices
     from prosearch_ray.index.segment import SCORING_COLUMNS
     from prosearch_ray.state.broadcast import bget, bput
 
-    pos_dir = os.path.join(index_dir, "positions")
-    fold_positions = os.path.isdir(pos_dir) and any(
-        f.endswith(".parquet") for f in os.listdir(pos_dir))
     files = [os.path.join(index_dir, "segments", f"bucket={b:08d}.parquet")
              for b in new_buckets]
-    tbl = pads.dataset(files).to_table(
-        columns=SCORING_COLUMNS + (["positions"] if fold_positions else []))
-    tbl = layout.add_part_column(num_parts)(tbl)
-    parts = tbl.column("part").to_numpy()
-    order = np.argsort(parts, kind="stable")
-    st = tbl.take(pa.array(order, pa.int64()))
-    ps = parts[order]
-    bounds = np.flatnonzero(np.diff(ps)) + 1
-    by_part = {}
-    for s, e in zip(np.concatenate(([0], bounds)),
-                    np.concatenate((bounds, [len(ps)]))):
-        by_part[int(ps[s])] = st.slice(s, e - s).drop_columns(["part"])
+    tbl = layout.add_part_column(num_parts)(pads.dataset(files).to_table(
+        columns=SCORING_COLUMNS + ["positions"]))
+    by_part = {part: rows.drop_columns(["part"]) for part, rows in
+               key_slices(tbl, tbl.column("part").to_numpy())}
 
-    def fold_consolidated(old_path: str, delta_v4: pa.Table) -> pa.Table:
+    def fold_part(part: int, seg: pa.Table, positions: bool) -> int:
         """Old consolidated rows first, then the delta's (delta buckets are
-        strictly larger, keeping doc_ids ascending), re-consolidated."""
-        pieces = [delta_v4]
+        strictly larger, keeping doc_ids ascending), re-consolidated and
+        rewritten; returns the part's term count."""
+        old_path = os.path.join(index_dir,
+                                "positions" if positions else "postings",
+                                f"part={part:05d}.parquet")
+        pieces = [_part_rows(seg, positions)]
         if os.path.exists(old_path):
             pieces.insert(0, pq.read_table(old_path))
         merged = pa.concat_tables(pieces, promote_options="default")
@@ -251,21 +238,13 @@ def _incremental_part_merge(index_dir: str, num_parts: int,
         merged = merged.append_column("rank", rank).sort_by(
             [("term", "ascending"), ("rank", "ascending")]
         ).drop_columns(["rank"])
-        return layout.consolidate_part_rows(merged)
+        return _write_part_files(index_dir, part,
+                                 layout.consolidate_part_rows(merged),
+                                 positions)
 
     def fold_table(part: int, seg: pa.Table) -> dict:
-        # delta segment rows, consolidated to one v4 row per term
-        seg = seg.sort_by([("term", "ascending"), ("bucket", "ascending")])
-        v4 = fold_consolidated(
-            os.path.join(index_dir, "postings", f"part={part:05d}.parquet"),
-            layout.consolidate_part_rows(layout.segments_to_part_rows(seg)))
-        if fold_positions:
-            pos_v4 = fold_consolidated(
-                os.path.join(pos_dir, f"part={part:05d}.parquet"),
-                layout.consolidate_part_rows(layout.segments_to_pos_rows(seg)))
-            _write_pos_part_file(index_dir, part, pos_v4)
-        return {"part": part,
-                "n_terms": int(_write_part_files(index_dir, part, v4))}
+        fold_part(part, seg, positions=True)
+        return {"part": part, "n_terms": fold_part(part, seg, positions=False)}
 
     if len(by_part) <= INCR_FOLD_THREAD_PARTS:
         # small delta: the per-part fold is GIL-releasing C++ (parquet read
@@ -304,24 +283,15 @@ def _refresh_merge_and_stats(index_dir: str, stats: dict, added: int,
     all pre-delta segments at the same part count, only the parts touched by
     the delta's terms are rewritten; otherwise a full resumable merge runs
     (e.g. num_parts crossed a sizing threshold, or a pre-parts-map index)."""
-    import hashlib as _hashlib
-
     from prosearch_ray.index import layout
-    from prosearch_ray.index.build import _run_merge
-
-    def fp_of(ms, nparts):
-        # must stay in lockstep with build_index's merge_fp (incl. the "v4"
-        # format stamp) — a mismatch silently forces full re-merges
-        return _hashlib.md5(json.dumps(
-            [(m["bucket"], m["fingerprint"], m["n_terms"]) for m in ms]
-            + [nparts, "v4"]).encode()).hexdigest()
+    from prosearch_ray.index.build import _run_merge, merge_fingerprint
 
     manifest_dir = os.path.join(index_dir, "manifest")
     manifests = [json.load(open(os.path.join(manifest_dir, f)))
                  for f in sorted(os.listdir(manifest_dir)) if f.endswith(".json")]
     total_seg_rows = sum(m["n_terms"] for m in manifests)
     num_parts = layout.num_parts_for(total_seg_rows)
-    merge_fp = fp_of(manifests, num_parts)
+    merge_fp = merge_fingerprint(manifests, num_parts)
 
     merge_path = os.path.join(index_dir, "_merge.json")
     old = None
@@ -331,47 +301,26 @@ def _refresh_merge_and_stats(index_dir: str, stats: dict, added: int,
         except (ValueError, OSError):
             pass
     new_set = set(new_buckets)
-    pos_dir = os.path.join(index_dir, "positions")
-    has_pos = os.path.isdir(pos_dir) and any(
-        f.endswith(".parquet") for f in os.listdir(pos_dir))
     incremental = (
         old is not None and "parts" in old
         and old.get("num_parts") == num_parts
-        and old.get("fingerprint") == fp_of(
+        and old.get("fingerprint") == merge_fingerprint(
             [m for m in manifests if m["bucket"] not in new_set], num_parts)
-        # positions parts (if present) must provably match the same state,
-        # else folding a delta into them would bake in the drift
-        and (not has_pos or old.get("pos_fp") == old.get("fingerprint"))
+        # positions parts must provably match the same state, else folding
+        # a delta into them would bake in the drift
+        and old.get("pos_fp") == old.get("fingerprint")
     )
     if incremental:
         parts_map = _incremental_part_merge(index_dir, num_parts,
                                             sorted(new_set), old["parts"])
     else:
-        from prosearch_ray.index.build import _run_pos_merge
-
-        part_rows = _run_merge(index_dir, num_parts, merge_fp)
         parts_map = {str(int(r["part"])): int(r["n_terms"])
-                     for r in part_rows}
-        pos_rows = _run_pos_merge(index_dir, num_parts, merge_fp)
-        live = {f"part={int(p):05d}.parquet" for p in
-                (int(k) for k in parts_map)}
-        pos_live = {f"part={int(r['part']):05d}.parquet" for r in pos_rows}
-        os.makedirs(pos_dir, exist_ok=True)
-        for sub, keep in (("postings", live), ("dict", live),
-                          ("positions", pos_live)):
-            for f in os.listdir(os.path.join(index_dir, sub)):
-                if f.endswith(".parquet") and f not in keep:
-                    os.remove(os.path.join(index_dir, sub, f))
-        import shutil
-        shutil.rmtree(os.path.join(index_dir, "merge_spill"),
-                      ignore_errors=True)
-        shutil.rmtree(os.path.join(index_dir, "pos_spill"),
-                      ignore_errors=True)
-        has_pos = True
+                     for r in _run_merge(index_dir, num_parts, merge_fp)}
+        _run_merge(index_dir, num_parts, merge_fp, positions=True)
     n_terms = int(sum(parts_map.values()))
     _atomic_write_json({"fingerprint": merge_fp, "num_parts": num_parts,
                         "n_terms": n_terms, "parts": parts_map,
-                        **({"pos_fp": merge_fp} if has_pos else {})},
+                        "pos_fp": merge_fp},
                        merge_path)
 
     n_docs = sum(m["n_docs"] for m in manifests)

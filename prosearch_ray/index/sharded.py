@@ -141,43 +141,22 @@ def _tag_batch(langs: FrozenSet[str], num_shards: int):
     return fn
 
 
-def _losers_from_survivors(surv: pa.Table) -> set:
-    """Among upsert-surviving (doc_key, sha_hex) rows: every key except the
-    min-doc_key winner of each duplicated sha (build.py's fixup rule)."""
-    vc = pc.value_counts(surv.column("sha_hex"))
-    dup_shas = vc.field("values").filter(pc.greater(vc.field("counts"), 1))
-    if not len(dup_shas):
-        return set()
-    sub = surv.filter(pc.is_in(surv.column("sha_hex"), value_set=dup_shas))
-    sub = sub.sort_by([("sha_hex", "ascending"), ("doc_key", "ascending")])
-    shas = sub.column("sha_hex").to_numpy(zero_copy_only=False)
-    loser_mask = np.concatenate(([False], shas[1:] == shas[:-1]))
-    return set(sub.column("doc_key").to_numpy(zero_copy_only=False)[loser_mask])
-
-
-def _upsert_survivors_driver(tbl: pa.Table) -> pa.Table:
-    """First row per key under (key asc, commit desc, sha desc) — identical
-    to build.py's _canonicalize_bucket, corpus-wide."""
-    tbl = tbl.sort_by([("doc_key", "ascending"), ("commit", "descending"),
-                       ("sha_hex", "descending")])
-    keys = tbl.column("doc_key").to_numpy(zero_copy_only=False)
-    first = np.concatenate(([True], keys[1:] != keys[:-1]))
-    return tbl.filter(pa.array(first))
-
-
 def _cross_shard_losers(corpus_src,
                         driver_threshold: int = 2_000_000) -> set:
     """doc_keys whose upsert-surviving version loses global content dedup
-    (min-doc_key winner per sha — build.py's fixup rule, applied across
-    shards).  Key columns only.  ``corpus_src`` is a hive-partitioned
-    corpus directory or an explicit list of parquet files (the fused build
-    passes the per-shard spill files).  Under ``driver_threshold`` rows the
-    scan runs on the driver via pyarrow; above it, upsert resolution
-    happens as a bounded-group distributed pass (per-batch winner combiner
-    — one row per key per batch — then a small groupby(doc_key)
-    re-resolution) and only the tiny survivor-key/sha projection lands on
-    the driver for the duplicate-sha winner pick — the same threshold
-    pattern as _content_dedup_fixup."""
+    (build.content_dup_losers applied across shards to the
+    _canonicalize_bucket survivors).  Key columns only.  ``corpus_src`` is
+    a hive-partitioned corpus directory or an explicit list of parquet
+    files (the fused build passes the per-item key sidecars).  Under
+    ``driver_threshold`` rows the scan runs on the driver via pyarrow;
+    above it, upsert resolution happens as a bounded-group distributed pass
+    (per-batch winner combiner — one row per key per batch — then one
+    resolution per doc_key bucket) feeding build.content_dup_losers_distributed
+    — the same threshold pattern as _content_dedup_fixup."""
+    from prosearch_ray.index.build import (_canonicalize_bucket,
+                                           content_dup_losers,
+                                           content_dup_losers_distributed)
+
     if isinstance(corpus_src, str):
         ds = pads.dataset(corpus_src, partitioning="hive")
     else:
@@ -187,13 +166,12 @@ def _cross_shard_losers(corpus_src,
     n_rows = ds.count_rows()
     if n_rows == 0:
         return set()
+    columns = ["doc_key", "sha_hex", "commit"]
     if n_rows <= driver_threshold:
-        return _losers_from_survivors(_upsert_survivors_driver(
-            ds.to_table(columns=["doc_key", "sha_hex", "commit"])))
+        return set(content_dup_losers(_canonicalize_bucket(
+            ds.to_table(columns=columns))).column("doc_key").to_pylist())
 
-    dset = rd.read_parquet(corpus_src,
-                           columns=["doc_key", "sha_hex", "commit"])
-    # BOUNDED-bucket exchanges, never per-key/per-sha groups: a
+    # BOUNDED-bucket exchanges, never per-key groups: a
     # groupby(doc_key).map_groups would invoke the UDF once per key —
     # millions of Python calls at corpus scale (measured ~200 s at 3.9M
     # docs).  Bucket count keeps each group ~corpus/nb rows and the
@@ -202,38 +180,20 @@ def _cross_shard_losers(corpus_src,
 
     def batch_winners(t: pa.Table) -> pa.Table:
         # map-side combiner: at most one candidate row per key per batch
-        t = _upsert_survivors_driver(t)
+        t = _canonicalize_bucket(t)
         return t.append_column(
             "bkt", pa.array(docid.buckets_of(
                 t.column("doc_key").to_pylist(), nb), pa.int64()))
 
     def bucket_key_winners(g: pa.Table) -> pa.Table:
-        # all rows of a doc_key share its bucket: one vectorized
-        # first-per-key resolution per bucket
-        g = _upsert_survivors_driver(g)
-        return pa.table({
-            "sbkt": pa.array(docid.buckets_of(
-                g.column("sha_hex").to_pylist(), nb), pa.int64()),
-            "doc_key": g.column("doc_key"),
-            "sha_hex": g.column("sha_hex"),
-        })
+        # all rows of a doc_key share its bucket
+        return _canonicalize_bucket(g).select(["doc_key", "sha_hex"])
 
-    def bucket_sha_losers(g: pa.Table) -> pa.Table:
-        # all survivors of a sha share its bucket: vectorized
-        # all-but-min-key per sha
-        g = g.sort_by([("sha_hex", "ascending"), ("doc_key", "ascending")])
-        shas = g.column("sha_hex").to_numpy(zero_copy_only=False)
-        if not len(shas):
-            return pa.table({"doc_key": pa.array([], pa.string())})
-        loser = np.concatenate(([False], shas[1:] == shas[:-1]))
-        return g.filter(pa.array(loser)).select(["doc_key"])
-
-    losers = (dset.map_batches(batch_winners, batch_format="pyarrow")
-              .groupby("bkt").map_groups(
-                  bucket_key_winners, batch_format="pyarrow")
-              .groupby("sbkt").map_groups(
-                  bucket_sha_losers, batch_format="pyarrow").take_all())
-    return {r["doc_key"] for r in losers}
+    survivors = (rd.read_parquet(corpus_src, columns=columns)
+                 .map_batches(batch_winners, batch_format="pyarrow")
+                 .groupby("bkt").map_groups(
+                     bucket_key_winners, batch_format="pyarrow"))
+    return {r["doc_key"] for r in content_dup_losers_distributed(survivors)}
 
 
 # global-dict merge sizing: partitions target this many rows each, and the
@@ -277,79 +237,46 @@ def _merge_dict_tables(t: pa.Table) -> pa.Table:
         ["term", "df", "df_title", "df_body"]).sort_by("term")
 
 
-def _fold_dict_part_fn(spill_dir: str, staged_dir: str):
-    """Per-partition reduce: read one term-hash partition's spill rows, sum
-    dfs per term, write the term-sorted part file (idempotent: the staged
-    file is the done marker)."""
+def _dict_exchange(root: str, dict_files, num_parts: int):
+    """The distributed global-dict merge as a spill exchange under
+    ``dict_spill/``.  Map items are GROUPS of shard dict files read with
+    one C++ multi-file pads scan per task — a 40-shard root holds tens of
+    thousands of tiny per-shard part files and Ray's per-file read tasks
+    dominated the phase (measured 27 s read vs 5.5 s grouped at 37M rows /
+    28.7k files); groups are deterministic slices of the sorted file list,
+    pinned with the inputs by the config.  Rows spill by
+    ``layout.term_part``; one reduce task per part sums dfs per term and
+    writes the term-sorted part file into ``global_dict_staged/`` (an empty
+    file when no term hashed there, so point reads always find one)."""
+    from prosearch_ray.index import exchange, layout
     from prosearch_ray.index.build import _atomic_write_table
 
-    def fn(item: dict) -> dict:
-        p = int(item["p"])
-        out = os.path.join(staged_dir, f"part={p:05d}.parquet")
-        if os.path.exists(out):
-            return {"p": p, "n_terms": pq.ParquetFile(out).metadata.num_rows}
-        pdir = os.path.join(spill_dir, f"part={p}")
-        if os.path.isdir(pdir):
-            t = pads.dataset(pdir).to_table(
-                columns=["term", "df", "df_title", "df_body"])
-        else:  # no term hashed here — still write the file so point reads
-            t = pa.table({"term": pa.array([], pa.string()),
-                          "df": pa.array([], pa.int64()),
-                          "df_title": pa.array([], pa.int64()),
-                          "df_body": pa.array([], pa.int64())})
+    staged = os.path.join(root, "global_dict_staged")
+    ngroups = int(max(4 * exchange.cluster_cpus(), min(256, len(dict_files))))
+    items = [{"item": g, "files": dict_files[g::ngroups], "fp": ""}
+             for g in range(ngroups) if dict_files[g::ngroups]]
+    cols = ["term", "df", "df_title", "df_body"]
+
+    def produce(it: dict):
+        t = pads.dataset(list(it["files"])).to_table(columns=cols)
+        parts = layout.add_part_column(num_parts)(t).column("part")
+        return t, parts.to_numpy()
+
+    def reduce(p: int, t) -> list:
+        if t is None:
+            t = pa.table({c: pa.array([], pa.string() if c == "term"
+                                      else pa.int64()) for c in cols})
         merged = _merge_dict_tables(t)
-        _atomic_write_table(merged, out)
-        return {"p": p, "n_terms": merged.num_rows}
-    return fn
+        os.makedirs(staged, exist_ok=True)
+        _atomic_write_table(merged,
+                            os.path.join(staged, f"part={p:05d}.parquet"))
+        return [{"p": p, "n_terms": merged.num_rows}]
 
-
-def _spill_dict_groups(dict_files, spill: str, num_parts: int) -> None:
-    """Map side of the distributed global-dict merge: read GROUPS of shard
-    dict files with one C++ multi-file pads scan per task — a 40-shard root
-    holds tens of thousands of tiny per-shard part files and Ray's per-file
-    read tasks dominated the phase (measured 27 s read vs 5.5 s grouped at
-    37M rows / 28.7k files).  Groups are deterministic slices of the sorted
-    file list (the caller's config fingerprint pins the inputs); each group
-    writes its per-part spill slices atomically under a g=NNNNN name and
-    drops a done marker, so a killed merge resumes group-level without
-    re-reading finished groups."""
-    from prosearch_ray.index import layout
-    from prosearch_ray.index.build import _atomic_write_json, _atomic_write_table
-
-    ncpu = int(ray.cluster_resources().get("CPU", 8)) \
-        if ray.is_initialized() else 8
-    ngroups = int(max(4 * ncpu, min(256, len(dict_files))))
-    groups = [{"g": g, "files": dict_files[g::ngroups]}
-              for g in range(ngroups) if dict_files[g::ngroups]]
-    gdone = os.path.join(spill, "_done")
-    os.makedirs(gdone, exist_ok=True)
-
-    def spill_group(it: dict) -> dict:
-        g = int(it["g"])
-        marker = os.path.join(gdone, f"g={g:05d}.json")
-        if os.path.exists(marker):
-            return {"g": g, "skipped": True}
-        t = pads.dataset(list(it["files"])).to_table(
-            columns=["term", "df", "df_title", "df_body"])
-        t = layout.add_part_column(num_parts)(t)
-        parts = t.column("part").to_numpy()
-        order = np.argsort(parts, kind="stable")
-        st = t.take(pa.array(order, pa.int64()))
-        ps = parts[order]
-        bounds = np.flatnonzero(np.diff(ps)) + 1
-        starts = np.concatenate(([0], bounds)) if len(ps) else \
-            np.array([], np.int64)
-        ends = np.concatenate((bounds, [len(ps)])) if len(ps) else \
-            np.array([], np.int64)
-        for s, e in zip(starts, ends):
-            pdir = os.path.join(spill, f"part={int(ps[s])}")
-            os.makedirs(pdir, exist_ok=True)
-            _atomic_write_table(st.slice(s, e - s).drop_columns("part"),
-                                os.path.join(pdir, f"g={g:05d}.parquet"))
-        _atomic_write_json({"g": g}, marker)
-        return {"g": g, "skipped": False}
-
-    rd.from_items(groups).map(spill_group).materialize()
+    return exchange.Exchange(
+        os.path.join(root, "dict_spill"), num_parts, reduce=reduce,
+        produce=produce, items=items, wipe=(staged,),
+        config={"fp": _dict_inputs_fingerprint(dict_files),
+                "num_parts": num_parts, "ngroups": ngroups})
 
 
 def _merge_global_dict(root: str, dict_files,
@@ -357,21 +284,17 @@ def _merge_global_dict(root: str, dict_files,
     """Merge the shard dictionaries into term-partitioned
     ``global_dict/part=K.parquet`` files + ``_meta.json``; returns the term
     count.  Below ``driver_threshold`` input rows the merge is one driver
-    pyarrow groupby; above it, a spill exchange keyed on
-    ``layout.term_part`` (the build's resumable shape, build.py:300-333):
-    map tasks hash-partition the shard dicts into a hive spill, one reduce
-    task per partition folds and writes its part file, and the staged
-    directory swaps in atomically.  The driver never materializes the
-    corpus vocabulary — the 100 TB query model is point reads over these
-    parts (serve.rs:314-377's dictionary-seek analog)."""
+    pyarrow groupby; above it, the spill exchange of ``_dict_exchange``.
+    Either way the parts are written into a staged directory that swaps in
+    atomically.  The driver never materializes the corpus vocabulary — the
+    100 TB query model is point reads over these parts
+    (serve.rs:314-377's dictionary-seek analog)."""
     from prosearch_ray.index import layout
     from prosearch_ray.index.build import _atomic_write_json, _atomic_write_table
 
     import shutil
 
     gd_final = os.path.join(root, "global_dict")
-    staged = os.path.join(root, "global_dict_staged")
-    spill = os.path.join(root, "dict_spill")
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=16) as ex:  # tens of thousands of
         # per-shard part files at high shard counts — serial footer reads
@@ -379,25 +302,10 @@ def _merge_global_dict(root: str, dict_files,
         total_rows = sum(ex.map(
             lambda f: pq.ParquetFile(f).metadata.num_rows, dict_files))
     num_parts = max(1, -(-total_rows // DICT_ROWS_PER_PART))
-
-    config = {"fp": _dict_inputs_fingerprint(dict_files),
-              "num_parts": num_parts,
-              # spill layout tag: a spill written by the pre-grouped code
-              # (hive write_partitioned) must not be folded together with
-              # grouped g=NNN slices — mismatch forces a clean re-merge
-              "layout": "grouped-v2"}
-    cfg_path = os.path.join(staged, "_config.json")
-    stale = True
-    if os.path.exists(cfg_path):
-        try:
-            stale = json.load(open(cfg_path)) != config
-        except (ValueError, OSError):
-            pass
-    if stale:
-        shutil.rmtree(staged, ignore_errors=True)
-        shutil.rmtree(spill, ignore_errors=True)
-        os.makedirs(staged, exist_ok=True)
-        _atomic_write_json(config, cfg_path)
+    dex = _dict_exchange(root, dict_files, num_parts)
+    staged = dex.wipe[0]
+    dex.prepare()
+    os.makedirs(staged, exist_ok=True)
 
     if total_rows <= driver_threshold:
         merged = _merge_dict_tables(pads.dataset(dict_files).to_table(
@@ -417,17 +325,17 @@ def _merge_global_dict(root: str, dict_files,
                     os.path.join(staged, f"part={p:05d}.parquet"))
         n_terms = merged.num_rows
     else:
-        _spill_dict_groups(dict_files, spill, num_parts)
-        rows = rd.from_items([{"p": p} for p in range(num_parts)]).map(
-            _fold_dict_part_fn(spill, staged)).take_all()
-        n_terms = sum(int(r["n_terms"]) for r in rows)
+        dex.run_map()
+        n_terms = sum(int(r["n_terms"]) for r in dex.run_reduce())
 
     _atomic_write_json({"num_parts": num_parts, "n_terms": int(n_terms)},
                        os.path.join(staged, "_meta.json"))
-    os.remove(cfg_path)
+    # the spill (with its config) goes first: a kill after this point
+    # redoes the merge instead of trusting reduce markers whose staged
+    # parts were already swapped in
+    shutil.rmtree(dex.spill_dir, ignore_errors=True)
     shutil.rmtree(gd_final, ignore_errors=True)
     os.replace(staged, gd_final)
-    shutil.rmtree(spill, ignore_errors=True)
     return int(n_terms)
 
 
@@ -1060,86 +968,33 @@ def delete_docs_sharded(root: str, doc_keys) -> int:
     return n
 
 
-def _fused_spill_map_fn(root: str, done_dir: str, langs: FrozenSet[str],
-                        num_shards: int, num_buckets: int, n_groups: int):
-    """One corpus pass: normalize (lang gate, doc_key, sha256, per-shard
-    bucket) and spill each row straight into its shard's stage-A exchange
-    layout ``shard=NNN/spill/g=GGGG/item=*.parquet`` — the per-shard builds
-    then start at the reduce.  Replaces [partition write of the whole
-    corpus] + [per-shard stage-A map re-read], i.e. removes one full
-    corpus-sized write+read from the flagship path."""
-    from prosearch_ray.index.build import (_atomic_write_json,
-                                           _atomic_write_table,
-                                           _normalize_batch,
-                                           _spill_fingerprint)
-
-    normalize = _normalize_batch(langs, num_buckets)
-
-    def fn(it: dict) -> dict:
-        item = int(it["item"])
-        marker = os.path.join(done_dir, f"item={item:06d}.json")
-        fp = _spill_fingerprint(it)
-        if os.path.exists(marker):
-            try:
-                if json.load(open(marker)).get("fp") == fp:
-                    return {"item": item, "skipped": True}
-            except (ValueError, OSError):
-                pass
-        parts = []
-        for s in it["spans"]:
-            pf = pq.ParquetFile(s["path"])
-            parts.append(pf.read_row_groups(
-                list(range(int(s["rg0"]), int(s["rg1"]) + 1)),
-                columns=CORPUS_COLUMNS))
-        norm = normalize(pa.concat_tables(parts, promote_options="default"))
-        keys = norm.column("doc_key").to_pylist()
-        shards = docid.buckets_of(keys, num_shards)
-        groups = (norm.column("bucket").to_numpy() % n_groups).astype(np.int64)
-        combo = shards * n_groups + groups
-        order = np.argsort(combo, kind="stable")
-        sorted_tbl = norm.take(pa.array(order, pa.int64()))
-        cs = combo[order]
-        bounds = np.flatnonzero(np.diff(cs)) + 1
-        starts = np.concatenate(([0], bounds)) if len(cs) else np.array([], np.int64)
-        ends = np.concatenate((bounds, [len(cs)])) if len(cs) else np.array([], np.int64)
-        for s, e in zip(starts, ends):
-            sh, g = int(cs[s]) // n_groups, int(cs[s]) % n_groups
-            gdir = os.path.join(root, f"shard={sh:03d}", "spill", f"g={g:04d}")
-            os.makedirs(gdir, exist_ok=True)
-            _atomic_write_table(sorted_tbl.slice(s, e - s),
-                                os.path.join(gdir, f"item={item:06d}.parquet"))
-        # keys sidecar (one file per item): the cross-shard loser scan reads
-        # these few files instead of re-opening every (shard, group) spill
-        # file — per-file open cost dominated that scan
-        kdir = os.path.join(os.path.dirname(done_dir), "keys")
-        os.makedirs(kdir, exist_ok=True)
-        _atomic_write_table(norm.select(["doc_key", "sha_hex", "commit"]),
-                            os.path.join(kdir, f"item={item:06d}.parquet"))
-        _atomic_write_json({"fp": fp}, marker)
-        return {"item": item, "skipped": False}
-    return fn
-
-
 def _fused_corpus_spill(source: str, root: str, num_shards: int,
                         langs: FrozenSet[str], docs_per_bucket: int,
                         resume: bool = True) -> dict:
-    """Run the fused stage-A map for every shard (see _fused_spill_map_fn),
-    derive the cross-shard content-dedup loser set from the spill files
-    (persisted durably, so a resume after some shards finished — and swept
-    their spill — still excludes globally), and write each shard's
+    """One corpus pass for every shard: a spill exchange whose map
+    normalizes (lang gate, doc_key, sha256, per-shard bucket) and spills
+    each row straight into its shard's stage-A exchange layout
+    ``shard=NNN/spill/g=GGGG/item=*.parquet`` — the per-shard builds then
+    start at the reduce.  Replaces [partition write of the whole corpus] +
+    [per-shard stage-A map re-read], i.e. removes one full corpus-sized
+    write+read from the flagship path.  Then derive the cross-shard
+    content-dedup loser set from the map's key sidecars (persisted
+    durably, so a resume after some shards finished — and swept their
+    spill — still excludes globally), and write each shard's
     ``spill/_prestaged.json`` + ``spill/_exclude.parquet``.  Returns phase
     timings."""
     import hashlib
     import shutil
     import time as _time
 
+    from prosearch_ray.index import exchange
     from prosearch_ray.index.build import (_atomic_write_json,
                                            _atomic_write_table,
-                                           _plan_spill_items,
-                                           _spill_fingerprint)
+                                           _normalize_batch,
+                                           _plan_spill_items, _read_spans)
 
     t0 = _time.perf_counter()
-    ncpu = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
+    ncpu = exchange.cluster_cpus()
     items = _plan_spill_items(source, target_items=4 * ncpu)
     total_rows = sum(it["n_rows"] for it in items)
     per_shard_est = max(1, -(-total_rows // num_shards))
@@ -1147,46 +1002,42 @@ def _fused_corpus_spill(source: str, root: str, num_shards: int,
     n_groups = int(max(1, min(num_buckets, -(-4 * ncpu // num_shards))))
 
     fdir = os.path.join(root, "fused_spill")
-    done_dir = os.path.join(fdir, "_done")
-    cfg_path = os.path.join(fdir, "_config.json")
-    config = {"num_shards": num_shards, "num_buckets": num_buckets,
-              "n_groups": n_groups, "langs": sorted(langs),
-              "plan": [_spill_fingerprint(it) for it in items]}
-    stale = not resume
-    if resume:
-        stale = True
-        if os.path.exists(cfg_path):
-            try:
-                stale = json.load(open(cfg_path)) != config
-            except (ValueError, OSError):
-                pass
-    if not stale:
-        # a shard that lost BOTH its built state (staged offsets) and its
-        # spill data (e.g. an operator deleted the shard dir) cannot be
-        # rebuilt from skipped map items — force the map to re-run.  An
-        # empty shard keeps durable offsets, so it never triggers this.
-        for s in range(num_shards):
-            sdir_idx = os.path.join(root, f"shard={s:03d}")
-            has_off = os.path.exists(
-                os.path.join(sdir_idx, "staged", "_offsets.json"))
-            sp = os.path.join(sdir_idx, "spill")
-            has_spill = os.path.isdir(sp) and any(
-                g.startswith("g=") for g in os.listdir(sp))
-            if not has_off and not has_spill:
-                stale = True
-                break
-    if stale:
-        shutil.rmtree(fdir, ignore_errors=True)
-        for s in range(num_shards):
-            shutil.rmtree(os.path.join(root, f"shard={s:03d}", "spill"),
-                          ignore_errors=True)
-    os.makedirs(done_dir, exist_ok=True)
-    if stale:
-        _atomic_write_json(config, cfg_path)
+    kdir = os.path.join(fdir, "keys")
+    spill_dirs = [os.path.join(root, f"shard={s:03d}", "spill")
+                  for s in range(num_shards)]
+    normalize = _normalize_batch(langs, num_buckets)
 
-    rd.from_items(items).map(
-        _fused_spill_map_fn(root, done_dir, langs, num_shards, num_buckets,
-                            n_groups)).materialize()
+    def produce(it: dict):
+        norm = normalize(_read_spans(it))
+        # keys sidecar (one file per item): the cross-shard loser scan reads
+        # these few files instead of re-opening every (shard, group) spill
+        # file — per-file open cost dominated that scan
+        os.makedirs(kdir, exist_ok=True)
+        _atomic_write_table(norm.select(["doc_key", "sha_hex", "commit"]),
+                            os.path.join(kdir, f"item={int(it['item']):06d}.parquet"))
+        shards = docid.buckets_of(norm.column("doc_key").to_pylist(),
+                                  num_shards)
+        return norm, shards * n_groups + norm.column("bucket").to_numpy() % n_groups
+
+    fused = exchange.Exchange(
+        fdir, n_groups, produce=produce, items=items, wipe=tuple(spill_dirs),
+        dir_of=lambda k: exchange.group_dir(spill_dirs[k // n_groups],
+                                            k % n_groups),
+        config={"num_shards": num_shards, "num_buckets": num_buckets,
+                "n_groups": n_groups, "langs": sorted(langs),
+                "plan": [it["fp"] for it in items]})
+    # a shard that lost BOTH its built state (staged offsets) and its spill
+    # data (e.g. an operator deleted the shard dir) cannot be rebuilt from
+    # skipped map items — force the map to re-run.  An empty shard keeps
+    # durable offsets, so it never triggers this.
+    lost = any(
+        not os.path.exists(os.path.join(os.path.dirname(sp), "staged",
+                                        "_offsets.json"))
+        and not (os.path.isdir(sp)
+                 and any(g.startswith("g=") for g in os.listdir(sp)))
+        for sp in spill_dirs)
+    fused.prepare(fresh=not resume or lost)
+    fused.run_map()
     t_map = _time.perf_counter()
 
     # cross-shard loser set, PERSISTED before any shard build runs: a
@@ -1196,7 +1047,6 @@ def _fused_corpus_spill(source: str, root: str, num_shards: int,
     if os.path.exists(losers_path):
         losers = sorted(pq.read_table(losers_path).column("doc_key").to_pylist())
     else:
-        kdir = os.path.join(fdir, "keys")
         key_files = ([os.path.join(kdir, f) for f in sorted(os.listdir(kdir))
                       if f.endswith(".parquet")]
                      if os.path.isdir(kdir) else [])
@@ -1206,13 +1056,12 @@ def _fused_corpus_spill(source: str, root: str, num_shards: int,
         # keys sidecars exist only to derive the loser set; once it is
         # durable they are dead weight (~2 GB at 16M docs) — a stale
         # config rebuilds fdir wholesale, regenerating them
-        shutil.rmtree(os.path.join(fdir, "keys"), ignore_errors=True)
+        shutil.rmtree(kdir, ignore_errors=True)
     digest = hashlib.md5("\x00".join(losers).encode()).hexdigest()
 
     meta = {"num_buckets": num_buckets, "n_groups": n_groups,
             "n_rows_estimate": per_shard_est, "exclude_digest": digest}
-    for s in range(num_shards):
-        sdir = os.path.join(root, f"shard={s:03d}", "spill")
+    for sdir in spill_dirs:
         os.makedirs(sdir, exist_ok=True)
         mpath = os.path.join(sdir, "_prestaged.json")
         fresh = True

@@ -577,13 +577,14 @@ def test_global_dict_distributed_merge_matches_driver(both_indexes,
 
 
 def test_global_dict_merge_resumes(both_indexes, tmp_path):
-    """A killed distributed merge resumes: staged part files written before
-    the kill are reused (idempotent reduce), and the final dictionary is
-    identical."""
+    """A killed distributed merge resumes: part files reduced before the
+    kill are reused (their reduce markers are honored), and the final
+    dictionary is identical."""
     import os
     import shutil
 
     import pyarrow.dataset as pads
+    import pyarrow.parquet as pq
 
     from prosearch_ray.index import sharded
 
@@ -593,36 +594,27 @@ def test_global_dict_merge_resumes(both_indexes, tmp_path):
         "global_dict*", "dict_spill"))
 
     files = sharded._shard_dict_files(root3)
-    # simulate a mid-run death: spill written, only some parts reduced
-    import json
-
-    import pyarrow.parquet as pq
-    import ray.data as rd
-
-    from prosearch_ray.index import layout
-    from prosearch_ray.index.build import _atomic_write_json
-    from prosearch_ray.sinks import write_partitioned
-
     total = sum(pq.ParquetFile(f).metadata.num_rows for f in files)
     num_parts = max(1, -(-total // sharded.DICT_ROWS_PER_PART))
-    staged = os.path.join(root3, "global_dict_staged")
-    spill = os.path.join(root3, "dict_spill")
-    os.makedirs(staged, exist_ok=True)
-    _atomic_write_json({"fp": sharded._dict_inputs_fingerprint(files),
-                        "num_parts": num_parts, "layout": "grouped-v2"},
-                       os.path.join(staged, "_config.json"))
-    # mid-run death state: grouped spill fully written, only part 0 reduced
-    sharded._spill_dict_groups(files, spill, num_parts)
-    sharded._fold_dict_part_fn(spill, staged)({"p": 0})
-    assert os.path.exists(os.path.join(staged, "part=00000.parquet"))
+    # mid-run death state: the exchange the merge will plan, its spill
+    # fully written, only part 0 reduced
+    ex = sharded._dict_exchange(root3, files, num_parts)
+    ex.prepare()
+    ex.run_map()
+    ex.reduce_task({"g": 0})
+    part0 = os.path.join(ex.wipe[0], "part=00000.parquet")
+    mtime0 = os.stat(part0).st_mtime_ns
 
     g = sharded.refresh_global(root3, dict_driver_threshold=1)
+    resumed = os.path.join(root3, "global_dict", "part=00000.parquet")
+    assert os.stat(resumed).st_mtime_ns == mtime0, "part 0 was reduced again"
     t_resumed = pads.dataset(os.path.join(root3, "global_dict")).to_table(
         columns=["term", "df", "df_title", "df_body"]).sort_by("term")
     t_ref = pads.dataset(os.path.join(root, "global_dict")).to_table(
         columns=["term", "df", "df_title", "df_body"]).sort_by("term")
     assert t_resumed.equals(t_ref)
     assert g["n_terms"] == t_ref.num_rows
+    assert not os.path.exists(ex.spill_dir)
 
 
 def test_sharded_serp_matches_unsharded(both_indexes):
