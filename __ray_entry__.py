@@ -259,7 +259,7 @@ AND_QUERIES = ("table", "hash value", "merge batch", "scan")
 
 # typed fast-field filter for code_search_filtered (binds: ~130 of 500
 # sf0.01 docs survive); FILTER_QUERIES includes a single-term query so the
-# filtered _search_single path is oracle-checked too
+# filtered one-term case of the block-max ranker is oracle-checked too
 FILTERED_PRED = [("doc_lang", "in", ("de", "en")), ("n_chars", ">=", 300)]
 FILTER_SQL_PRED = ("SELECT doc_id FROM documents "
                    "WHERE lang IN ('de','en') AND n_chars >= 300")

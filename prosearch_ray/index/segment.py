@@ -170,13 +170,6 @@ def build_segment(
     t_doc, t_tid, len_title, _ = _tokenize_column(docs.column("title"), vocab, vocab_list)
     b_doc, b_tid, len_body, b_pos = _tokenize_column(docs.column("content"), vocab, vocab_list)
     nv = len(vocab_list)
-    # the phrase path packs occurrence keys as (doc_id << 22) | position —
-    # fail LOUDLY at build time rather than silently corrupting keys on a
-    # body with >= 2^22 whitespace tokens
-    if len(b_pos) and int(b_pos.max()) >= (1 << 22):
-        raise ValueError(
-            f"bucket {bucket}: body token position {int(b_pos.max())} exceeds "
-            f"the 22-bit phrase-key limit ({1 << 22} tokens per doc)")
 
     norm_title = fieldnorm_to_id(len_title)
     norm_body = fieldnorm_to_id(len_body)

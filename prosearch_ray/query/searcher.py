@@ -8,12 +8,15 @@ pushdown (row groups are term-sorted within each bucket file).
 
 Evaluation: conjunctive (AND) across terms — the reference neutralizes all
 operator syntax, so the product query algebra is AND of single-term
-two-field clauses (serve.rs:270-299,336-351).  Multi-term queries evaluate by
-sorted-list intersection ascending by df (the conjunctive equivalent of WAND
-skipping); single-term queries use segment-level block-max pruning: segments
-are visited in descending score upper bound (from max_tf + min fieldnorm
-metadata) and evaluation stops as soon as the k-th best score exceeds the
-next segment's bound.
+two-field clauses (serve.rs:270-299,336-351).  Every query type runs the same
+steps: deleted docs drop out through one per-doc ``alive`` mask (tantivy's
+alive bitset), candidates come from one AND (a dense presence pass over the
+doc-id space, or sorted-list intersection shortest first when the space is
+larger than ``_DENSE_MAX_DOCS``), and scored term queries of any length
+rank through one bucket-level block-max loop: buckets are visited in
+descending score upper bound (from max_tf + min fieldnorm metadata) and
+evaluation stops as soon as the k-th best score exceeds the next bucket's
+bound.
 """
 
 from __future__ import annotations
@@ -139,6 +142,28 @@ def _point_rows(handle, terms: Sequence[str], columns: List[str]):
     return tbl, rows
 
 
+# doc-id spaces up to this size find conjunctive candidates with one dense
+# presence pass (sequential memory, no per-term sort/searchsorted); larger
+# ones (sharded deployments where a shard's id range is large) intersect
+# the sorted posting lists instead
+_DENSE_MAX_DOCS = 8_000_000
+
+
+def _and_sorted(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """Intersection of sorted unique id arrays, shortest first."""
+    arrays = sorted(arrays, key=len)
+    cand = arrays[0]
+    for ids in arrays[1:]:
+        if not len(cand):
+            break
+        cand = cand[np.isin(cand, ids, assume_unique=True)]
+    return cand
+
+
+def _no_hits() -> Tuple[np.ndarray, np.ndarray]:
+    return np.empty(0, np.int64), np.empty(0, np.float64)
+
+
 class IndexSearcher:
     def __init__(self, index_dir: str,
                  boost_terms: frozenset = scoring.DEFAULT_BOOST_TERMS,
@@ -246,16 +271,14 @@ class IndexSearcher:
         self.bucket_bounds = np.concatenate(
             ([0], np.cumsum(counts))).astype(np.int64)
         # tombstones (delete-then-reinsert upsert support, serve.rs:456-467
-        # analog): deleted doc_ids are filtered from every candidate set;
-        # corpus stats keep counting them until compaction (tantivy-style
-        # deleted-doc accounting)
+        # analog) as tantivy's alive bitset: deleted doc_ids drop out of
+        # every candidate set through this mask; corpus stats keep counting
+        # them until compaction (tantivy-style deleted-doc accounting)
+        self.alive = np.ones(self.n_docs, dtype=bool)
         tomb_path = os.path.join(index_dir, "tombstones.parquet")
         if os.path.exists(tomb_path):
-            self.tombstones = np.sort(
-                pq.read_table(tomb_path, columns=["doc_id"])
-                .column("doc_id").to_numpy().astype(np.int64))
-        else:
-            self.tombstones = np.empty(0, np.int64)
+            self.alive[pq.read_table(tomb_path, columns=["doc_id"])
+                       .column("doc_id").to_numpy()] = False
         self.num_parts = st.get("num_parts", 0)
         # merge fingerprint keys the cross-actor shared position cache (a
         # rebuilt index must never serve another fingerprint's arrays)
@@ -594,93 +617,60 @@ class IndexSearcher:
 
     _CHUNK_DOCS = 65536
 
-    def _search_single(self, tp: _TermPostings, boost: float, k: int
-                       ) -> Tuple[np.ndarray, np.ndarray]:
-        """Single-term top-k with segment-level block-max pruning: segments
-        are visited in descending bound order in CHUNKS of ~64k postings, each
-        chunk scored in one vectorized pass and compacted to the running
-        top-k; iteration stops when the next bound cannot beat the k-th
-        score.  (Conjunctive multi-term queries use intersection instead —
-        the product path's query algebra is AND-only, serve.rs:344.)"""
-        bounds = self._segment_bounds(tp, boost)
-        # flat bounds: nothing can prune (``bound < kth`` needs a score above
-        # some other bucket's bound) — score the whole posting list in place
-        # with no per-chunk index materialization; result-identical
-        if (len(bounds) and not len(self.tombstones)
-                and float(bounds.max() - bounds.min()) <= 1e-12 * max(
-                    1.0, abs(float(bounds[0])))):
-            ids = tp.doc_ids
-            sc = self._term_contrib(tp)
-            if boost != 1.0:
-                sc = sc * boost  # new array — never scale the cache in place
-            top = self._topk(sc, ids, k)
-            return ids[top], sc[top]
-        order = np.argsort(-bounds, kind="stable")
-        best_ids = np.empty(0, np.int64)
-        best_scores = np.empty(0, np.float64)
-        kth = -np.inf
-        pos = 0
-        nseg = len(order)
-        while pos < nseg:
-            if len(best_ids) >= k and bounds[order[pos]] < kth:
-                break
-            chunk, docs_in_chunk = [], 0
-            while pos < nseg and docs_in_chunk < self._CHUNK_DOCS and (
-                    len(best_ids) < k or bounds[order[pos]] >= kth):
-                s = order[pos]
-                chunk.append(np.arange(tp.seg_starts[s], tp.seg_ends[s]))
-                docs_in_chunk += int(tp.seg_ends[s] - tp.seg_starts[s])
-                pos += 1
-            if not chunk:
-                break
-            idx = np.concatenate(chunk)
-            if len(self.tombstones):
-                alive = ~np.isin(tp.doc_ids[idx], self.tombstones,
-                                 assume_unique=True)
-                idx = idx[alive]
-            ids = np.concatenate([best_ids, tp.doc_ids[idx]])
-            scs = np.concatenate([best_scores, self._term_scores(tp, idx, boost)])
-            top = self._topk(scs, ids, k)
-            best_ids, best_scores = ids[top], scs[top]
-            if len(best_ids) >= k:
-                kth = float(best_scores[-1])
-        return best_ids, best_scores
+    def _dense(self, n_terms: int) -> bool:
+        """Whether an ``n_terms`` conjunction takes the dense candidate pass
+        (and the dense rank array in the ranker).  A uint16 presence
+        counter bounds the plan size — a uint8 would saturate on plans with
+        > 255 terms and silently return empty for matching docs."""
+        return 1 < n_terms < 65535 and self.n_docs <= _DENSE_MAX_DOCS
 
     def _score_conjunctive_pruned(self, plan, postings: Dict[str, _TermPostings],
                                   cand: np.ndarray, k: int
                                   ) -> Tuple[np.ndarray, np.ndarray]:
-        """Conjunctive top-k over the full candidate set with BUCKET-level
-        block-max pruning (the WAND analog for this layout): every term's
-        segments align on the same doc buckets, so the per-bucket sum of
-        per-term segment bounds is a true upper bound on any candidate's
-        total score.  Candidate runs are scored bucket-by-bucket in
-        descending bound order (chunked ~64k docs per vectorized pass) and
-        iteration stops once the k-th best score exceeds the next bucket's
-        bound.  ``last_count`` was already taken from the FULL candidate
-        set — pruning skips scoring, never counting."""
+        """Top-k of a one-or-more-term conjunction over the full candidate
+        set with BUCKET-level block-max pruning (the WAND analog for this
+        layout): every term's segments align on the same doc buckets, so
+        the per-bucket sum of per-term segment bounds is a true upper bound
+        on any candidate's total score.  Candidate runs are scored
+        bucket-by-bucket in descending bound order (chunked ~64k docs per
+        vectorized pass) and iteration stops once the k-th best score
+        exceeds the next bucket's bound.  ``last_count`` was already taken
+        from the FULL candidate set — pruning skips scoring, never
+        counting."""
         bound = np.zeros(self.num_buckets, dtype=np.float64)
         pos = {}
-        # positions of cand within each term's postings via a REUSED dense
-        # rank array: one O(df) scatter + O(|cand|) gather per term — cheaper
-        # than searchsorted, and stale entries are harmless because cand is a
-        # subset of every term's doc_ids (AND semantics)
-        rank = np.empty(self.n_docs, dtype=np.int64)
+        # positions of cand within each term's postings.  Dense: a REUSED
+        # rank array — one O(df) scatter + O(|cand|) gather per term,
+        # cheaper than searchsorted, and stale entries are harmless because
+        # cand is a subset of every term's doc_ids (AND semantics).  Sparse
+        # and one-term plans: searchsorted, nothing sized n_docs — skipped
+        # when cand is the whole posting list (a subset of equal length),
+        # the common one-term case: 0.3 ms instead of 11 ms at 388k
+        # postings.
+        rank = np.empty(self.n_docs, np.int64) if self._dense(len(plan)) \
+            else None
         for term, boost in plan:
             tp = postings[term]
             bound[tp.seg_bucket] += self._segment_bounds(tp, boost)
-            rank[tp.doc_ids] = np.arange(len(tp.doc_ids), dtype=np.int64)
-            pos[term] = rank[cand]
-        # flat bounds (every bucket holds a near-max doc — e.g. a uniform
-        # corpus): the prune condition ``bound < kth`` can never fire because
-        # no score exceeds its bucket bound, so skip the run machinery and
+            if len(cand) == len(tp.doc_ids):
+                pos[term] = np.arange(len(cand))
+            elif rank is None:
+                pos[term] = np.searchsorted(tp.doc_ids, cand)
+            else:
+                rank[tp.doc_ids] = np.arange(len(tp.doc_ids), dtype=np.int64)
+                pos[term] = rank[cand]
+        # flat bounds (every bucket that can hold a candidate — one of the
+        # sparsest term's — holds a near-max doc, e.g. a uniform corpus):
+        # the prune condition ``bound < kth`` can never fire because no
+        # score exceeds its bucket bound, so skip the run machinery and
         # score candidates in doc order — result-identical, ~20% faster
-        if len(bound) and float(bound.max() - bound.min()) <= 1e-12 * max(
-                1.0, abs(float(bound[0]))):
+        span = bound[min((postings[t].seg_bucket for t, _ in plan), key=len)]
+        if float(span.max() - span.min()) <= 1e-12 * max(
+                1.0, abs(float(span[0]))):
             sc = np.zeros(len(cand), dtype=np.float64)
             for term, boost in plan:
                 sc += self._term_scores(postings[term], pos[term], boost)
             top = self._topk(sc, cand, k)
-            self.last_pruned = 0
             return cand[top], sc[top]
 
         # cand is ascending and bucket doc-ranges are contiguous, so each
@@ -725,24 +715,31 @@ class IndexSearcher:
             sum(ends[j] - starts[j] for j in order[:i]))
         return best_ids, best_scores
 
-    def _live_count(self, ids: np.ndarray) -> int:
-        """Number of non-tombstoned doc_ids in a unique id array."""
-        if not len(self.tombstones):
-            return int(len(ids))
-        return int(len(ids)
-                   - np.isin(ids, self.tombstones, assume_unique=True).sum())
-
-    def _filter_mask(self, predicates) -> np.ndarray:
+    def _filter_mask(self, predicates) -> Optional[np.ndarray]:
         """Typed fast-field filter -> per-doc bool mask (cached per
-        predicate tuple).  BM25 statistics are untouched — a tantivy filter
-        query never changes idf/avgdl, it only masks candidates."""
+        predicate tuple); None for no filter.  BM25 statistics are
+        untouched — a tantivy filter query never changes idf/avgdl, it only
+        masks candidates."""
         from prosearch_ray.index import fastfields
 
+        if not predicates:
+            return None
         key = tuple((c, op, tuple(v) if isinstance(v, (list, tuple, set))
                      else v) for c, op, v in predicates)
         cached = self._filter_cache.get(key)
         if cached is not None:
             return cached
+        mask = fastfields.eval_filter(self._fast_fields(), predicates)
+        if len(self._filter_cache) > 64:
+            self._filter_cache.clear()
+        self._filter_cache[key] = mask
+        return mask
+
+    def _fast_fields(self) -> Dict[str, np.ndarray]:
+        """The typed fast-field sidecar (index/fastfields.py), loaded on
+        first use."""
+        from prosearch_ray.index import fastfields
+
         if self._fastfields is None:
             ff = fastfields.load_fast_fields(self.index_dir, self.n_docs)
             if ff is None:
@@ -750,11 +747,31 @@ class IndexSearcher:
                     f"index {self.index_dir} has no fastfields sidecar "
                     "(build one with fastfields.build_fast_fields)")
             self._fastfields = ff
-        mask = fastfields.eval_filter(self._fastfields, predicates)
-        if len(self._filter_cache) > 64:
-            self._filter_cache.clear()
-        self._filter_cache[key] = mask
-        return mask
+        return self._fastfields
+
+    def _live(self, ids: np.ndarray, fmask: Optional[np.ndarray] = None
+              ) -> np.ndarray:
+        """``ids`` minus deleted docs and, given a per-doc ``fmask``, minus
+        the docs it excludes."""
+        keep = self.alive[ids]
+        if fmask is not None:
+            keep &= fmask[ids]
+        return ids[keep]
+
+    def _match_all(self, postings: Dict[str, _TermPostings], terms,
+                   fmask: Optional[np.ndarray] = None) -> np.ndarray:
+        """Sorted live doc_ids holding every one of ``terms`` (AND) and
+        inside ``fmask`` — the candidate step of ``search``, facet counts
+        and aggregations: one dense presence pass over the compact doc-id
+        space (``_dense``), else sorted-list intersection."""
+        if self._dense(len(terms)):
+            presence = np.zeros(self.n_docs, dtype=np.uint16)
+            for t in terms:
+                presence[postings[t].doc_ids] += 1
+            cand = np.flatnonzero(presence == len(terms))
+        else:
+            cand = _and_sorted([postings[t].doc_ids for t in terms])
+        return self._live(cand, fmask)
 
     def search(self, query: str, k: int = scoring.DEFAULT_K,
                filter=None) -> Tuple[np.ndarray, np.ndarray]:
@@ -766,76 +783,18 @@ class IndexSearcher:
         self.last_count = 0
         self.last_pruned = 0
         plan = scoring.query_plan(query, self.boost_terms)
-        empty = (np.empty(0, np.int64), np.empty(0, np.float64))
         if not plan:
-            return empty
-        fmask = self._filter_mask(filter) if filter else None
+            return _no_hits()
+        fmask = self._filter_mask(filter)
         postings = self.fetch_postings([t for t, _ in plan])
+        # AND semantics: a zero-df term empties the result
         if any(t not in postings for t, _ in plan):
-            return empty  # AND semantics: a zero-df term empties the result
-
-        if len(plan) == 1:
-            term, boost = plan[0]
-            if fmask is not None:
-                tp = postings[term]
-                keep = fmask[tp.doc_ids]
-                if len(self.tombstones):
-                    keep &= ~np.isin(tp.doc_ids, self.tombstones,
-                                     assume_unique=True)
-                ids = tp.doc_ids[keep]
-                self.last_count = len(ids)
-                if not len(ids):
-                    return empty
-                sc = self._term_contrib(tp)[keep]
-                if boost != 1.0:
-                    sc = sc * boost
-                top = self._topk(sc, ids, k)
-                return ids[top], sc[top]
-            self.last_count = self._live_count(postings[term].doc_ids)
-            return self._search_single(postings[term], boost, k)
-
-        # conjunctive multi-term: AND across terms.  Dense path: one pass of
-        # presence counting over the compact doc-id space (sequential memory,
-        # no per-term sort/searchsorted); falls back to sorted-array
-        # intersection when the doc space dwarfs the posting sizes (sharded
-        # deployments where a shard's id range is large).
-        if self.n_docs <= 8_000_000 and len(plan) < 65535:
-            # uint16 presence counter: a uint8 would saturate on plans with
-            # > 255 terms and silently return empty for matching docs
-            presence = np.zeros(self.n_docs, dtype=np.uint16)
-            for term, _ in plan:
-                presence[postings[term].doc_ids] += 1
-            if len(self.tombstones):
-                presence[self.tombstones] = 0
-            cand = np.nonzero(presence == len(plan))[0]
-            if fmask is not None:
-                cand = cand[fmask[cand]]
-            self.last_count = len(cand)
-            if len(cand) == 0:
-                return empty
-            return self._score_conjunctive_pruned(plan, postings, cand, k)
-        else:
-            plan_sorted = sorted(plan, key=lambda tb: len(postings[tb[0]].doc_ids))
-            cand = postings[plan_sorted[0][0]].doc_ids
-            if len(self.tombstones):
-                cand = cand[~np.isin(cand, self.tombstones, assume_unique=True)]
-            for term, _ in plan_sorted[1:]:
-                cand = cand[np.isin(cand, postings[term].doc_ids,
-                                    assume_unique=True)]
-                if len(cand) == 0:
-                    return empty
-            if fmask is not None:
-                cand = cand[fmask[cand]]
-                if len(cand) == 0:
-                    return empty
-            self.last_count = len(cand)
-            scores = np.zeros(len(cand), dtype=np.float64)
-            for term, boost in plan:
-                tp = postings[term]
-                pos = np.searchsorted(tp.doc_ids, cand)
-                scores += self._term_scores(tp, pos, boost)
-        top = self._topk(scores, cand, k)
-        return cand[top], scores[top]
+            return _no_hits()
+        cand = self._match_all(postings, [t for t, _ in plan], fmask)
+        self.last_count = len(cand)
+        if not len(cand):
+            return _no_hits()
+        return self._score_conjunctive_pruned(plan, postings, cand, k)
 
     # ----------------------------------------------------------------- phrase
     def _pos_gaps(self, terms: Sequence[str],
@@ -876,25 +835,12 @@ class IndexSearcher:
         from prosearch_ray.text.tokenizer import phrase_tokens
 
         tokens = phrase_tokens(query)
-        self.last_count = 0
-        empty = (np.empty(0, np.int64), np.empty(0, np.float64))
-        if not tokens:
-            return empty
-        r = self._phrase_candidates(tokens)
+        r = self._phrase_candidates(tokens) if tokens else None
         if r is None:
-            return empty
+            self.last_count = 0
+            return _no_hits()
         ids, counts = r
-        # phrase idf uses the UNFILTERED df_p — a typed filter masks
-        # candidates without touching BM25 statistics (same contract as
-        # search(filter=...))
-        df_p = len(ids)
-        if filter:
-            keep = self._filter_mask(filter)[ids]
-            ids, counts = ids[keep], counts[keep]
-            if not len(ids):
-                return empty
-        self.last_count = len(ids)
-        return self._phrase_topk(ids, counts, df_p, k)
+        return self._rank_phrase(ids, counts, len(ids), k, filter)
 
     def _phrase_candidates(self, tokens
                            ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
@@ -907,23 +853,28 @@ class IndexSearcher:
             tp = self.fetch_postings(tokens).get(tokens[0])
             if tp is None:
                 return None
-            mask = tp.tfs > 0
-            ids = tp.doc_ids[mask]
-            if len(self.tombstones):
-                ids = ids[~np.isin(ids, self.tombstones, assume_unique=True)]
-            if len(ids) == 0:
+            keep = (tp.tfs > 0) & self.alive[tp.doc_ids]
+            if not keep.any():
                 return None
-            return ids, tp.tfs[np.searchsorted(tp.doc_ids, ids)]
+            return tp.doc_ids[keep], tp.tfs[keep]
         return self._phrase_doc_tfs(tokens)
 
-    def _phrase_topk(self, ids: np.ndarray, counts: np.ndarray, df_p: int,
-                     k: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Score phrase candidates with df_p (corpus-wide in sharded mode)."""
-        scores = (scoring.idf([df_p], self.score_n_docs)[0]
-                  * scoring.tf_factor(counts.astype(np.float64),
-                                      self.norm_body[ids], self.avgdl_body))
-        top = self._topk(scores, ids, k)
-        return ids[top], scores[top]
+    def _phrase_scores(self, ids: np.ndarray, tfs: np.ndarray, df_p: int
+                       ) -> np.ndarray:
+        """Phrase BM25 of candidates ``ids`` with phrase tfs ``tfs`` under
+        df_p (corpus-wide in sharded mode)."""
+        return (scoring.idf([df_p], self.score_n_docs)[0]
+                * scoring.tf_factor(tfs.astype(np.float64),
+                                    self.norm_body[ids], self.avgdl_body))
+
+    def _rank_phrase(self, ids: np.ndarray, counts: np.ndarray, df_p: int,
+                     k: int, filter=None) -> Tuple[np.ndarray, np.ndarray]:
+        """Top-k of phrase candidates scored under ``df_p``.  The phrase
+        idf keeps the UNFILTERED df_p — a typed filter masks candidates
+        without touching BM25 statistics (the ``search(filter=...)``
+        contract)."""
+        return self._ranked(ids, self._phrase_scores(ids, counts, df_p), k,
+                            filter)
 
     def _cached_pos_cumsum(self, terms: Sequence[str],
                            postings: Dict[str, _TermPostings]
@@ -995,33 +946,15 @@ class IndexSearcher:
         postings = self.fetch_postings(uniq)
         if any(t not in postings for t in uniq):
             return None
-        cand = self._phrase_candidates_and(uniq, postings)
+        # title-only docs survive the AND and are rejected by the
+        # positions probe, which indexes body only
+        cand = self._live(_and_sorted([postings[t].doc_ids for t in uniq]))
         if len(cand) == 0:
             return None
         r = self._phrase_probe(tokens, uniq, postings, cand)
         if r is None:
             return None
-        occ_docs, occ_pos = r
-        ids, counts = np.unique(occ_docs, return_counts=True)
-        if len(self.tombstones):
-            alive = ~np.isin(ids, self.tombstones, assume_unique=True)
-            ids, counts = ids[alive], counts[alive]
-        if len(ids) == 0:
-            return None
-        return ids, counts
-
-    def _phrase_candidates_and(self, uniq, postings) -> np.ndarray:
-        """AND of the tokens' posting lists — the candidate step of every
-        multi-token phrase probe (title-only docs survive here and are
-        rejected by the positions probe, which indexes body only)."""
-        order = sorted(uniq, key=lambda t: len(postings[t].doc_ids))
-        cand = postings[order[0]].doc_ids
-        for t in order[1:]:
-            cand = cand[np.isin(cand, postings[t].doc_ids,
-                                assume_unique=True)]
-            if len(cand) == 0:
-                break
-        return cand
+        return np.unique(r[0], return_counts=True)
 
     def _probe_prep(self, uniq, postings, cand):
         """Per term: ``(c, starts, sel, tfs)`` — its global position cumsum
@@ -1188,20 +1121,12 @@ class IndexSearcher:
     def _match_terms_full(self, terms, boost: float = 1.0):
         """Full (un-truncated) conjunctive match of a term list:
         (sorted doc_ids, summed BM25 scores). Empty when any term is absent."""
-        empty = (np.empty(0, np.int64), np.empty(0, np.float64))
         if not terms:
-            return empty
+            return _no_hits()
         postings = self.fetch_postings(terms)
         if any(t not in postings for t in terms):
-            return empty
-        order = sorted(terms, key=lambda t: len(postings[t].doc_ids))
-        cand = postings[order[0]].doc_ids
-        if len(self.tombstones):
-            cand = cand[~np.isin(cand, self.tombstones, assume_unique=True)]
-        for t in order[1:]:
-            cand = cand[np.isin(cand, postings[t].doc_ids, assume_unique=True)]
-            if len(cand) == 0:
-                return empty
+            return _no_hits()
+        cand = self._live(_and_sorted([postings[t].doc_ids for t in terms]))
         scores = np.zeros(len(cand), dtype=np.float64)
         for t in terms:
             tp = postings[t]
@@ -1217,29 +1142,15 @@ class IndexSearcher:
         field.  Field boosts (title x1.5 / body x1.0, serve.rs:348-351)
         still apply: the parser attaches them per field, so an explicitly
         scoped term carries its field's boost."""
-        empty = (np.empty(0, np.int64), np.empty(0, np.float64))
         if not terms or field not in ("title", "body"):
-            return empty
+            return _no_hits()
         postings = self.fetch_postings(terms)
         if any(t not in postings for t in terms):
-            return empty
-
-        def field_ids(tp):
-            ids = (tp.doc_ids[tp.flags > 0] if field == "title"
-                   else tp.doc_ids[tp.tfs > 0])
-            if len(self.tombstones):
-                ids = ids[~np.isin(ids, self.tombstones, assume_unique=True)]
-            return ids
-
-        matched = {t: field_ids(postings[t]) for t in terms}
-        order = sorted(terms, key=lambda t: len(matched[t]))
-        cand = matched[order[0]]
-        for t in order[1:]:
-            cand = cand[np.isin(cand, matched[t], assume_unique=True)]
-            if len(cand) == 0:
-                return empty
-        if len(cand) == 0:
-            return empty
+            return _no_hits()
+        cand = self._live(_and_sorted([
+            tp.doc_ids[tp.flags > 0] if field == "title"
+            else tp.doc_ids[tp.tfs > 0]
+            for tp in (postings[t] for t in terms)]))
         scores = np.zeros(len(cand), dtype=np.float64)
         for t in terms:
             tp = postings[t]
@@ -1276,13 +1187,11 @@ class IndexSearcher:
         ``last_count``."""
         from prosearch_ray.text.tokenizer import tokenize
 
-        self.last_count = 0
-        empty = (np.empty(0, np.int64), np.empty(0, np.float64))
         results = [self._match_terms_full(tokenize(tok))
                    for tok in query.split()]
         results = [r for r in results if len(r[0])]
         if not results:
-            return empty
+            return self._ranked(*_no_hits(), k)
         cand = np.unique(np.concatenate([ids for ids, _ in results]))
         best = np.zeros(len(cand), dtype=np.float64)
         total = np.zeros(len(cand), dtype=np.float64)
@@ -1291,14 +1200,7 @@ class IndexSearcher:
             np.maximum.at(best, pos, scs)
             total[pos] += scs
         scores = best + tie_breaker * (total - best)
-        if filter:
-            keep = self._filter_mask(filter)[cand]
-            cand, scores = cand[keep], scores[keep]
-            if len(cand) == 0:
-                return empty
-        self.last_count = len(cand)
-        top = self._topk(scores, cand, k)
-        return cand[top], scores[top]
+        return self._ranked(cand, scores, k, filter)
 
     def _phrase_ids_tfs(self, text: str
                         ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
@@ -1318,11 +1220,10 @@ class IndexSearcher:
         ``df_override`` replaces the locally-observed phrase df in the idf
         (the sharded two-phase global-df_p protocol — each shard sees only
         its local matches but must score under the corpus-wide df, exactly
-        like ``_phrase_topk``); ``collect_dfs`` records {clause_text:
+        like ``_rank_phrase``); ``collect_dfs`` records {clause_text:
         local_df} for the driver to sum; ``cache`` memoizes the evaluated
         (ids, tfs) per clause text so the sharded phase-2 re-run rescores
         without re-probing adjacency."""
-        empty = (np.empty(0, np.int64), np.empty(0, np.float64))
         if cache is not None and text in cache:
             r = cache[text]
         else:
@@ -1332,12 +1233,10 @@ class IndexSearcher:
         if collect_dfs is not None:
             collect_dfs[text] = 0 if r is None else int(len(r[0]))
         if r is None:
-            return empty
+            return _no_hits()
         ids, tfs = r
         df_p = len(ids) if df_override is None else int(df_override)
-        scores = (scoring.idf([df_p], self.score_n_docs)[0]
-                  * scoring.tf_factor(tfs.astype(np.float64),
-                                      self.norm_body[ids], self.avgdl_body))
+        scores = self._phrase_scores(ids, tfs, df_p)
         if boost != 1.0:
             scores = scores * boost
         return ids, scores
@@ -1413,15 +1312,13 @@ class IndexSearcher:
 
         self.last_count = 0
         clauses = self.parse_raw_query(query)
-        empty = (np.empty(0, np.int64), np.empty(0, np.float64))
-        if not clauses:
-            return empty
         msm = int(min_should_match)
         # can-never-match short-circuit BEFORE clause evaluation: a phrase
         # clause's first-touch position decode is seconds at scale — don't
         # pay it for a degenerate threshold
-        if msm > sum(1 for occ, _, _, _, _ in clauses if occ == "should"):
-            return empty
+        if not clauses or msm > sum(1 for occ, *_ in clauses
+                                    if occ == "should"):
+            return _no_hits()
 
         def eval_clause(kind, text, field, boost):
             if kind == "phrase":
@@ -1450,58 +1347,32 @@ class IndexSearcher:
                 shoulds.append(eval_clause(kind, text, field, boost))
 
         if musts:
-            cand = musts[0][0]
-            for ids, _ in musts[1:]:
-                cand = cand[np.isin(cand, ids, assume_unique=True)]
-            if len(cand) == 0:
-                return empty
+            cand = _and_sorted([ids for ids, _ in musts])
             scores = np.zeros(len(cand), dtype=np.float64)
             n_should = np.zeros(len(cand), dtype=np.int64)
             for ci, (ids, scs) in enumerate(musts + shoulds):
-                pos = np.searchsorted(ids, cand)
-                pos_c = np.minimum(pos, max(len(ids) - 1, 0))
-                hit = (len(ids) > 0) & (ids[pos_c] == cand) if len(ids) else                     np.zeros(len(cand), dtype=bool)
-                scores[hit] += scs[pos_c[hit]]
+                if not len(ids):
+                    continue
+                pos = np.minimum(np.searchsorted(ids, cand), len(ids) - 1)
+                hit = ids[pos] == cand
+                scores[hit] += scs[pos[hit]]
                 if ci >= len(musts):
                     n_should[hit] += 1
-            if msm > 0:
-                keep = n_should >= msm
-                cand, scores = cand[keep], scores[keep]
-                if len(cand) == 0:
-                    return empty
         else:
-            if not shoulds:
-                return empty
-            all_ids = np.concatenate([ids for ids, _ in shoulds])
-            if len(all_ids) == 0:
-                return empty
-            cand = np.unique(all_ids)
+            cand = np.unique(np.concatenate(
+                [ids for ids, _ in shoulds] or [np.empty(0, np.int64)]))
             scores = np.zeros(len(cand), dtype=np.float64)
             n_should = np.zeros(len(cand), dtype=np.int64)
             for ids, scs in shoulds:
-                if len(ids):
-                    pos = np.searchsorted(cand, ids)
-                    np.add.at(scores, pos, scs)
-                    n_should[pos] += 1
-            if msm > 1:
-                keep = n_should >= msm
-                cand, scores = cand[keep], scores[keep]
-                if len(cand) == 0:
-                    return empty
+                pos = np.searchsorted(cand, ids)
+                np.add.at(scores, pos, scs)
+                n_should[pos] += 1
+        keep = n_should >= msm
         for ids in nots:
-            if len(ids):
-                keep = ~np.isin(cand, ids, assume_unique=True)
-                cand, scores = cand[keep], scores[keep]
-        if filter:
-            # typed mask after clause algebra: per-clause BM25 stayed
-            # corpus-wide, the filter only drops candidates
-            keep = self._filter_mask(filter)[cand]
-            cand, scores = cand[keep], scores[keep]
-        if len(cand) == 0:
-            return empty
-        self.last_count = len(cand)
-        top = self._topk(scores, cand, k)
-        return cand[top], scores[top]
+            keep &= ~np.isin(cand, ids, assume_unique=True)
+        # typed mask after clause algebra: per-clause BM25 stayed
+        # corpus-wide, the filter only drops candidates
+        return self._ranked(cand[keep], scores[keep], k, filter)
 
     def regex_candidates(self, pattern: str,
                          max_expansions: int = 1024,
@@ -1533,12 +1404,8 @@ class IndexSearcher:
         arrs = [postings[t].doc_ids for t in terms if t in postings]
         if not arrs:
             return np.empty(0, np.int64)
-        cand = np.unique(np.concatenate(arrs))
-        if len(self.tombstones):
-            cand = cand[~np.isin(cand, self.tombstones, assume_unique=True)]
-        if filter:
-            cand = cand[self._filter_mask(filter)[cand]]
-        return cand
+        return self._live(np.unique(np.concatenate(arrs)),
+                          self._filter_mask(filter))
 
     @staticmethod
     def wildcard_pattern(wc: str) -> str:
@@ -1577,13 +1444,23 @@ class IndexSearcher:
                             distance).column("term").to_pylist()
         return self._union_candidates(terms, filter)
 
-    def _const_score_topk(self, cand: np.ndarray, k: int
-                          ) -> Tuple[np.ndarray, np.ndarray]:
+    def _ranked(self, cand: np.ndarray, scores: Optional[np.ndarray],
+                k: int, filter=None) -> Tuple[np.ndarray, np.ndarray]:
+        """The ending every non-pruned query type shares: the typed filter
+        if given, ``last_count``, then the top-k of the sorted live
+        candidates ``cand``.  ``scores=None`` is a constant score of 1.0
+        over already-filtered candidates, ranked in doc_id order."""
+        if filter:
+            keep = self._filter_mask(filter)[cand]
+            cand, scores = cand[keep], scores[keep]
         self.last_count = len(cand)
-        if len(cand) == 0:
-            return np.empty(0, np.int64), np.empty(0, np.float64)
-        top = cand[:min(k, len(cand))]
-        return top, np.ones(len(top), dtype=np.float64)
+        if not len(cand):
+            return _no_hits()
+        if scores is None:
+            top = cand[:k]
+            return top, np.ones(len(top), dtype=np.float64)
+        top = self._topk(scores, cand, k)
+        return cand[top], scores[top]
 
     def search_regex(self, pattern: str, k: int = scoring.DEFAULT_K,
                      max_expansions: int = 1024,
@@ -1593,8 +1470,8 @@ class IndexSearcher:
         doc_id (the deterministic equal-score tie-break used everywhere).
         The live match count lands in ``last_count``; composes with typed
         fast-field filters like every other query path."""
-        return self._const_score_topk(
-            self.regex_candidates(pattern, max_expansions, filter), k)
+        return self._ranked(
+            self.regex_candidates(pattern, max_expansions, filter), None, k)
 
     def search_fuzzy(self, term: str, k: int = scoring.DEFAULT_K,
                      distance: int = 1,
@@ -1603,8 +1480,8 @@ class IndexSearcher:
         constant score 1.0 per doc containing a term within Levenshtein
         ``distance`` (0, 1 or 2 — tantivy's cap), doc_id rank order, live
         count in ``last_count``, typed-filter composition."""
-        return self._const_score_topk(
-            self.fuzzy_candidates(term, distance, filter), k)
+        return self._ranked(
+            self.fuzzy_candidates(term, distance, filter), None, k)
 
     def phrase_prefix_candidates(self, text: str,
                                  max_expansions: int = 50,
@@ -1638,24 +1515,13 @@ class IndexSearcher:
         if not fixed:
             # degenerate prefix query: body-presence union (the analog of
             # the single-token phrase path's tf>0 mask)
-            postings = self.fetch_postings(exp)
-            arrs = [tp.doc_ids[tp.tfs > 0]
-                    for t in exp if (tp := postings.get(t)) is not None]
-            cand = (np.unique(np.concatenate(arrs)) if arrs
-                    else np.empty(0, np.int64))
+            parts = [tp.doc_ids[tp.tfs > 0]
+                     for tp in self.fetch_postings(exp).values()]
         else:
-            parts = []
-            for e in exp:
-                r = self._phrase_ids_tfs(" ".join(fixed + [e]))
-                if r is not None:
-                    parts.append(r[0])
-            cand = (np.unique(np.concatenate(parts)) if parts
-                    else np.empty(0, np.int64))
-        if len(self.tombstones) and len(cand):
-            cand = cand[~np.isin(cand, self.tombstones, assume_unique=True)]
-        if filter and len(cand):
-            cand = cand[self._filter_mask(filter)[cand]]
-        return cand
+            parts = [r[0] for e in exp if (r := self._phrase_ids_tfs(
+                " ".join(fixed + [e]))) is not None]
+        cand = np.unique(np.concatenate(parts or [np.empty(0, np.int64)]))
+        return self._live(cand, self._filter_mask(filter))
 
     def search_phrase_prefix(self, text: str, k: int = scoring.DEFAULT_K,
                              max_expansions: int = 50,
@@ -1665,8 +1531,8 @@ class IndexSearcher:
         modeling of tantivy's multi-expansion phrase scorer is
         deliberately NOT reproduced (it depends on which expansion
         matched; the match SET is the exact tantivy semantics)."""
-        return self._const_score_topk(
-            self.phrase_prefix_candidates(text, max_expansions, filter), k)
+        return self._ranked(self.phrase_prefix_candidates(
+            text, max_expansions, filter), None, k)
 
     def range_candidates(self, lower: str = None, upper: str = None,
                          include_lower: bool = True,
@@ -1699,9 +1565,9 @@ class IndexSearcher:
         constant score 1.0 per doc holding any in-range term, doc_id rank
         order, live count in ``last_count``, typed-filter composition —
         the same ConstScorer shape as regex/fuzzy/term-set."""
-        return self._const_score_topk(
-            self.range_candidates(lower, upper, include_lower,
-                                  include_upper, max_expansions, filter), k)
+        return self._ranked(
+            self.range_candidates(lower, upper, include_lower, include_upper,
+                                  max_expansions, filter), None, k)
 
     def slop_phrase_candidates(self, text: str, slop: int = 0,
                                filter=None) -> np.ndarray:
@@ -1739,15 +1605,12 @@ class IndexSearcher:
         if len(tokens) == 1:
             # degenerate: body presence (the single-token phrase contract)
             tp = postings[tokens[0]]
-            cand = tp.doc_ids[tp.tfs > 0]
-        else:
-            cand = self._phrase_candidates_and(uniq, postings)
-            if len(cand):
-                cand = self._slop_probe(tokens, uniq, postings, cand, slop)
-        if len(self.tombstones) and len(cand):
-            cand = cand[~np.isin(cand, self.tombstones, assume_unique=True)]
-        if filter and len(cand):
-            cand = cand[self._filter_mask(filter)[cand]]
+            return self._live(tp.doc_ids[tp.tfs > 0],
+                              self._filter_mask(filter))
+        cand = self._live(_and_sorted([postings[t].doc_ids for t in uniq]),
+                          self._filter_mask(filter))
+        if len(cand):
+            cand = self._slop_probe(tokens, uniq, postings, cand, slop)
         return cand
 
     def _slop_probe(self, tokens, uniq, postings, cand,
@@ -1821,8 +1684,8 @@ class IndexSearcher:
         analog, ordered semantics per ``slop_phrase_candidates``):
         constant score 1.0 over the match set, doc_id rank order, live
         count in ``last_count``, typed-filter composition."""
-        return self._const_score_topk(
-            self.slop_phrase_candidates(text, slop, filter), k)
+        return self._ranked(
+            self.slop_phrase_candidates(text, slop, filter), None, k)
 
     def search_term_set(self, terms, k: int = scoring.DEFAULT_K,
                         filter=None) -> Tuple[np.ndarray, np.ndarray]:
@@ -1832,8 +1695,8 @@ class IndexSearcher:
         live count, typed-filter composition.  Terms are taken verbatim —
         the caller tokenizes (the tantivy contract: a TermSetQuery is
         built from Terms, not query text)."""
-        return self._const_score_topk(
-            self._union_candidates(sorted(set(terms)), filter), k)
+        return self._ranked(
+            self._union_candidates(sorted(set(terms)), filter), None, k)
 
     # -------------------------------------------------------------- documents
     def fetch_contents(self, doc_ids: np.ndarray) -> Dict[int, str]:
@@ -1859,8 +1722,6 @@ class IndexSearcher:
         semantics of facet counting and aggregations.  Returns
         ``(fastfields, cand_doc_ids)``; fastfields is None when the query
         has no evaluable plan (in which case no sidecar load happens)."""
-        from prosearch_ray.index import fastfields as ffmod
-
         empty = np.empty(0, np.int64)
         plan = scoring.query_plan(query, self.boost_terms)
         if not plan:
@@ -1868,22 +1729,11 @@ class IndexSearcher:
         postings = self.fetch_postings([t for t, _ in plan])
         if any(t not in postings for t, _ in plan):
             return None, empty
-        if self._fastfields is None:
-            ff = ffmod.load_fast_fields(self.index_dir, self.n_docs)
-            if ff is None:
-                raise ValueError(
-                    f"index {self.index_dir} has no fastfields sidecar")
-            self._fastfields = ff
-        presence = np.zeros(self.n_docs, dtype=np.uint16)
-        for term, _ in plan:
-            presence[postings[term].doc_ids] += 1
-        if len(self.tombstones):
-            presence[self.tombstones] = 0
-        cand = np.nonzero(presence == len(plan))[0]
-        mask = self._fastfields["_valid"]
+        ff = self._fast_fields()
+        mask = ff["_valid"]
         if filter:
             mask = mask & self._filter_mask(filter)
-        return self._fastfields, cand[mask[cand]]
+        return ff, self._match_all(postings, [t for t, _ in plan], mask)
 
     def facet_counts(self, query: str, column: str, filter=None
                      ) -> List[Tuple[object, int]]:

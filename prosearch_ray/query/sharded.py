@@ -171,15 +171,8 @@ class _ShardWorker:
             _, r = self._phrase_cache
         if r is None:
             return [], [], 0
-        ids, counts = r
-        if filter:
-            keep = self.s._filter_mask(filter)[ids]
-            ids, counts = ids[keep], counts[keep]
-            if not len(ids):
-                return [], [], 0
-        top_ids, scs = self.s._phrase_topk(ids, counts, int(df_p_global),
-                                           int(k))
-        return self._keys(top_ids), [float(x) for x in scs], int(len(ids))
+        return self._partial(*self.s._rank_phrase(
+            *r, int(df_p_global), int(k), filter))
 
 
 def _auto_cpus_per_actor(n_actors: int) -> float:
@@ -341,24 +334,20 @@ class ShardedSearcher:
         merged top-k, each from its owning shard (no shard ships more than
         its winners' contents).  Shard-local doc ids are meaningless
         globally, so hits carry no ``doc_id``."""
-        res = ray.get([a.search.remote(query, k, filter)
-                       for a in self.actors])
-        self.last_count = sum(c for _, _, c in res)
-        rows = []
-        for si, (keys, scs, _) in enumerate(res):
-            rows.extend((key, sc, si) for key, sc in zip(keys, scs))
-        rows.sort(key=lambda r: (-r[1], r[0]))
-        rows = rows[:k]
+        futs = [a.search.remote(query, k, filter) for a in self.actors]
+        keys, scores = self._gather(futs, k)
+        # each winner's owning shard: the partials are already local
+        owner = {key: si for si, (ks, _, _) in enumerate(ray.get(futs))
+                 for key in ks}
         by_shard: dict = {}
-        for key, _, si in rows:
-            by_shard.setdefault(si, []).append(key)
-        futs = {si: self.actors[si].snippets_for.remote(keys, query)
-                for si, keys in by_shard.items()}
+        for key in keys:
+            by_shard.setdefault(owner[key], []).append(key)
         snips: dict = {}
-        for fut in futs.values():
-            snips.update(ray.get(fut))
+        for part in ray.get([self.actors[si].snippets_for.remote(ks, query)
+                             for si, ks in by_shard.items()]):
+            snips.update(part)
         return [{"doc_key": key, "title": key, "score": float(sc),
-                 "snip": snips.get(key, "")} for key, sc, _ in rows]
+                 "snip": snips.get(key, "")} for key, sc in zip(keys, scores)]
 
     def search_raw(self, query: str, k: int = scoring.DEFAULT_K,
                    filter=None, min_should_match: int = 0

@@ -174,7 +174,7 @@ def test_compact_drops_tombstones(small_index, tmp_path):
     rep = compact(index_dir, out)
     assert rep["n_docs"] == report["n_docs"] - 3
     s = IndexSearcher(out)
-    assert len(s.tombstones) == 0
+    assert s.alive.all()
     hits = _hit_keys(out, "the")
     assert not (set(victims) & set(hits))
 
@@ -216,3 +216,118 @@ def test_delta_merge_is_incremental(small_index):
     # merge bookkeeping stays consistent
     ms = json.load(open(os.path.join(index_dir, "_merge.json")))
     assert ms["n_terms"] == sum(ms["parts"].values())
+
+
+@pytest.fixture(scope="module")
+def typed_index(ray_session, tmp_path_factory):
+    """A 400-doc index with a typed fast-field sidecar (lang, n_chars)."""
+    import pyarrow.compute as pc
+    import ray.data as rd
+
+    from prosearch_ray.fixtures import write_corpus
+    from prosearch_ray.index.build import build_index
+    from prosearch_ray.index.fastfields import build_fast_fields
+
+    base = tmp_path_factory.mktemp("typed")
+    d = write_corpus(str(base / "corpus"), n_docs=400)
+    index_dir = str(base / "idx")
+    build_index(d + "/corpus", index_dir, docs_per_bucket=64)
+
+    def add_typed(t: pa.Table) -> pa.Table:
+        return t.append_column(
+            "n_chars", pc.cast(pc.utf8_length(t.column("content")),
+                               pa.int64()))
+
+    build_fast_fields(index_dir, rd.read_parquet(d + "/corpus").map_batches(
+        add_typed, batch_format="pyarrow"), columns=["lang", "n_chars"])
+    return index_dir
+
+
+_ALL = 10 ** 6
+_DELETE_CASES = {
+    "search_one_term": lambda s: s.search("merge", _ALL),
+    "search_terms": lambda s: s.search("merge hash", _ALL),
+    "search_phrase": lambda s: s.search_phrase("return the", _ALL),
+    "raw_must": lambda s: s.search_raw("+merge +hash", _ALL),
+    "raw_should": lambda s: s.search_raw("merge hash", _ALL),
+    "raw_field": lambda s: s.search_raw("body:merge", _ALL),
+    "dismax": lambda s: s.search_dismax("merge hash", _ALL,
+                                        tie_breaker=0.3),
+    "regex": lambda s: s.search_regex("merg[a-z]*", _ALL),
+    "fuzzy": lambda s: s.search_fuzzy("merge", _ALL),
+    "term_set": lambda s: s.search_term_set(["merge", "hash"], _ALL),
+    "term_range": lambda s: s.search_term_range("merge", "mergf", _ALL),
+    "slop": lambda s: s.search_phrase_slop("return the", _ALL, slop=1),
+    "phrase_prefix": lambda s: s.search_phrase_prefix("return th", _ALL),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DELETE_CASES) + ["facet_counts"])
+def test_delete_reaches_every_query_type(typed_index, tmp_path, case):
+    """Tombstoning one matching doc removes it from every query type's
+    hits and lowers its match count by exactly one."""
+    import shutil
+
+    from prosearch_ray.index.delta import delete_docs
+    from prosearch_ray.query.searcher import IndexSearcher
+
+    index_dir = str(tmp_path / "idx")
+    shutil.copytree(typed_index, index_dir)
+
+    def run(s):
+        if case == "facet_counts":
+            ids, _ = s.search("merge hash", _ALL)
+            counts = s.facet_counts("merge hash", "lang")
+            return ids, sum(n for _, n in counts)
+        ids, _ = _DELETE_CASES[case](s)
+        return ids, s.last_count
+
+    s = IndexSearcher(index_dir)
+    ids, count = run(s)
+    assert len(ids) > 1 and count == len(ids)
+    victim = str(s.doc_keys[int(ids[0])])
+    assert delete_docs(index_dir, [victim]) == 1
+
+    s = IndexSearcher(index_dir)
+    ids, after = run(s)
+    assert victim not in {str(s.doc_keys[int(d)]) for d in ids}
+    assert after == count - 1
+
+
+def test_sparse_conjunction_matches_dense(typed_index, tmp_path,
+                                          monkeypatch):
+    """The sorted-intersection candidate branch (doc spaces above
+    _DENSE_MAX_DOCS) answers exactly like the dense presence pass: same
+    ids, bitwise scores, counts and facet counts, over tombstones and a
+    typed filter."""
+    import shutil
+
+    from prosearch_ray.index.delta import delete_docs
+    from prosearch_ray.query import searcher as searcher_mod
+
+    index_dir = str(tmp_path / "idx")
+    shutil.copytree(typed_index, index_dir)
+    s = searcher_mod.IndexSearcher(index_dir)
+    ids, _ = s.search("the", _ALL)
+    delete_docs(index_dir, [str(s.doc_keys[int(d)]) for d in ids[::7]])
+
+    def answers():
+        s = searcher_mod.IndexSearcher(index_dir)
+        assert not s.alive.all()
+        out = []
+        for q in ("merge", "the", "merge hash", "the return value"):
+            for flt in (None, [("lang", "==", "py")]):
+                for k in (10, _ALL):
+                    ids, scores = s.search(q, k, filter=flt)
+                    out.append((ids.tolist(), scores.tobytes(),
+                                s.last_count))
+                out.append(s.facet_counts(q, "lang", filter=flt))
+        return s, out
+
+    s, dense = answers()
+    assert s._dense(2)
+    monkeypatch.setattr(searcher_mod, "_DENSE_MAX_DOCS", 0)
+    s, sparse = answers()
+    assert not s._dense(2)
+    assert sparse == dense
+    assert any(len(a[0]) for a in dense if isinstance(a, tuple))

@@ -138,24 +138,48 @@ def test_wide_conjunctive_query_beyond_255_terms(ray_session, tmp_path):
     assert s.doc_keys[int(ids[0])].as_py().endswith("all.py")
 
 
-def test_position_overflow_fails_loudly():
-    """A body with >= 2^22 whitespace tokens must fail the segment build
-    with a clear error (the phrase key packs position into 22 bits; silent
-    wraparound would corrupt phrase matching)."""
+def test_phrase_past_position_2_22(ray_session, tmp_path):
+    """A body longer than 2^22 tokens builds, and a phrase placed past
+    position 2^22 is found with the brute-force phrase count and score
+    (positions are uint64 cumsums end to end; no per-doc position cap)."""
     import numpy as np
+    import ray.data as rd
 
-    from prosearch_ray.index.segment import build_segment
+    from prosearch_ray.index import scoring
+    from prosearch_ray.index.build import build_index
+    from prosearch_ray.index.fieldnorm import fieldnorm_to_id, id_to_fieldnorm
+    from prosearch_ray.query.searcher import IndexSearcher
 
-    body = " ".join(["tok"] * ((1 << 22) + 8))
-    docs = pa.table({
-        "doc_key": ["r/big/huge.py"],
-        "title": ["r/big/huge.py"],
-        "content": [body],
-        "sha256": [b"\x00" * 32],
-        "n_chars": [len(body)],
+    filler = ["lorem", "ipsum", "dolor", "sit"]
+    big = [filler[i % 4] for i in range((1 << 22) + 100)]
+    for p in ((1 << 22) + 10, (1 << 22) + 60):
+        big[p:p + 2] = ["zzalpha", "zzbeta"]
+    bodies = [big, ["zzalpha", "zzbeta", "gamma"], ["zzbeta", "zzalpha"]]
+    corpus = pa.table({
+        "repo": ["r/big"] * 3,
+        "path": ["huge.py", "small.py", "swapped.py"],
+        "commit": ["a" * 40] * 3,
+        "lang": ["py"] * 3,
+        "content": [" ".join(b) for b in bodies],
     })
-    with pytest.raises(ValueError, match="22-bit"):
-        build_segment(0, docs, 0)
+    idx = str(tmp_path / "big")
+    build_index(rd.from_arrow(corpus), idx, docs_per_bucket=64,
+                n_input_estimate=3)
+    s = IndexSearcher(idx)
+    ids, scores = s.search_phrase("zzalpha zzbeta", 10)
+
+    counts = [sum(b[i:i + 2] == ["zzalpha", "zzbeta"]
+                  for i in range(len(b) - 1)) for b in bodies]
+    assert counts == [2, 1, 0]
+    lens = np.array([len(b) for b in bodies], dtype=np.float64)
+    want = (scoring.idf([2], 3)[0] * scoring.tf_factor(
+        np.array(counts[:2], dtype=np.float64),
+        id_to_fieldnorm(fieldnorm_to_id(lens[:2])), lens.sum() / 3))
+    order = np.argsort(-want, kind="stable")
+    assert s.last_count == 2
+    assert [s.doc_keys[int(d)].as_py().rsplit("/", 1)[1] for d in ids] == [
+        ["huge.py", "small.py"][i] for i in order]
+    assert np.allclose(scores, want[order], rtol=1e-12, atol=0)
 
 
 def test_other_format_version_refused(tiny_index, tmp_path):

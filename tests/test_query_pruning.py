@@ -51,15 +51,17 @@ def test_pruned_conjunctive_matches_oracle_and_prunes(skewed_setup):
     # scoring rounds (pruning decisions happen BETWEEN chunks; at real
     # scale one chunk is 64k docs)
     s._CHUNK_DOCS = 128
-    ids, scores = s.search("alpha beta", 10)
-    want = oracle.search("alpha beta", 10)
-    assert [int(d) for d in ids] == [d for d, _, _ in want]
-    assert np.allclose(scores, [sc for _, _, sc in want], atol=1e-9)
-    # the count collector still sees every candidate...
-    assert s.last_count == len(oracle.search("alpha beta", 10**9))
-    # ...but most long-doc buckets were never scored
-    assert s.last_pruned > s.last_count // 4, \
-        f"pruning did not engage: {s.last_pruned}/{s.last_count}"
+    # a one-term plan ranks through the same block-max loop
+    for q in ("alpha beta", "alpha"):
+        ids, scores = s.search(q, 10)
+        want = oracle.search(q, 10)
+        assert [int(d) for d in ids] == [d for d, _, _ in want]
+        assert np.allclose(scores, [sc for _, _, sc in want], atol=1e-9)
+        # the count collector still sees every candidate...
+        assert s.last_count == len(oracle.search(q, 10**9))
+        # ...but most long-doc buckets were never scored
+        assert s.last_pruned > s.last_count // 4, \
+            f"{q!r}: pruning did not engage: {s.last_pruned}/{s.last_count}"
 
 
 def test_pruning_counter_zero_when_everything_scored(skewed_setup):
