@@ -91,6 +91,60 @@ def _atomic_write_json(obj: dict, path: str) -> None:
     os.replace(tmp, path)
 
 
+def _byte_lengths(col) -> np.ndarray:
+    """Per-row byte length of a string/binary column (null = 0)."""
+    return pc.fill_null(pc.binary_length(col), 0).to_numpy(
+        zero_copy_only=False)
+
+
+def _row_group_bounds(sizes: np.ndarray, max_bytes: int,
+                      max_rows: int) -> list:
+    """Byte-bounded row-group split points over per-row payload ``sizes``:
+    a group closes at ~``max_bytes`` of payload (the row that crosses the
+    bound is its last; never an empty group) or at ``max_rows`` rows."""
+    n = len(sizes)
+    cum = np.cumsum(sizes)
+    bounds, start = [0], 0
+    while bounds[-1] < n:
+        base = cum[start - 1] if start else 0
+        nxt = int(np.searchsorted(cum, base + max_bytes, side="left")) + 1
+        nxt = min(n, max(start + 1, nxt), start + max_rows)
+        bounds.append(nxt)
+        start = nxt
+    return bounds
+
+
+def _write_row_groups(table: pa.Table, path: str, bounds: list,
+                      **writer_kw) -> int:
+    """Atomically write ``table`` with one row group per ``bounds`` span;
+    returns the file size."""
+    tmp = f"{path}.tmp-{os.getpid()}"
+    with pq.ParquetWriter(tmp, table.schema, **writer_kw) as w:
+        for s, e in zip(bounds[:-1], bounds[1:]):
+            w.write_table(table.slice(s, e - s), row_group_size=e - s)
+    os.replace(tmp, path)
+    return os.path.getsize(path)
+
+
+STAGED_KEY_COLUMNS = ["doc_key", "bucket"]
+
+
+def _write_staged(table: pa.Table, path: str) -> int:
+    """Write one staged bucket file as a block-addressed docstore: row
+    groups close at ~``layout.STAGED_ROW_GROUP_BYTES`` of content, so the
+    searcher's stored-doc fetch (row i = doc base_doc_id + i) decompresses
+    only the blocks holding its hits.  Column statistics are kept for the
+    key columns only — per-block min/max of content and title would grow
+    the file for no reader."""
+    return _write_row_groups(
+        table, path,
+        _row_group_bounds(_byte_lengths(table.column("content")),
+                          layout.STAGED_ROW_GROUP_BYTES, _PQ_ROW_GROUP),
+        compression=_PQ_COMPRESSION,
+        write_statistics=[c for c in STAGED_KEY_COLUMNS
+                          if c in table.column_names])
+
+
 def _sha256_hex_column(contents) -> list:
     return [hashlib.sha256(c.encode("utf-8")).hexdigest() for c in contents]
 
@@ -182,7 +236,7 @@ def _stage_a_writer(staged_dir: str):
     def fn(group: pa.Table) -> pa.Table:
         bucket = int(group.column("bucket")[0].as_py())
         group = _canonicalize_bucket(group)
-        _atomic_write_table(group, os.path.join(
+        _write_staged(group, os.path.join(
             staged_dir, f"bucket={bucket:08d}.parquet"))
         return pa.table({"bucket": pa.array([bucket], pa.int32()),
                          "n_docs": pa.array([group.num_rows], pa.int64())})
@@ -275,7 +329,7 @@ def _stage_a_reduce(staged_dir: str, exclude_ref=None):
         for bucket, rows in exchange.key_slices(
                 tbl, tbl.column("bucket").to_numpy()):
             docs = _canonicalize_bucket(rows)
-            _atomic_write_table(
+            _write_staged(
                 docs, os.path.join(staged_dir, f"bucket={bucket:08d}.parquet"))
             out.append({"bucket": bucket, "n_docs": docs.num_rows})
         return out
@@ -380,7 +434,7 @@ def _rewrite_one_loser_bucket(staged_dir: str, bucket: int, losers) -> int:
     mask = pa.array([k not in losers
                      for k in tbl.column("doc_key").to_pylist()])
     tbl = tbl.filter(mask)
-    _atomic_write_table(tbl, path)
+    _write_staged(tbl, path)
     return tbl.num_rows
 
 
@@ -461,29 +515,6 @@ def _fingerprint(staged_path: str, n_docs: int) -> str:
     return f"{n_docs}:{os.path.getsize(staged_path)}"
 
 
-def _part_row_group_bounds(v4: pa.Table) -> list:
-    """Byte-bounded row-group split points for a consolidated part table:
-    groups close at ~PART_ROW_GROUP_BYTES of posting payload (or the row
-    cap), so a term point-read never decompresses a hot neighbour's MBs."""
-    n = v4.num_rows
-    sizes = np.zeros(n, dtype=np.int64)
-    for c in [f.name for f in v4.schema if pa.types.is_large_binary(f.type)]:
-        arr = v4.column(c).combine_chunks()
-        offs = np.frombuffer(arr.buffers()[1], dtype=np.int64,
-                             count=len(arr) + 1, offset=arr.offset * 8)
-        sizes += np.diff(offs)
-    cum = np.cumsum(sizes)
-    bounds, start = [0], 0
-    while bounds[-1] < n:
-        base = cum[start - 1] if start else 0
-        nxt = int(np.searchsorted(cum, base + layout.PART_ROW_GROUP_BYTES,
-                                  side="left")) + 1
-        nxt = min(n, max(start + 1, nxt), start + layout.PART_ROW_GROUP_ROWS)
-        bounds.append(nxt)
-        start = nxt
-    return bounds
-
-
 def _part_rows(seg_rows: pa.Table, positions: bool) -> pa.Table:
     """Segment rows of one term-hash partition as consolidated part rows
     (format v4 — each term ONE row, its bucket segments' blobs concatenated
@@ -503,12 +534,13 @@ def _write_part_files(index_dir: str, part: int, v4: pa.Table,
     name = f"part={part:05d}.parquet"
     path = os.path.join(index_dir, "positions" if positions else "postings",
                         name)
-    bounds = _part_row_group_bounds(v4)
-    tmp = path + ".tmp"
-    with pq.ParquetWriter(tmp, v4.schema) as w:
-        for s, e in zip(bounds[:-1], bounds[1:]):
-            w.write_table(v4.slice(s, e - s))
-    os.replace(tmp, path)
+    # groups close at ~PART_ROW_GROUP_BYTES of posting payload, so a term
+    # point-read never decompresses a hot neighbour's MBs
+    sizes = np.zeros(v4.num_rows, dtype=np.int64)
+    for c in [f.name for f in v4.schema if pa.types.is_large_binary(f.type)]:
+        sizes += _byte_lengths(v4.column(c))
+    _write_row_groups(v4, path, _row_group_bounds(
+        sizes, layout.PART_ROW_GROUP_BYTES, layout.PART_ROW_GROUP_ROWS))
     if not positions:
         d = v4.select(["term", "df", "df_title", "df_body"])
         _atomic_write_table(d, os.path.join(index_dir, "dict", name))

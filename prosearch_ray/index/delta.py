@@ -41,6 +41,7 @@ from prosearch_ray.index.build import (
     _atomic_write_table,
     _canonicalize_bucket,
     _normalize_batch,
+    _write_staged,
     build_index,
 )
 
@@ -95,20 +96,25 @@ def add_documents(index_dir: str, source, *, langs=DEFAULT_LANGS,
     reinsert); new docs are tokenized into fresh delta buckets and the
     term-partitioned postings are re-merged (segments are NOT re-tokenized).
 
-    ``prenormalized=True`` takes ``source`` as a pa.Table that already went
-    through ``_normalize_batch`` — a sharded caller normalizes the whole
-    delta ONCE and hands each shard its slice, instead of paying one Ray
-    pipeline execution per shard for a few rows each."""
+    ``source`` is a corpus parquet path, a Dataset, or a pa.Table of
+    corpus rows; a Table is normalized in process (no Ray execution).
+    ``prenormalized=True`` takes a Table that already went through
+    ``_normalize_batch`` — a sharded caller normalizes the whole delta
+    ONCE and hands each shard its slice."""
     from prosearch_ray.index.segment import build_segment
 
     stats = _load_stats(index_dir)
     num_buckets = stats["num_buckets"]
     docs_per_bucket = stats["docs_per_bucket"]
 
-    if prenormalized and isinstance(source, pa.Table):
-        if source.num_rows == 0:
+    if isinstance(source, pa.Table):
+        # an in-memory delta (one POSTed doc, a shard's routed slice) is
+        # normalized in process by the same kernel — a Ray Data execution
+        # per call would cost more than the fold itself
+        delta = source if prenormalized else \
+            _normalize_batch(langs, num_buckets)(source)
+        if delta.num_rows == 0:
             return {"added": 0, "tombstoned": 0}
-        delta = source
     else:
         if isinstance(source, str):
             ds_raw = ray.data.read_parquet(source, columns=CORPUS_COLUMNS)
@@ -148,9 +154,9 @@ def add_documents(index_dir: str, source, *, langs=DEFAULT_LANGS,
         bucket = next_bucket + chunk_idx
         base_doc_id = next_id + pos
         name = f"bucket={bucket:08d}.parquet"
-        _atomic_write_table(chunk.drop_columns(["bucket"]) if "bucket" in
-                            chunk.column_names else chunk,
-                            os.path.join(index_dir, "staged", name))
+        _write_staged(chunk.drop_columns(["bucket"]) if "bucket" in
+                      chunk.column_names else chunk,
+                      os.path.join(index_dir, "staged", name))
         postings, docmeta = build_segment(bucket, chunk, base_doc_id)
         _atomic_write_table(postings, os.path.join(index_dir, "segments", name))
         _atomic_write_table(docmeta, os.path.join(index_dir, "docmeta", name))

@@ -38,6 +38,10 @@ SEG_ROWS_PER_PART = 16384
 # measured knee)
 PART_ROW_GROUP_BYTES = 1 << 20
 PART_ROW_GROUP_ROWS = 1024
+# staged docstore blocks (the lz4 16 KiB docstore-block analog): staged
+# row groups close at ~this many bytes of ``content``, so a stored-doc
+# fetch by doc_id decompresses one block per hit, not the bucket
+STAGED_ROW_GROUP_BYTES = 128 << 10
 
 # consolidated per-term schema of the merged postings part files
 PART_SCHEMA = pa.schema([

@@ -17,6 +17,12 @@ rank through one bucket-level block-max loop: buckets are visited in
 descending score upper bound (from max_tf + min fieldnorm metadata) and
 evaluation stops as soon as the k-th best score exceeds the next bucket's
 bound.
+
+Stored docs (SERP snippets) are point reads by doc_id: the staged bucket
+files are a block-addressed docstore (row i of bucket B is doc
+``bucket_bounds[B] + i``; row groups are ~128 KiB content blocks), so a
+SERP decompresses only its hits' blocks, like tantivy's ``searcher.doc``
+over lz4 docstore blocks.
 """
 
 from __future__ import annotations
@@ -119,6 +125,17 @@ def _open_term_sorted(path: str):
     return pf, _term_rg_ranges(pf)
 
 
+def _open_docstore(path: str):
+    """(ParquetFile, row-group start rows) of a staged docstore file: row
+    group g holds rows ``[starts[g], starts[g + 1])``."""
+    pf = pq.ParquetFile(path)
+    md = pf.metadata
+    starts = np.zeros(md.num_row_groups + 1, dtype=np.int64)
+    starts[1:] = np.cumsum([md.row_group(g).num_rows
+                            for g in range(md.num_row_groups)])
+    return pf, starts
+
+
 def _point_rows(handle, terms: Sequence[str], columns: List[str]):
     """Point read of ``terms`` from a term-sorted parquet: only the row
     groups whose term range may hold one are read, then each term is
@@ -186,7 +203,9 @@ class IndexSearcher:
         # build.  score_n_docs feeds idf only — local n_docs keeps sizing
         # the doc-id-indexed arrays.
         self.score_n_docs = self.n_docs
-        # cached (ParquetFile, row-group term ranges) per term-sorted file
+        # cached seek handle per file: (ParquetFile, row-group term ranges)
+        # of a term-sorted part, (ParquetFile, row-group starts) of a
+        # staged docstore file
         self._handles: Dict[str, tuple] = {}
         self._global_dict_path = None  # set = sharded mode
         self._global_dict_parts = 0  # 0 = no merged dictionary (no terms)
@@ -295,7 +314,6 @@ class IndexSearcher:
         # so hot terms (the boost set, stopword-grade tokens) stay resident
         self._postings_lru: "OrderedDict[str, Optional[_TermPostings]]" = OrderedDict()
         self._postings_lru_cap = 4096
-        self._docs_ds = None  # lazy; only needed for snippets
         # total live match count of the LAST search()/search_phrase() call —
         # the (TopDocs, Count) multicollector analog (serve.rs:413-419,
         # bench.rs:79): top-k pruning never changes it
@@ -392,13 +410,14 @@ class IndexSearcher:
         return warmed
 
     # ------------------------------------------------------------------ fetch
-    def _handle(self, path: str):
-        """Cached ``_open_term_sorted`` handle — the term-dictionary /
-        posting-seek analog: a term maps to one part file and, via
-        row-group stats, ~one row group."""
+    def _handle(self, path: str, opener=_open_term_sorted):
+        """Cached per-file seek handle from ``opener``: by default the
+        term-dictionary / posting-seek analog (a term maps to one part file
+        and, via row-group stats, ~one row group); ``_open_docstore`` for
+        a staged docstore file."""
         h = self._handles.get(path)
         if h is None:
-            h = self._handles[path] = _open_term_sorted(path)
+            h = self._handles[path] = opener(path)
         return h
 
     def _part_rows(self, part_dir: str, terms: Sequence[str],
@@ -1700,20 +1719,36 @@ class IndexSearcher:
 
     # -------------------------------------------------------------- documents
     def fetch_contents(self, doc_ids: np.ndarray) -> Dict[int, str]:
-        """Stored-doc fetch for snippet generation (top-k only; the analog of
-        searcher.doc() at serve.rs:428-433)."""
-        if self._docs_ds is None:
-            self._docs_ds = pads.dataset(os.path.join(self.index_dir, "staged"))
-        if len(doc_ids) == 0:
-            return {}
-        keys = [str(self.doc_keys[d]) for d in doc_ids]
-        tbl = self._docs_ds.to_table(
-            columns=["doc_key", "content"],
-            filter=pads.field("doc_key").isin(keys))
-        by_key = dict(zip(tbl.column("doc_key").to_pylist(),
-                          tbl.column("content").to_pylist()))
-        return {int(d): by_key.get(str(self.doc_keys[d]), "")
-                for d in doc_ids}
+        """Stored-doc fetch by doc_id for snippet generation (top-k only;
+        the analog of searcher.doc() at serve.rs:428-433).  ``staged/`` is
+        a block-addressed docstore: row i of ``bucket=B`` is doc
+        ``bucket_bounds[B] + i``, and its row groups are content blocks of
+        ~``layout.STAGED_ROW_GROUP_BYTES``, so a fetch decompresses only
+        the blocks that hold the requested docs — each hit gets its own
+        version's body, never a same-key neighbour's."""
+        ids = np.unique(np.asarray(doc_ids, dtype=np.int64))
+        # empty buckets repeat a bound; side="right" skips past them
+        buckets = np.searchsorted(self.bucket_bounds, ids, side="right") - 1
+        out: Dict[int, str] = {}
+        for b in np.unique(buckets):
+            bids = ids[buckets == b]
+            rows = bids - self.bucket_bounds[b]
+            pf, starts = self._handle(
+                os.path.join(self.index_dir, "staged",
+                             f"bucket={int(b):08d}.parquet"), _open_docstore)
+            rg = np.searchsorted(starts, rows, side="right") - 1
+            groups = np.unique(rg)
+            # first row of each read group inside the concatenated read
+            sizes = starts[groups + 1] - starts[groups]
+            read_at = np.cumsum(sizes) - sizes
+            local = read_at[np.searchsorted(groups, rg)] + rows - starts[rg]
+            # a few blocks of one column: the thread pool costs more than
+            # it overlaps
+            tbl = pf.read_row_groups(groups.tolist(), columns=["content"],
+                                     use_threads=False)
+            out.update(zip(bids.tolist(), tbl.column("content").take(
+                pa.array(local)).to_pylist()))
+        return {int(d): out[int(d)] for d in doc_ids}
 
     def _typed_candidates(self, query: str, filter=None):
         """Conjunctive-match candidate set gated on the typed sidecar

@@ -55,9 +55,11 @@ class _ShardWorker:
         return [self.s.doc_keys[int(i)].as_py() for i in ids]
 
     def _partial(self, ids, scs):
-        """(doc_keys, scores, live count) — the per-shard half of every
-        scored scatter-gather."""
-        return self._keys(ids), [float(x) for x in scs], int(self.s.last_count)
+        """(doc_keys, scores, live count, shard-local doc_ids) — the
+        per-shard half of every scored scatter-gather; the merge ignores
+        the doc_ids, a SERP hands its winners' back to ``snippets_for``."""
+        return (self._keys(ids), [float(x) for x in scs],
+                int(self.s.last_count), [int(i) for i in ids])
 
     def search(self, query: str, k: int, filter=None):
         return self._partial(*self.s.search(query, int(k), filter=filter))
@@ -98,24 +100,22 @@ class _ShardWorker:
     def aggregate_partial(self, query: str, aggs: dict, filter=None):
         return self.s.aggregate_partial(query, aggs, filter=filter)
 
-    def snippets_for(self, doc_keys: List[str], query: str):
-        """Stored-doc fetch + snippet for keys THIS shard owns — called only
-        with the merged top-k winners, so at most k docs cross the wire per
-        query (the reference fetches stored docs per returned hit,
-        serve.rs:428-433)."""
+    def snippets_for(self, doc_keys: List[str], doc_ids: List[int],
+                     query: str):
+        """Stored-doc fetch + snippet for winners THIS shard owns, by their
+        shard-local doc_ids from the search partial (O(k); a doc_key lookup
+        would hash the whole shard and could resolve an upserted key to
+        its tombstoned old version) — called only with the merged top-k,
+        so at most k docs cross the wire per query (the reference fetches
+        stored docs per returned hit, serve.rs:428-433)."""
         import numpy as np
-        import pyarrow as pa
-        import pyarrow.compute as pc
 
         from prosearch_ray.query.snippet import make_snippet
 
-        idx = pc.index_in(pa.array(doc_keys, pa.string()),
-                          value_set=self.s.doc_keys).to_pylist()
-        ids = np.array([i for i in idx if i is not None], dtype=np.int64)
-        contents = self.s.fetch_contents(ids)
+        contents = self.s.fetch_contents(np.array(doc_ids, dtype=np.int64))
         terms = [t for t, _ in scoring.query_plan(query, self.s.boost_terms)]
-        return {key: make_snippet(contents.get(int(i), ""), terms)
-                for key, i in zip(doc_keys, idx) if i is not None}
+        return {key: make_snippet(contents[int(i)], terms)
+                for key, i in zip(doc_keys, doc_ids)}
 
     def raw_phrase_dfs(self, query: str) -> dict:
         """Phase 1 of sharded raw search (only called when the parsed query
@@ -252,12 +252,12 @@ class ShardedSearcher:
         return [actor.remote() for _ in range(num_shards)]
 
     def _gather(self, futures, k: int) -> Tuple[List[str], List[float]]:
-        """Gather per-shard ``(keys, scores, count)`` partials: sum the
-        counts into ``last_count`` and merge the top-k by (score desc,
-        doc_key asc)."""
+        """Gather per-shard ``(keys, scores, count[, doc_ids])`` partials:
+        sum the counts into ``last_count`` and merge the top-k by (score
+        desc, doc_key asc)."""
         res = ray.get(futures)
-        self.last_count = sum(n for _, _, n in res)
-        rows = [r for keys, scs, _ in res for r in zip(keys, scs)]
+        self.last_count = sum(r[2] for r in res)
+        rows = [row for r in res for row in zip(r[0], r[1])]
         rows.sort(key=lambda r: (-r[1], r[0]))
         rows = rows[:k]
         return [r[0] for r in rows], [r[1] for r in rows]
@@ -336,15 +336,20 @@ class ShardedSearcher:
         globally, so hits carry no ``doc_id``."""
         futs = [a.search.remote(query, k, filter) for a in self.actors]
         keys, scores = self._gather(futs, k)
-        # each winner's owning shard: the partials are already local
-        owner = {key: si for si, (ks, _, _) in enumerate(ray.get(futs))
-                 for key in ks}
+        # each winner's owning shard and shard-local doc_id: the partials
+        # are already local
+        owner = {key: (si, i) for si, (ks, _, _, ids) in
+                 enumerate(ray.get(futs)) for key, i in zip(ks, ids)}
         by_shard: dict = {}
         for key in keys:
-            by_shard.setdefault(owner[key], []).append(key)
+            si, i = owner[key]
+            ks, ids = by_shard.setdefault(si, ([], []))
+            ks.append(key)
+            ids.append(i)
         snips: dict = {}
-        for part in ray.get([self.actors[si].snippets_for.remote(ks, query)
-                             for si, ks in by_shard.items()]):
+        for part in ray.get([self.actors[si].snippets_for.remote(ks, ids,
+                                                                 query)
+                             for si, (ks, ids) in by_shard.items()]):
             snips.update(part)
         return [{"doc_key": key, "title": key, "score": float(sc),
                  "snip": snips.get(key, "")} for key, sc in zip(keys, scores)]

@@ -20,17 +20,18 @@ def make_snippet(content: str, terms: Sequence[str], window: int = 24) -> str:
     raw = content.split()
     if not raw:
         return ""
-    matched: List[bool] = [bool(term_set.intersection(expand_token(t))) for t in raw]
+    # code bodies repeat many of their tokens: expand each distinct raw
+    # token once per call
+    hit = {t for t in set(raw) if not term_set.isdisjoint(expand_token(t))}
     n = len(raw)
     w = min(window, n)
-    best_start, best_count = 0, -1
-    count = sum(matched[:w])
-    best_start, best_count = 0, count
-    for s in range(1, n - w + 1):
-        count += matched[s + w - 1] - matched[s - 1]
-        if count > best_count:
-            best_start, best_count = s, count
-    out = []
-    for i in range(best_start, best_start + w):
-        out.append(f"<b>{raw[i]}</b>" if matched[i] else raw[i])
-    return " ".join(out)
+    best_start = 0
+    if hit:
+        matched: List[bool] = [t in hit for t in raw]
+        count = best_count = sum(matched[:w])
+        for s in range(1, n - w + 1):
+            count += matched[s + w - 1] - matched[s - 1]
+            if count > best_count:
+                best_start, best_count = s, count
+    return " ".join(f"<b>{t}</b>" if t in hit else t
+                    for t in raw[best_start:best_start + w])

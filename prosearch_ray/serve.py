@@ -174,8 +174,6 @@ class IndexService:
             if not isinstance(obj[key], str):
                 raise ValueError(
                     f'"{key}" field must have a string value.')
-        import ray.data as rd
-
         from prosearch_ray.index import docid
 
         tbl = pa.table({c: pa.array([obj[c]], pa.string())
@@ -195,7 +193,9 @@ class IndexService:
             else:
                 from prosearch_ray.index.delta import add_documents
 
-                add_documents(self.index_dir, rd.from_arrow(tbl))
+                # the Table is normalized in process, like the sharded
+                # route: no Ray Data execution per POST
+                add_documents(self.index_dir, tbl)
             self._open()
         return len(obj["content"]) + len(docid.doc_key(obj["repo"],
                                                        obj["path"]))

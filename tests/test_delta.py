@@ -84,6 +84,49 @@ def test_add_documents_upserts(small_index):
         "deltaorg/deltarepo/src/new_doc.py"}
 
 
+def test_table_source_matches_dataset_source(small_index, tmp_path):
+    """add_documents normalizes an in-memory Table in process (no Ray Data
+    execution): it must leave byte-identical index files and the same
+    SERPs as the Dataset route over the same rows."""
+    import os
+    import shutil
+
+    import ray.data as rd
+
+    from prosearch_ray.index.delta import add_documents
+    from prosearch_ray.query.searcher import IndexSearcher
+
+    index_dir, _, corpus = small_index
+    old = corpus.slice(3, 1).to_pylist()[0]
+    delta = pa.table({
+        "repo": ["tblorg/tblrepo", "tblorg/tblrepo", old["repo"],
+                 "tblorg/tblrepo"],
+        "path": ["src/a.py", "src/b.rs", old["path"], "bin/blob.exe"],
+        "commit": ["a" * 40] * 4,
+        "lang": ["py", "rs", old["lang"], "exe"],  # exe: lang-filtered
+        "content": ["zztblsrc merge hash body", "zztblsrc other body",
+                    "zztblsrc upserted body", "zztblsrc filtered"],
+    })
+    dirs = {}
+    for name, src in (("table", delta), ("dataset", rd.from_arrow(delta))):
+        dirs[name] = str(tmp_path / name)
+        shutil.copytree(index_dir, dirs[name])
+        res = add_documents(dirs[name], src)
+        assert (res["added"], res["tombstoned"]) == (3, 1)
+    for sub in ("postings", "positions", "dict", "staged", "docmeta"):
+        a = os.path.join(dirs["table"], sub)
+        b = os.path.join(dirs["dataset"], sub)
+        assert sorted(os.listdir(a)) == sorted(os.listdir(b))
+        for f in os.listdir(a):
+            with open(os.path.join(a, f), "rb") as fa, \
+                    open(os.path.join(b, f), "rb") as fb:
+                assert fa.read() == fb.read(), (sub, f)
+    sa, sb = (IndexSearcher(dirs[n]) for n in ("table", "dataset"))
+    for q in ("zztblsrc", "zztblsrc body", "the", "merge hash"):
+        assert sa.search_with_snippets(q, 10) == sb.search_with_snippets(q, 10)
+        assert sa.last_count == sb.last_count
+
+
 def test_compact_after_upsert_keeps_new_version(small_index, tmp_path):
     """Regression: compact() must filter by tombstoned doc_id, not doc_key —
     an upserted doc tombstones its OLD doc_id while the key stays live, so a

@@ -154,6 +154,49 @@ def test_sharded_serve_roundtrip(ray_session, tmp_path):
         service.close()
 
 
+@pytest.mark.parametrize("sharded", [False, True])
+def test_upsert_snippet_serves_new_version(ray_session, tmp_path, sharded):
+    """Re-indexing an existing key: the SERP hit's snippet comes from the
+    NEW body — the tombstoned old version shares the doc_key, so stored
+    docs must be resolved by the hit's own doc_id (unsharded) or shard-
+    local doc_id (sharded), never by key."""
+    import pyarrow.parquet as pq
+
+    from prosearch_ray.fixtures import write_corpus
+    from prosearch_ray.index import docid
+    from prosearch_ray.index.build import build_index
+    from prosearch_ray.index.sharded import build_sharded_index
+    from prosearch_ray.query.snippet import make_snippet
+    from prosearch_ray.serve import IndexService
+
+    d = write_corpus(str(tmp_path / "corpus"), n_docs=300)
+    root = str(tmp_path / "idx")
+    if sharded:
+        build_sharded_index(d + "/corpus", root, num_shards=2,
+                            docs_per_bucket=64)
+    else:
+        build_index(d + "/corpus", root, docs_per_bucket=64)
+    service = IndexService(root, sharded=sharded)
+    try:
+        key = service.search("the", 1)["hits"][0]["doc"]["url"][0]
+        corpus = pq.read_table(d + "/corpus").to_pylist()
+        row = next(r for r in corpus
+                   if docid.doc_key(r["repo"], r["path"]) == key)
+        new_body = "zzupsertfresh replaced body of the upserted doc"
+        old_only = next(t for t in row["content"].split()
+                        if t not in new_body.split())
+        service.index_doc(dict(row, commit="f" * 40, content=new_body))
+        serp = service.search("zzupsertfresh", 10)
+        assert serp["count"] == 1
+        hit = serp["hits"][0]
+        assert hit["doc"]["url"][0] == key
+        assert "<b>zzupsertfresh</b>" in hit["snip"]
+        assert old_only not in hit["snip"].split()
+        assert hit["snip"] == make_snippet(new_body, ["zzupsertfresh"])
+    finally:
+        service.close()
+
+
 def test_lazy_serve_roundtrip(ray_session, tmp_path):
     """--lazy mode: POST /index lands as a lazy segment (flat ingest
     latency; the searcher reopens over shards + segments), upsert and

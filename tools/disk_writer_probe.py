@@ -2,8 +2,9 @@
 
 Measures the archive-target writer matrix on the VIRTIO DISK (/tmp) vs the
 tmpfs control: parquet compression {snappy, zstd, none} x row-group size
-{8192, 65536} through ``_atomic_write_table`` (the single write helper every
-index artifact goes through).  Each config runs in a FRESH process (its own
+{8192, 65536} through ``_atomic_write_table`` and ``_write_staged`` (the
+write helpers that read both knobs; the staged docstore also closes row
+groups at ``layout.STAGED_ROW_GROUP_BYTES``).  Each config runs in a FRESH process (its own
 ``ray.init``) with the knobs exported before Ray starts so workers inherit
 them.  Timing includes a terminal ``os.sync()`` — an archive build is only
 done when the bytes are durable, and on tmpfs sync is free so the control
