@@ -126,9 +126,6 @@ def _write_row_groups(table: pa.Table, path: str, bounds: list,
     return os.path.getsize(path)
 
 
-STAGED_KEY_COLUMNS = ["doc_key", "bucket"]
-
-
 def _write_staged(table: pa.Table, path: str) -> int:
     """Write one staged bucket file as a block-addressed docstore: row
     groups close at ~``layout.STAGED_ROW_GROUP_BYTES`` of content, so the
@@ -141,7 +138,7 @@ def _write_staged(table: pa.Table, path: str) -> int:
         _row_group_bounds(_byte_lengths(table.column("content")),
                           layout.STAGED_ROW_GROUP_BYTES, _PQ_ROW_GROUP),
         compression=_PQ_COMPRESSION,
-        write_statistics=[c for c in STAGED_KEY_COLUMNS
+        write_statistics=[c for c in ("doc_key", "bucket")
                           if c in table.column_names])
 
 
