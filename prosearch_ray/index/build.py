@@ -55,6 +55,7 @@ import ray
 import ray.data
 
 from prosearch_ray.index import docid, exchange, layout
+from prosearch_ray.index.layout import merge_fingerprint
 from prosearch_ray.index.segment import build_segment
 
 DEFAULT_LANGS: FrozenSet[str] = frozenset(["java", "py", "rs", "js", "go", "md", "txt"])
@@ -512,16 +513,6 @@ def _fingerprint(staged_path: str, n_docs: int) -> str:
     return f"{n_docs}:{os.path.getsize(staged_path)}"
 
 
-def _part_rows(seg_rows: pa.Table, positions: bool) -> pa.Table:
-    """Segment rows of one term-hash partition as consolidated part rows
-    (format v4 — each term ONE row, its bucket segments' blobs concatenated
-    in bucket order): the positions payload, or the scoring payload."""
-    seg_rows = seg_rows.sort_by([("term", "ascending"), ("bucket", "ascending")])
-    to_rows = (layout.segments_to_pos_rows if positions
-               else layout.segments_to_part_rows)
-    return layout.consolidate_part_rows(to_rows(seg_rows))
-
-
 def _write_part_files(index_dir: str, part: int, v4: pa.Table,
                       positions: bool = False) -> int:
     """Write one consolidated part with byte-bounded row groups: the
@@ -545,15 +536,6 @@ def _write_part_files(index_dir: str, part: int, v4: pa.Table,
 
 
 POS_MERGE_COLUMNS = ["term", "bucket", "df", "positions"]
-
-
-def merge_fingerprint(manifests: list, num_parts: int) -> str:
-    """Identity of a merge's input: a finished merge with this fingerprint
-    in ``_merge.json`` covers exactly these bucket manifests at this part
-    count ("v4" names the layout)."""
-    return hashlib.md5(json.dumps(
-        [(m["bucket"], m["fingerprint"], m["n_terms"]) for m in manifests]
-        + [num_parts, "v4"]).encode()).hexdigest()
 
 
 def _merge_exchange(index_dir: str, num_parts: int, merge_fp: str,
@@ -593,7 +575,7 @@ def _merge_exchange(index_dir: str, num_parts: int, merge_fp: str,
             return []
         return [{"part": part, "n_terms": _write_part_files(
                     index_dir, part,
-                    _part_rows(rows.drop_columns(["part"]), positions),
+                    layout.part_rows(rows.drop_columns(["part"]), positions),
                     positions)}
                 for part, rows in exchange.key_slices(
                     tbl, tbl.column("part").to_numpy())]

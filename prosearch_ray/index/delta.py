@@ -3,15 +3,25 @@ live upsert path (delete-then-reinsert per url:
 /root/reference/src/main/java/com/milindmantri/TantivyCommitter.java:48-82,
 term-delete serve.rs:456-467, one-doc POST /index serve.rs:630-671).
 
-Model (mirrors tantivy's segments + deletes):
+Model (mirrors tantivy's segments + deletes + merge policy):
 - ``delete_docs``      appends doc_keys to a tombstone Parquet; the searcher
-  loads the tombstoned doc_id set once per actor and filters candidates.
+  loads the tombstoned doc_id set as its alive mask.
 - ``add_documents``    builds DELTA buckets: new docs get fresh doc_ids above
   the current max, one new bucket per ``docs_per_bucket`` chunk of the delta
   (bucket ids continue past the base build's), tokenized/encoded by the same
-  vectorized segment kernel and re-merged into the term-partitioned postings.
-  Re-adding an existing doc_key tombstones the old doc first — last write
-  wins, exactly the reference's semantics.
+  vectorized segment kernel.  The add stops after the bucket (staged,
+  segment, docmeta, manifest, offsets) and the N/avgdl refresh of
+  ``stats.json``: the bucket stays UNFOLDED — not yet in the term-partitioned
+  parts — and ``IndexSearcher`` serves it from its segment file as an
+  overlay (a freshly committed tantivy segment).  Re-adding an existing
+  doc_key tombstones the old doc first — last write wins, exactly the
+  reference's semantics.
+- ``fold_deltas``      the merge policy's fold: appends every unfolded
+  bucket's rows to the parts they touch (staged, then committed, so a kill
+  anywhere resumes to the same bytes).  ``add_documents`` folds once
+  ``LAZY_MAX_SEGS`` buckets are unfolded; ``compact`` folds before it
+  reads, and ``build_index(resume=True)`` re-merges them.  Folding never
+  changes a term's logical postings, so a searcher's caches survive it.
 - ``compact``          full rebuild from the staged+delta docs drops
   tombstones and re-packs doc_ids (the forcemerge + GC analog,
   tantivy-cli/src/commands/merge.rs:18-32).
@@ -29,11 +39,14 @@ from typing import Iterable, List, Optional
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
 import ray.data
 
 from prosearch_ray.index import docid
+from prosearch_ray.index.layout import (load_manifests, load_merge_state,
+                                        unfolded_buckets)
 from prosearch_ray.index.build import (
     CORPUS_COLUMNS,
     DEFAULT_LANGS,
@@ -53,23 +66,59 @@ def _load_stats(index_dir: str) -> dict:
         return json.load(f)
 
 
+def _no_docs() -> pa.Table:
+    return pa.table({"doc_key": pa.array([], pa.string()),
+                     "doc_id": pa.array([], pa.int64())})
+
+
 def load_tombstones(index_dir: str) -> pa.Table:
     path = os.path.join(index_dir, TOMBSTONE_FILE)
     if not os.path.exists(path):
-        return pa.table({"doc_key": pa.array([], pa.string()),
-                         "doc_id": pa.array([], pa.int64())})
+        return _no_docs()
     return pq.read_table(path)
 
 
-def _doc_ids_for_keys(index_dir: str, keys: List[str]) -> pa.Table:
-    """doc_id lookup for keys via the docmeta files (column-pruned scan with
-    an isin filter — at scale this is a bucket-targeted read since
-    bucket(doc_key) is computable)."""
-    import pyarrow.dataset as pads
+LAZY_MAX_SEGS = 8  # unfolded delta buckets (sharded roots: lazy segments)
+# that trigger a fold — bounds the searcher overlay and batches the part
+# rewrites a one-doc add would otherwise pay alone
+FOLD_DIR = "fold_staged"  # a fold's rewritten part files before commit
+FOLD_MARKER = "_fold.json"
 
-    meta = pads.dataset(os.path.join(index_dir, "docmeta"))
-    return meta.to_table(columns=["doc_key", "doc_id"],
-                         filter=pads.field("doc_key").isin(keys))
+
+def segment_dict_rows(index_dir: str, buckets) -> pa.Table:
+    """(term, df, df_title, df_body) rows of the given buckets' segments,
+    one per (term, bucket): exactly what folding them adds to the dict
+    (tombstoned old versions keep counting until compaction)."""
+    files = [os.path.join(index_dir, "segments", f"bucket={b:08d}.parquet")
+             for b in buckets]
+    files = [f for f in files if os.path.exists(f)]
+    cols = ["term", "df", "df_title", "df_body"]
+    if not files:
+        return pa.table({c: pa.array([], pa.string() if c == "term"
+                                     else pa.int64()) for c in cols})
+    t = pads.dataset(files).to_table(columns=cols)
+    return pa.table([t.column("term")] + [pc.cast(t.column(c), pa.int64())
+                                          for c in cols[1:]], names=cols)
+
+
+def _doc_ids_for_keys(index_dir: str, keys: List[str]) -> pa.Table:
+    """doc_id lookup for keys through the docmeta files that can hold them:
+    a key's base-build doc sits in bucket ``docid.bucket_of(key,
+    num_buckets)``, and any later version in a delta bucket (ids at or past
+    ``num_buckets``)."""
+    num_buckets = _load_stats(index_dir)["num_buckets"]
+    meta_dir = os.path.join(index_dir, "docmeta")
+    names = {f for f in os.listdir(meta_dir) if f.endswith(".parquet")}
+    want = {f"bucket={docid.bucket_of(k, num_buckets):08d}.parquet"
+            for k in keys}
+    want |= {f for f in names
+             if int(f.split("=")[1].split(".")[0]) >= num_buckets}
+    files = [os.path.join(meta_dir, f) for f in sorted(want & names)]
+    if not files:
+        return _no_docs()
+    return pads.dataset(files).to_table(
+        columns=["doc_key", "doc_id"],
+        filter=pads.field("doc_key").isin(keys))
 
 
 def delete_docs(index_dir: str, doc_keys: Iterable[str]) -> int:
@@ -93,8 +142,9 @@ def add_documents(index_dir: str, source, *, langs=DEFAULT_LANGS,
                   prenormalized: bool = False) -> dict:
     """Delta build: upsert a corpus of new/changed docs into an existing
     index.  Old versions of re-added doc_keys are tombstoned (delete-then-
-    reinsert); new docs are tokenized into fresh delta buckets and the
-    term-partitioned postings are re-merged (segments are NOT re-tokenized).
+    reinsert); new docs are tokenized into fresh delta buckets, which stay
+    unfolded until ``LAZY_MAX_SEGS`` of them trigger ``fold_deltas``
+    (``folded`` in the report).
 
     ``source`` is a corpus parquet path, a Dataset, or a pa.Table of
     corpus rows; a Table is normalized in process (no Ray execution).
@@ -103,6 +153,7 @@ def add_documents(index_dir: str, source, *, langs=DEFAULT_LANGS,
     ONCE and hands each shard its slice."""
     from prosearch_ray.index.segment import build_segment
 
+    _commit_fold(index_dir)
     stats = _load_stats(index_dir)
     num_buckets = stats["num_buckets"]
     docs_per_bucket = stats["docs_per_bucket"]
@@ -186,14 +237,20 @@ def add_documents(index_dir: str, source, *, langs=DEFAULT_LANGS,
     off["n_docs"] = int(sum(off["counts"].values()))
     _atomic_write_json(off, os.path.join(index_dir, "staged", "_offsets.json"))
 
-    # re-merge postings/dict + refresh stats (segments are reused as-is)
+    # the bucket is served unfolded (searcher overlay) until the policy
+    # folds: stats.json's N/avgdl count it now, its part rows come later
     new_buckets = [next_bucket + i for i in range(chunk_idx)]
-    report = _refresh_merge_and_stats(index_dir, stats, added, new_buckets)
-    # new_buckets lets a sharded caller lift this fold's dict contribution
+    manifests = load_manifests(index_dir)
+    report = _write_stats(index_dir, manifests)
+    unfolded = unfolded_buckets(manifests, load_merge_state(index_dir))
+    folded = unfolded is None or len(unfolded) >= LAZY_MAX_SEGS
+    if folded:
+        report = fold_deltas(index_dir)
+    # new_buckets lets a sharded caller lift this delta's dict contribution
     # (the delta segments' (term, df, df_title, df_body) rows) into the
     # global-dictionary overlay without re-merging the corpus vocabulary
     return {"added": added, "tombstoned": tombstoned,
-            "new_buckets": new_buckets, **report}
+            "new_buckets": new_buckets, "folded": folded, **report}
 
 
 INCR_FOLD_THREAD_PARTS = 48  # ≤ this many touched parts → driver threads.
@@ -208,18 +265,20 @@ INCR_FOLD_THREAD_PARTS = 48  # ≤ this many touched parts → driver threads.
 
 def _incremental_part_merge(index_dir: str, num_parts: int,
                             new_buckets: List[int], old_parts: dict) -> dict:
-    """Tiered delta merge: fold ONLY this delta's segment rows into the
-    part files they touch (read old part + delta rows, resort, rewrite) —
-    cost proportional to the delta, not the index.  Returns the updated
-    {part: n_terms} map."""
-    import pyarrow.dataset as pads
-
+    """Tiered delta merge: fold ONLY the given buckets' segment rows into
+    the part files they touch (read old part + delta rows, resort) — cost
+    proportional to the delta, not the index.  The rewritten parts land in
+    ``FOLD_DIR`` for ``_commit_fold`` to move into place.  Returns the
+    updated {part: n_terms} map."""
     from prosearch_ray.index import layout
-    from prosearch_ray.index.build import _part_rows, _write_part_files
+    from prosearch_ray.index.build import _write_part_files
     from prosearch_ray.index.exchange import key_slices
     from prosearch_ray.index.segment import SCORING_COLUMNS
     from prosearch_ray.state.broadcast import bget, bput
 
+    staged = os.path.join(index_dir, FOLD_DIR)
+    for sub in ("positions", "postings", "dict"):
+        os.makedirs(os.path.join(staged, sub), exist_ok=True)
     files = [os.path.join(index_dir, "segments", f"bucket={b:08d}.parquet")
              for b in new_buckets]
     tbl = layout.add_part_column(num_parts)(pads.dataset(files).to_table(
@@ -230,11 +289,11 @@ def _incremental_part_merge(index_dir: str, num_parts: int,
     def fold_part(part: int, seg: pa.Table, positions: bool) -> int:
         """Old consolidated rows first, then the delta's (delta buckets are
         strictly larger, keeping doc_ids ascending), re-consolidated and
-        rewritten; returns the part's term count."""
+        staged; returns the part's term count."""
         old_path = os.path.join(index_dir,
                                 "positions" if positions else "postings",
                                 f"part={part:05d}.parquet")
-        pieces = [_part_rows(seg, positions)]
+        pieces = [layout.part_rows(seg, positions)]
         if os.path.exists(old_path):
             pieces.insert(0, pq.read_table(old_path))
         merged = pa.concat_tables(pieces, promote_options="default")
@@ -244,7 +303,7 @@ def _incremental_part_merge(index_dir: str, num_parts: int,
         merged = merged.append_column("rank", rank).sort_by(
             [("term", "ascending"), ("rank", "ascending")]
         ).drop_columns(["rank"])
-        return _write_part_files(index_dir, part,
+        return _write_part_files(staged, part,
                                  layout.consolidate_part_rows(merged),
                                  positions)
 
@@ -279,70 +338,102 @@ def _incremental_part_merge(index_dir: str, num_parts: int,
     return parts_map
 
 
-def _refresh_merge_and_stats(index_dir: str, stats: dict, added: int,
-                             new_buckets: List[int]) -> dict:
-    """Fold this delta into the merged postings/dict and refresh stats.json
-    (N, avgdl include delta docs; tombstoned docs still count in corpus
-    stats until compaction, matching tantivy's deleted-doc accounting).
+def _commit_fold(index_dir: str) -> None:
+    """Move a staged fold's part files into place, then write its
+    ``_merge.json``.  Replayable: a kill mid-commit leaves the marker and
+    the next call finishes the moves.  A staged fold with no marker (killed
+    while staging) or whose base merge state moved on is discarded."""
+    import shutil
 
-    Incremental when possible: if the existing _merge.json provably covers
-    all pre-delta segments at the same part count, only the parts touched by
-    the delta's terms are rewritten; otherwise a full resumable merge runs
-    (e.g. num_parts crossed a sizing threshold, or a pre-parts-map index)."""
+    staged = os.path.join(index_dir, FOLD_DIR)
+    if not os.path.isdir(staged):
+        return
+    marker = os.path.join(staged, FOLD_MARKER)
+    if os.path.exists(marker):
+        with open(marker) as f:
+            fold = json.load(f)
+        cur = load_merge_state(index_dir)
+        if cur is not None and cur.get("fingerprint") == fold["from"]:
+            for sub in ("positions", "postings", "dict"):
+                for f in sorted(os.listdir(os.path.join(staged, sub))):
+                    if f.endswith(".parquet"):
+                        os.replace(os.path.join(staged, sub, f),
+                                   os.path.join(index_dir, sub, f))
+            _atomic_write_json(fold["merge"],
+                               os.path.join(index_dir, "_merge.json"))
+    shutil.rmtree(staged, ignore_errors=True)
+
+
+def fold_deltas(index_dir: str) -> dict:
+    """Fold every unfolded delta bucket into the term-partitioned parts and
+    refresh ``_merge.json`` and stats.json.
+
+    Incremental when ``_merge.json`` covers every other bucket at the same
+    part count: only the parts the buckets' terms touch are rewritten,
+    staged under ``FOLD_DIR`` and committed by ``_commit_fold``.  Otherwise
+    a full resumable merge runs (``num_parts`` crossed a sizing threshold,
+    or the merge state covers something else)."""
     from prosearch_ray.index import layout
-    from prosearch_ray.index.build import _run_merge, merge_fingerprint
+    from prosearch_ray.index.build import _run_merge
 
-    manifest_dir = os.path.join(index_dir, "manifest")
-    manifests = [json.load(open(os.path.join(manifest_dir, f)))
-                 for f in sorted(os.listdir(manifest_dir)) if f.endswith(".json")]
-    total_seg_rows = sum(m["n_terms"] for m in manifests)
-    num_parts = layout.num_parts_for(total_seg_rows)
-    merge_fp = merge_fingerprint(manifests, num_parts)
-
-    merge_path = os.path.join(index_dir, "_merge.json")
-    old = None
-    if os.path.exists(merge_path):
-        try:
-            old = json.load(open(merge_path))
-        except (ValueError, OSError):
-            pass
-    new_set = set(new_buckets)
-    incremental = (
-        old is not None and "parts" in old
-        and old.get("num_parts") == num_parts
-        and old.get("fingerprint") == merge_fingerprint(
-            [m for m in manifests if m["bucket"] not in new_set], num_parts)
-        # positions parts must provably match the same state, else folding
-        # a delta into them would bake in the drift
-        and old.get("pos_fp") == old.get("fingerprint")
-    )
-    if incremental:
-        parts_map = _incremental_part_merge(index_dir, num_parts,
-                                            sorted(new_set), old["parts"])
+    _commit_fold(index_dir)
+    manifests = load_manifests(index_dir)
+    num_parts = layout.num_parts_for(sum(m["n_terms"] for m in manifests))
+    merge_fp = layout.merge_fingerprint(manifests, num_parts)
+    old = load_merge_state(index_dir)
+    unfolded = unfolded_buckets(manifests, old)
+    if old is not None and old.get("fingerprint") == merge_fp \
+            and old.get("pos_fp") == merge_fp:
+        pass  # nothing unfolded
+    elif (unfolded is not None and old is not None and "parts" in old
+          and old.get("num_parts") == num_parts
+          # positions parts must provably match the same state, else
+          # folding a delta into them would bake in the drift
+          and old.get("pos_fp") == old.get("fingerprint")):
+        parts_map = _incremental_part_merge(index_dir, num_parts, unfolded,
+                                            old["parts"])
+        n_terms = int(sum(parts_map.values()))
+        _atomic_write_json(
+            {"from": old["fingerprint"],
+             "merge": {"fingerprint": merge_fp, "num_parts": num_parts,
+                       "n_terms": n_terms, "parts": parts_map,
+                       "pos_fp": merge_fp}},
+            os.path.join(index_dir, FOLD_DIR, FOLD_MARKER))
+        _commit_fold(index_dir)
     else:
         parts_map = {str(int(r["part"])): int(r["n_terms"])
                      for r in _run_merge(index_dir, num_parts, merge_fp)}
         _run_merge(index_dir, num_parts, merge_fp, positions=True)
-    n_terms = int(sum(parts_map.values()))
-    _atomic_write_json({"fingerprint": merge_fp, "num_parts": num_parts,
-                        "n_terms": n_terms, "parts": parts_map,
-                        "pos_fp": merge_fp},
-                       merge_path)
+        _atomic_write_json({"fingerprint": merge_fp, "num_parts": num_parts,
+                            "n_terms": int(sum(parts_map.values())),
+                            "parts": parts_map, "pos_fp": merge_fp},
+                           os.path.join(index_dir, "_merge.json"))
+    return _write_stats(index_dir, manifests)
 
+
+def _write_stats(index_dir: str, manifests: List[dict]) -> dict:
+    """Refresh stats.json: N and avgdl count every bucket, folded or not
+    (tombstoned docs still count until compaction, matching tantivy's
+    deleted-doc accounting); term and part counts are the merged parts'.
+    An unchanged file is not rewritten."""
+    old = _load_stats(index_dir)
+    merge = load_merge_state(index_dir) or {}
     n_docs = sum(m["n_docs"] for m in manifests)
     total_lt = sum(m["sum_len_title"] for m in manifests)
     total_lb = sum(m["sum_len_body"] for m in manifests)
-    stats.update({
+    stats = {
+        **old,
         "n_docs": n_docs,
         "total_len_title": total_lt,
         "total_len_body": total_lb,
         "avgdl_title": (total_lt / n_docs) if n_docs else 0.0,
         "avgdl_body": (total_lb / n_docs) if n_docs else 0.0,
-        "n_terms": n_terms,
-        "num_parts": num_parts,
-    })
-    _atomic_write_json(stats, os.path.join(index_dir, "stats.json"))
-    return {"n_docs": n_docs, "n_terms": n_terms}
+        "n_terms": int(merge.get("n_terms", old["n_terms"])),
+        "num_parts": int(merge.get("num_parts", old["num_parts"])),
+    }
+    if stats != old:
+        _atomic_write_json(stats, os.path.join(index_dir, "stats.json"))
+    return {"n_docs": n_docs, "n_terms": stats["n_terms"]}
 
 
 def live_docs(index_dir: str) -> tuple:
@@ -357,9 +448,7 @@ def live_docs(index_dir: str) -> tuple:
     staged bucket file's rows map positionally to
     manifest[bucket].base_doc_id + row_index (build_segment contract)."""
     tomb_ids = set(load_tombstones(index_dir).column("doc_id").to_pylist())
-    manifest_dir = os.path.join(index_dir, "manifest")
-    manifests = [json.load(open(os.path.join(manifest_dir, f)))
-                 for f in sorted(os.listdir(manifest_dir)) if f.endswith(".json")]
+    manifests = load_manifests(index_dir)
     staged = os.path.join(index_dir, "staged")
     work = [{"path": os.path.join(staged, f"bucket={m['bucket']:08d}.parquet"),
              "base": int(m["base_doc_id"])}
@@ -392,7 +481,9 @@ def compact(index_dir: str, out_dir: str, *, docs_per_bucket: Optional[int] = No
             langs=DEFAULT_LANGS) -> dict:
     """Full compaction: rebuild a fresh index from the live (non-tombstoned)
     staged docs — drops deletes, re-packs doc_ids contiguously (forcemerge +
-    garbage-collect analog)."""
+    garbage-collect analog).  The source index's unfolded deltas are folded
+    first, so it stays a fully merged index of record."""
+    fold_deltas(index_dir)
     stats = _load_stats(index_dir)
     live, n_est = live_docs(index_dir)
     return build_index(live, out_dir,

@@ -6,17 +6,52 @@ from __future__ import annotations
 
 import json
 import os
+from typing import Optional
 
+import pyarrow as pa
 import pyarrow.dataset as pads
+
+from prosearch_ray.index import layout
+
+_DICT_COLUMNS = ["term", "df", "df_title", "df_body"]
+
+
+def _unfolded(index_dir: str) -> list:
+    return layout.unfolded_buckets(layout.load_manifests(index_dir),
+                                   layout.load_merge_state(index_dir)) or []
+
+
+def _dict_rows(index_dir: str, filter=None,
+               overlay: Optional[pa.Table] = None) -> pa.Table:
+    """(term, df, df_title, df_body) of the index dictionary's terms that
+    pass ``filter``: the merged dict parts plus, summed by term, the rows of
+    the unfolded delta buckets the searcher serves as an overlay.
+    ``overlay`` is those rows when the caller holds them (an
+    ``IndexSearcher``); None reads them from the buckets' segments."""
+    from prosearch_ray.index.delta import segment_dict_rows
+
+    tbl = pads.dataset(os.path.join(index_dir, "dict")).to_table(
+        columns=_DICT_COLUMNS, filter=filter)
+    if overlay is None:
+        overlay = segment_dict_rows(index_dir, _unfolded(index_dir))
+    if overlay.num_rows and filter is not None:
+        overlay = pads.dataset(overlay).to_table(filter=filter)
+    if not overlay.num_rows:
+        return tbl
+    both = pa.concat_tables([tbl, overlay.select(_DICT_COLUMNS)],
+                            promote_options="default")
+    return pa.TableGroupBy(both, "term", use_threads=False).aggregate(
+        [(c, "sum") for c in _DICT_COLUMNS[1:]]).rename_columns(_DICT_COLUMNS)
 
 
 def index_stats(index_dir: str, top_terms: int = 20) -> dict:
     """Summary stats + the ``top_terms`` highest-df terms (from the dict
-    shards — a column-pruned scan, no posting decode)."""
+    shards — a column-pruned scan, no posting decode — and the unfolded
+    delta buckets), plus how many delta buckets and segment bytes are not
+    folded into the parts yet (``unfolded_buckets``, ``unfolded_bytes``)."""
     with open(os.path.join(index_dir, "stats.json")) as f:
         stats = json.load(f)
-    d = pads.dataset(os.path.join(index_dir, "dict"))
-    tbl = d.to_table(columns=["term", "df", "df_title", "df_body"])
+    tbl = _dict_rows(index_dir)
     import numpy as np
 
     df = tbl.column("df").to_numpy()
@@ -31,14 +66,20 @@ def index_stats(index_dir: str, top_terms: int = 20) -> dict:
     manifest_dir = os.path.join(index_dir, "manifest")
     n_buckets_built = len([f for f in os.listdir(manifest_dir)
                            if f.endswith(".json")])
+    unfolded = _unfolded(index_dir)
     return {
         **stats,
         "n_buckets_built": n_buckets_built,
+        "unfolded_buckets": len(unfolded),
+        "unfolded_bytes": sum(os.path.getsize(os.path.join(
+            index_dir, "segments", f"bucket={b:08d}.parquet"))
+            for b in unfolded),
         "top_terms": top,
     }
 
 
-def prefix_terms(index_dir: str, prefix: str) -> "object":
+def prefix_terms(index_dir: str, prefix: str,
+                 overlay: Optional[pa.Table] = None) -> "object":
     """Dictionary PREFIX-RANGE read — the term-autocomplete / vocabulary-
     exploration primitive over the persistent dict: returns (term, df,
     df_title, df_body) for every indexed term starting with ``prefix``,
@@ -52,15 +93,13 @@ def prefix_terms(index_dir: str, prefix: str) -> "object":
     byte incremented."""
     if not prefix:
         raise ValueError("prefix must be non-empty")
-    d = pads.dataset(os.path.join(index_dir, "dict"))
-    return d.to_table(
-        columns=["term", "df", "df_title", "df_body"],
-        filter=_prefix_range(prefix)).sort_by("term")
+    return _dict_rows(index_dir, _prefix_range(prefix),
+                      overlay).sort_by("term")
 
 
 def range_terms(index_dir: str, lower: str = None, upper: str = None,
-                include_lower: bool = True,
-                include_upper: bool = False) -> "object":
+                include_lower: bool = True, include_upper: bool = False,
+                overlay: Optional[pa.Table] = None) -> "object":
     """Dictionary RANGE read — the term expansion of tantivy's RangeQuery
     over a str field (tantivy::query::RangeQuery walks the FST between
     the two bounds): returns (term, df, df_title, df_body) for every
@@ -85,9 +124,7 @@ def range_terms(index_dir: str, lower: str = None, upper: str = None,
         fu = (pads.field("term") <= upper if include_upper
               else pads.field("term") < upper)
         f = fu if f is None else (f & fu)
-    d = pads.dataset(os.path.join(index_dir, "dict"))
-    return d.to_table(columns=["term", "df", "df_title", "df_body"],
-                      filter=f).sort_by("term")
+    return _dict_rows(index_dir, f, overlay).sort_by("term")
 
 
 _REGEX_META = set(".[]{}()*+?|\\^$")
@@ -144,7 +181,8 @@ def _prefix_range(prefix: str):
     return (pads.field("term") >= prefix) & (pads.field("term") < hi)
 
 
-def regex_terms(index_dir: str, pattern: str) -> "object":
+def regex_terms(index_dir: str, pattern: str,
+                overlay: Optional[pa.Table] = None) -> "object":
     """Dictionary REGEX read — the term-expansion step of tantivy's
     RegexQuery (tantivy::query::RegexQuery over the term dictionary):
     returns (term, df, df_title, df_body) for every indexed term FULLY
@@ -162,10 +200,8 @@ def regex_terms(index_dir: str, pattern: str) -> "object":
 
     if not pattern:
         raise ValueError("pattern must be non-empty")
-    d = pads.dataset(os.path.join(index_dir, "dict"))
     pre = regex_literal_prefix(pattern)
-    tbl = d.to_table(columns=["term", "df", "df_title", "df_body"],
-                     filter=_prefix_range(pre) if pre else None)
+    tbl = _dict_rows(index_dir, _prefix_range(pre) if pre else None, overlay)
     keep = pc.match_substring_regex(tbl.column("term"),
                                     pattern=f"^(?:{pattern})$")
     return tbl.filter(keep).sort_by("term")
@@ -213,7 +249,8 @@ def _lev_band_dp(terms_np, term: str, distance: int):
     return prev[np.arange(n), lb] <= distance
 
 
-def fuzzy_terms(index_dir: str, term: str, distance: int = 1) -> "object":
+def fuzzy_terms(index_dir: str, term: str, distance: int = 1,
+                overlay: Optional[pa.Table] = None) -> "object":
     """Dictionary FUZZY read — the term expansion of tantivy's
     FuzzyTermQuery (Levenshtein automaton over the dict,
     tantivy::query::FuzzyTermQuery with transposition=false): every
@@ -231,20 +268,17 @@ def fuzzy_terms(index_dir: str, term: str, distance: int = 1) -> "object":
     regex (tantivy walks the whole FST against its automaton for the same
     reason: a substitution at position 0 defeats prefix pruning)."""
     import numpy as np
-    import pyarrow as pa
     import pyarrow.compute as pc
 
     if not term:
         raise ValueError("term must be non-empty")
     if distance not in (0, 1, 2):
         raise ValueError("distance must be 0, 1 or 2")
-    d = pads.dataset(os.path.join(index_dir, "dict"))
     if distance == 0:
-        tbl = d.to_table(columns=["term", "df", "df_title", "df_body"],
-                         filter=pads.field("term") == term)
-        return tbl.sort_by("term")
+        return _dict_rows(index_dir, pads.field("term") == term,
+                          overlay).sort_by("term")
     la = len(term)
-    tbl = d.to_table(columns=["term", "df", "df_title", "df_body"])
+    tbl = _dict_rows(index_dir, None, overlay)
     col = tbl.column("term").combine_chunks()
     lb = pc.utf8_length(col).to_numpy()
     # length band first: a d-edit match has |len diff| <= d, and the

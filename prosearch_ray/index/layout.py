@@ -14,6 +14,11 @@ concatenated blob in one pass with ``seg_df`` as the group lengths.  Row
 groups are BYTE-bounded (not row-count-bounded) so a point read never drags
 megabytes of a hot term's neighbours through decompression.
 
+Which buckets the parts hold is part of the layout: ``_merge.json``'s
+``merge_fingerprint`` covers a bucket-ordered prefix of the manifests, and
+the delta buckets past it (``unfolded_buckets``) are read from their
+segment files until a fold merges them.
+
 Skew note: the merge groupby key is ``part``; a part holds many terms and a
 term holds at most ``num_buckets`` segment rows, so even stopword-grade terms
 cannot create an oversized group (north-rule salted-shuffle requirement —
@@ -23,6 +28,9 @@ the (term, bucket) segmentation is the salt, the part hash spreads terms).
 from __future__ import annotations
 
 import hashlib
+import json
+import os
+from typing import List, Optional
 
 import numpy as np
 import pyarrow as pa
@@ -179,6 +187,61 @@ def consolidate_part_rows(tbl: pa.Table) -> pa.Table:
             cols[field.name] = pa.array(np.add.reduceat(
                 col.to_numpy().astype(np.int64), starts), field.type)
     return pa.table(cols, schema=tbl.schema)
+
+
+def part_rows(seg_rows: pa.Table, positions: bool) -> pa.Table:
+    """Segment rows as consolidated part rows, term-sorted (each term ONE
+    row, its bucket segments' blobs concatenated in bucket order): the
+    positions payload, or the scoring payload."""
+    seg_rows = seg_rows.sort_by([("term", "ascending"), ("bucket", "ascending")])
+    to_rows = segments_to_pos_rows if positions else segments_to_part_rows
+    return consolidate_part_rows(to_rows(seg_rows))
+
+
+def merge_fingerprint(manifests: list, num_parts: int) -> str:
+    """Identity of a merge's input: a finished merge with this fingerprint
+    in ``_merge.json`` covers exactly these bucket manifests at this part
+    count ("v4" names the layout)."""
+    return hashlib.md5(json.dumps(
+        [(m["bucket"], m["fingerprint"], m["n_terms"]) for m in manifests]
+        + [num_parts, "v4"]).encode()).hexdigest()
+
+
+def load_manifests(index_dir: str) -> List[dict]:
+    """Every bucket manifest, base and delta, in bucket order."""
+    mdir = os.path.join(index_dir, "manifest")
+    out = []
+    for f in sorted(os.listdir(mdir)):
+        if f.endswith(".json"):
+            with open(os.path.join(mdir, f)) as fh:
+                out.append(json.load(fh))
+    return out
+
+
+def load_merge_state(index_dir: str) -> Optional[dict]:
+    try:
+        with open(os.path.join(index_dir, "_merge.json")) as f:
+            return json.load(f)
+    except (OSError, ValueError):
+        return None
+
+
+def unfolded_buckets(manifests: List[dict],
+                     merge: Optional[dict]) -> Optional[List[int]]:
+    """Buckets whose rows the merged parts do not hold yet: the manifests
+    past the longest bucket-ordered prefix that ``_merge.json``'s
+    fingerprint covers (delta buckets take the highest ids, so the folded
+    set is always a prefix).  Every bucket when there is no merge state;
+    None when no prefix matches, which only a full re-merge repairs."""
+    if merge is None:
+        return [m["bucket"] for m in manifests]
+    for k in range(len(manifests), -1, -1):
+        if merge_fingerprint(manifests[:k],
+                             merge["num_parts"]) == merge["fingerprint"]:
+            return [m["bucket"] for m in manifests[k:]]
+        if k and not manifests[k - 1].get("delta"):
+            return None
+    return None
 
 
 def term_part(term: str, num_parts: int) -> int:

@@ -50,6 +50,8 @@ import ray.data as rd
 from prosearch_ray.index import docid
 from prosearch_ray.index.build import (CORPUS_COLUMNS, DEFAULT_LANGS,
                                        _sha256_hex_arrow, build_index)
+from prosearch_ray.index.delta import (LAZY_MAX_SEGS, fold_deltas,
+                                       segment_dict_rows)
 from prosearch_ray.sinks import write_partitioned
 
 
@@ -95,7 +97,6 @@ def shard_dirs(root: str):
 
 
 LAZYSEG_DIR = "lazysegs"
-LAZY_MAX_SEGS = 8  # lazy delta segments folded into the hash shards past this
 
 
 def lazyseg_dirs(root: str):
@@ -382,6 +383,8 @@ def refresh_global(root: str, *,
 
     if not merge_dict:
         return gstats
+    for d in shard_dirs(root):  # the merge reads shard dicts: fold first
+        fold_deltas(d)
     dict_files = _shard_dict_files(root)
     if dict_files:
         gstats["n_terms"] = _merge_global_dict(
@@ -422,28 +425,6 @@ def _shard_manifest_check(root: str, num_shards: int = None) -> int:
             f"unknown; rebuild it with build_sharded_index into a fresh root.")
     _atomic_write_json({"num_shards": int(num_shards)}, man_path)
     return int(num_shards)
-
-
-def _delta_dict_rows(shard_dir: str, buckets) -> pa.Table:
-    """(term, df, df_title, df_body) contribution of the given delta
-    buckets' segments — the shard dict gained exactly these rows in the
-    fold, so the GLOBAL dict gains exactly their sum (tombstoned old
-    versions keep counting until compaction, same as the per-shard
-    semantics — no decrements)."""
-    files = [os.path.join(shard_dir, "segments", f"bucket={b:08d}.parquet")
-             for b in buckets]
-    files = [f for f in files if os.path.exists(f)]
-    if not files:
-        return pa.table({"term": pa.array([], pa.string()),
-                         "df": pa.array([], pa.int64()),
-                         "df_title": pa.array([], pa.int64()),
-                         "df_body": pa.array([], pa.int64())})
-    t = pads.dataset(files).to_table(
-        columns=["term", "df", "df_title", "df_body"])
-    return pa.table({"term": t.column("term"),
-                     "df": pc.cast(t.column("df"), pa.int64()),
-                     "df_title": pc.cast(t.column("df_title"), pa.int64()),
-                     "df_body": pc.cast(t.column("df_body"), pa.int64())})
 
 
 def add_documents_sharded(root: str, source, *,
@@ -605,7 +586,7 @@ def add_documents_sharded(root: str, source, *,
     if n_segs >= overlay_max_segs:
         g = refresh_global(root)  # folds overlay counts into the main dict
     else:
-        deltas = [_delta_dict_rows(dirs[s], r.get("new_buckets", []))
+        deltas = [segment_dict_rows(dirs[s], r.get("new_buckets", []))
                   for s, r in reps]
         deltas = [d for d in deltas if d.num_rows]
         if deltas:

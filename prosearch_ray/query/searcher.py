@@ -18,6 +18,11 @@ descending score upper bound (from max_tf + min fieldnorm metadata) and
 evaluation stops as soon as the k-th best score exceeds the next bucket's
 bound.
 
+Writes land as unfolded delta buckets (index/delta.py): the searcher
+serves their segment rows as an overlay appended to each term's merged
+part row — the exact row a fold writes — and ``refresh`` catches a live
+searcher up with a write without dropping its caches.
+
 Stored docs (SERP snippets) are point reads by doc_id: the staged bucket
 files are a block-addressed docstore (row i of bucket B is doc
 ``bucket_bounds[B] + i``; row groups are ~128 KiB content blocks), so a
@@ -48,13 +53,8 @@ from prosearch_ray.query.snippet import make_snippet
 
 class _TermPostings:
     """Decoded, bucket-ordered postings of one term with segment metadata as
-    numpy arrays (vectorized block-max bound computation).
-
-    Built from ONE consolidated part row (format v4): the per-segment blobs
-    are already concatenated back-to-back in bucket order, so the whole term
-    decodes in one grouped-codec pass per column with ``seg_df`` as the group
-    lengths — no per-segment Python loop, no per-row dict materialization.
-    """
+    numpy arrays (vectorized block-max bound computation), decoded from ONE
+    consolidated part row (format v4) by ``_decode_postings``."""
 
     __slots__ = ("doc_ids", "tfs", "flags", "df_title", "df_body",
                  "seg_starts", "seg_ends", "seg_max_tf", "seg_min_nb",
@@ -64,7 +64,7 @@ class _TermPostings:
                  seg_max_tf: np.ndarray,
                  seg_min_nb: np.ndarray, seg_min_nt: np.ndarray,
                  df_title: int, df_body: int,
-                 doc_blob, tf_blob, flag_blob):
+                 doc_ids: np.ndarray, tfs: np.ndarray, flags: np.ndarray):
         df = seg_df.astype(np.int64)
         ends = np.cumsum(df)
         self.seg_starts = ends - df
@@ -75,13 +75,71 @@ class _TermPostings:
         self.seg_min_nt = seg_min_nt
         self.df_title = int(df_title)
         self.df_body = int(df_body)
-        # ids/tfs are < 2^63 by construction — reinterpret the decoded
-        # uint64 buffers as int64 instead of copying 8 bytes/posting twice
-        self.doc_ids = decode_deltas_grouped(doc_blob, df).view(np.int64)
-        self.tfs = decode_varints(tf_blob).view(np.int64)
-        self.flags = decode_bitset_grouped(flag_blob, df)
+        self.doc_ids = doc_ids
+        self.tfs = tfs
+        self.flags = flags
         self.lut = None     # (body_lut, title_lut, tf_cap, may_overflow)
         self.scores = None  # cached boost-free per-posting contributions
+
+    def append(self, tail: "_TermPostings") -> None:
+        """Append ``tail``'s segments (later buckets, larger doc ids): the
+        result equals decoding the consolidated row of both, because every
+        codec restarts per segment.  Score tables are dropped."""
+        n = len(self.doc_ids)
+        self.seg_starts = np.concatenate([self.seg_starts, tail.seg_starts + n])
+        self.seg_ends = np.concatenate([self.seg_ends, tail.seg_ends + n])
+        for name in ("seg_bucket", "seg_max_tf", "seg_min_nb", "seg_min_nt",
+                     "doc_ids", "tfs", "flags"):
+            setattr(self, name, np.concatenate([getattr(self, name),
+                                                getattr(tail, name)]))
+        self.df_title += tail.df_title
+        self.df_body += tail.df_body
+        self.lut = self.scores = None
+
+
+def _decode_postings(tbl: pa.Table, rows: Sequence[int]
+                     ) -> List[_TermPostings]:
+    """Decode consolidated part rows ``rows`` of ``tbl``.  Each term's
+    per-segment blobs are concatenated back-to-back in bucket order, and
+    every codec restarts per segment, so all the rows decode in ONE
+    grouped-codec pass per column with ``seg_df`` as the group lengths —
+    the per-pass overhead, not the bytes, dominates short lists."""
+    if not len(rows):
+        return []
+    sub = tbl.take(pa.array(rows, pa.int64())).combine_chunks()
+
+    def flat(name: str) -> np.ndarray:
+        return sub.column(name).chunk(0).flatten().to_numpy()
+
+    def blob(name: str) -> memoryview:
+        arr = sub.column(name).chunk(0)
+        offs = np.frombuffer(arr.buffers()[1], dtype=np.int64,
+                             count=len(arr) + 1, offset=arr.offset * 8)
+        return memoryview(arr.buffers()[2])[offs[0]:offs[-1]]
+
+    offs = sub.column("seg_df").chunk(0).offsets.to_numpy()
+    seg_off = offs - offs[0]
+    seg_df = flat("seg_df")
+    seg = [flat(c) for c in ("seg_bucket", "seg_max_tf", "seg_min_nb",
+                             "seg_min_nt")]
+    # ids/tfs are < 2^63 by construction — reinterpret the decoded uint64
+    # buffers as int64 instead of copying 8 bytes/posting twice
+    doc_ids = decode_deltas_grouped(blob("doc_ids"), seg_df).view(np.int64)
+    tfs = decode_varints(blob("tfs")).view(np.int64)
+    flags = decode_bitset_grouped(blob("title_flags"), seg_df)
+    post_end = np.cumsum(seg_df, dtype=np.int64)[seg_off[1:] - 1]
+    post_start = np.concatenate(([0], post_end[:-1]))
+    dft = sub.column("df_title").to_numpy()
+    dfb = sub.column("df_body").to_numpy()
+    out = []
+    for j in range(len(rows)):
+        s0, s1 = seg_off[j], seg_off[j + 1]
+        p0, p1 = post_start[j], post_end[j]
+        out.append(_TermPostings(
+            seg[0][s0:s1], seg_df[s0:s1], seg[1][s0:s1], seg[2][s0:s1],
+            seg[3][s0:s1], dft[j], dfb[j],
+            doc_ids[p0:p1], tfs[p0:p1], flags[p0:p1]))
+    return out
 
 
 def _list_row_np(col, i: int) -> np.ndarray:
@@ -117,12 +175,13 @@ def _term_rg_ranges(pf: "pq.ParquetFile"):
 
 
 def _open_term_sorted(path: str):
-    """(ParquetFile, row-group term ranges) of a term-sorted parquet, or
-    (None, []) when the file does not exist."""
+    """(ParquetFile, row-group term ranges, {row group: term array}) of a
+    term-sorted parquet, or (None, [], {}) when the file does not exist;
+    ``_point_rows`` fills the term arrays as it reads row groups."""
     if not os.path.exists(path):
-        return None, []
+        return None, [], {}
     pf = pq.ParquetFile(path)
-    return pf, _term_rg_ranges(pf)
+    return pf, _term_rg_ranges(pf), {}
 
 
 def _open_docstore(path: str):
@@ -137,25 +196,47 @@ def _open_docstore(path: str):
 
 
 def _point_rows(handle, terms: Sequence[str], columns: List[str]):
-    """Point read of ``terms`` from a term-sorted parquet: only the row
-    groups whose term range may hold one are read, then each term is
-    located by bisection (a filter() would gather-copy the fat binary
+    """Point read of ``terms`` from a term-sorted parquet: each term is
+    located by ``searchsorted`` over its row group's term array, kept per
+    handle once the group has been read, and only row groups that may hold
+    a requested term are read (a filter() would gather-copy the fat binary
     columns of the row group — measured 25x slower).  Returns
     ``(table, {term: row})`` for the terms present."""
-    pf, ranges = handle
+    pf, ranges, term_cols = handle
     if pf is None:
         return None, {}
-    rgs = sorted({rg for rg, (mn, mx) in enumerate(ranges)
-                  for t in terms if mn is None or (mn <= t <= mx)})
+    by_rg: Dict[int, List[str]] = {}
+    for t in terms:
+        for rg, (mn, mx) in enumerate(ranges):
+            if mn is None or (mn <= t <= mx):
+                by_rg.setdefault(rg, []).append(t)
+
+    def find(col: np.ndarray, ts: List[str]) -> np.ndarray:
+        """Row of each of ``ts`` in the sorted ``col``, -1 if absent."""
+        tv = np.asarray(ts, dtype=object)
+        i = np.searchsorted(col, tv)
+        hit = i < len(col)
+        hit[hit] = col[i[hit]] == tv[hit]
+        return np.where(hit, i, -1)
+
+    # a group whose term array is known is read only if it holds a term
+    rgs = sorted(rg for rg, ts in by_rg.items()
+                 if rg not in term_cols or (find(term_cols[rg], ts) >= 0).any())
     if not rgs:
         return None, {}
     tbl = pf.read_row_groups(rgs, columns=columns).combine_chunks()
-    term_strs = tbl.column("term").to_pylist()
     rows = {}
-    for t in terms:
-        i = bisect.bisect_left(term_strs, t)
-        if i < len(term_strs) and term_strs[i] == t:
-            rows[t] = i
+    start = 0
+    for rg in rgs:
+        n = pf.metadata.row_group(rg).num_rows
+        if rg not in term_cols:
+            term_cols[rg] = tbl.column("term").slice(start, n).to_numpy(
+                zero_copy_only=False)
+        ts = by_rg[rg]
+        for t, i in zip(ts, find(term_cols[rg], ts)):
+            if i >= 0:
+                rows[t] = start + int(i)
+        start += n
     return tbl, rows
 
 
@@ -181,18 +262,28 @@ def _no_hits() -> Tuple[np.ndarray, np.ndarray]:
     return np.empty(0, np.int64), np.empty(0, np.float64)
 
 
+def _file_stat(path: str) -> Optional[Tuple[int, int, int]]:
+    """(inode, size, mtime_ns) of ``path`` — every index write replaces a
+    file by rename, which changes its inode — or None when it does not
+    exist."""
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        return None
+    return st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _parquet_names(d: str) -> List[str]:
+    return sorted(f for f in os.listdir(d) if f.endswith(".parquet"))
+
+
 class IndexSearcher:
     def __init__(self, index_dir: str,
                  boost_terms: frozenset = scoring.DEFAULT_BOOST_TERMS,
                  global_stats_dir: Optional[str] = None):
         self.index_dir = index_dir
-        with open(os.path.join(index_dir, "stats.json")) as f:
-            st = json.load(f)
-        if st.get("format_version") != layout.FORMAT_VERSION:
-            raise ValueError(
-                f"index {index_dir} has format_version "
-                f"{st.get('format_version')}; this searcher reads only "
-                f"format_version {layout.FORMAT_VERSION} — rebuild the index")
+        self._global_stats_dir = global_stats_dir
+        st = self._read_stats()
         self.n_docs = st["n_docs"]
         self.avgdl_title = st["avgdl_title"]
         self.avgdl_body = st["avgdl_body"]
@@ -203,14 +294,17 @@ class IndexSearcher:
         # build.  score_n_docs feeds idf only — local n_docs keeps sizing
         # the doc-id-indexed arrays.
         self.score_n_docs = self.n_docs
-        # cached seek handle per file: (ParquetFile, row-group term ranges)
-        # of a term-sorted part, (ParquetFile, row-group starts) of a
-        # staged docstore file
+        # cached seek handle per file: (ParquetFile, row-group term ranges,
+        # row-group term arrays) of a term-sorted part, (ParquetFile,
+        # row-group starts) of a staged docstore file; the file's
+        # ``_file_stat`` at open lets ``refresh`` keep the handles of
+        # unchanged files
         self._handles: Dict[str, tuple] = {}
+        self._handle_stats: Dict[str, Optional[Tuple[int, int, int]]] = {}
         self._global_dict_path = None  # set = sharded mode
         self._global_dict_parts = 0  # 0 = no merged dictionary (no terms)
-        self._overlay_files: List[str] = []
-        self._overlay = None
+        self._global_overlay_files: List[str] = []
+        self._global_overlay = None
         if global_stats_dir is not None:
             with open(os.path.join(global_stats_dir,
                                    "global_stats.json")) as f:
@@ -229,11 +323,10 @@ class IndexSearcher:
             # term-sorted (term, df) contributions of folds not yet merged
             # into the main dict — point reads SUM main + overlay
             ov = os.path.join(global_stats_dir, "global_dict_overlay")
-            self._overlay_files = sorted(
+            self._global_overlay_files = sorted(
                 os.path.join(ov, f) for f in os.listdir(ov)
                 if f.startswith("seg=") and f.endswith(".parquet")
             ) if os.path.isdir(ov) else []
-            self._overlay = None  # lazy: (terms list, df_title, df_body)
         # score-tie ordering: None = shard-local doc_id (the unsharded
         # contract).  Sharded mode ranks ties by doc_key instead — the
         # driver merge orders by (score desc, doc_key), so the PER-SHARD
@@ -242,70 +335,22 @@ class IndexSearcher:
         # docmeta loads, below).
         self.tie_rank: Optional[np.ndarray] = None
 
-        # docmeta fast fields: norm ids + doc keys indexed by compact doc_id.
-        meta_dir = os.path.join(index_dir, "docmeta")
-        # ONE threaded dataset read (per-file pq.read_table cost ~2ms of
-        # footer parsing x hundreds of bucket files), then a doc_id sort:
-        # doc_ids are compact 0..N-1, so row i of the sorted table IS doc i
-        meta_files = [os.path.join(meta_dir, f)
-                      for f in sorted(os.listdir(meta_dir))
-                      if f.endswith(".parquet")]
-        if meta_files:
-            meta = pads.dataset(meta_files).to_table(
-                columns=["doc_id", "doc_key", "bucket",
-                         "norm_title", "norm_body"]
-            ).sort_by("doc_id").combine_chunks()
-        else:  # empty index (zero docs survived normalization)
-            meta = pa.table({
-                "doc_id": pa.array([], pa.int64()),
-                "doc_key": pa.array([], pa.string()),
-                "bucket": pa.array([], pa.int32()),
-                "norm_title": pa.array([], pa.uint8()),
-                "norm_body": pa.array([], pa.uint8())})
-        ids = meta.column("doc_id").to_numpy()
-        # quantized norm IDS (uint8) are the primary fast field — BM25 scores
-        # are looked up by (tf, norm_id) in per-term tables; the dequantized
-        # float lengths are kept for the bound/phrase paths
-        self.norm_title_id = np.zeros(self.n_docs, dtype=np.uint8)
-        self.norm_body_id = np.zeros(self.n_docs, dtype=np.uint8)
-        self.norm_title_id[ids] = meta.column("norm_title").to_numpy()
-        self.norm_body_id[ids] = meta.column("norm_body").to_numpy()
-        self.norm_title = id_to_fieldnorm(self.norm_title_id).astype(np.float64)
-        self.norm_body = id_to_fieldnorm(self.norm_body_id).astype(np.float64)
-        bucket_of_doc = np.zeros(self.n_docs, dtype=np.int64)
-        bucket_of_doc[ids] = meta.column("bucket").to_numpy()
-        # doc_keys stay an Arrow string array (no 388k-element to_pylist at
-        # actor startup); top-k consumers index it per hit
-        self.doc_keys = meta.column("doc_key").chunk(0) if meta.num_rows \
-            else pa.array([], pa.string())
-        if self._global_dict_path is not None and meta.num_rows:
+        # docmeta fast fields: norm ids + doc keys indexed by compact doc_id
+        # (doc_ids are compact 0..N-1 and bucket-contiguous)
+        self._meta_files = _parquet_names(os.path.join(index_dir, "docmeta"))
+        self.norm_title_id = np.zeros(0, dtype=np.uint8)
+        self.norm_body_id = np.zeros(0, dtype=np.uint8)
+        self.norm_title = np.zeros(0, dtype=np.float64)
+        self.norm_body = np.zeros(0, dtype=np.float64)
+        self.doc_keys = pa.array([], pa.string())
+        self._bucket_counts = np.zeros(0, dtype=np.int64)
+        self._add_docs(self._read_docmeta(self._meta_files), self.n_docs)
+        if self._global_dict_path is not None and self.n_docs:
             order = pc.sort_indices(self.doc_keys).to_numpy().astype(np.int64)
             self.tie_rank = np.empty(self.n_docs, dtype=np.int64)
             self.tie_rank[order] = np.arange(self.n_docs, dtype=np.int64)
-        # bucket b's doc_ids span [bucket_bounds[b], bucket_bounds[b+1]) —
-        # doc_ids are assigned contiguously per bucket (cumsum of bucket
-        # counts, build.py), which makes bucket-level score bounds cheap
-        self.num_buckets = int(bucket_of_doc.max()) + 1 if self.n_docs else 0
-        counts = np.bincount(bucket_of_doc, minlength=self.num_buckets)
-        self.bucket_bounds = np.concatenate(
-            ([0], np.cumsum(counts))).astype(np.int64)
-        # tombstones (delete-then-reinsert upsert support, serve.rs:456-467
-        # analog) as tantivy's alive bitset: deleted doc_ids drop out of
-        # every candidate set through this mask; corpus stats keep counting
-        # them until compaction (tantivy-style deleted-doc accounting)
-        self.alive = np.ones(self.n_docs, dtype=bool)
-        tomb_path = os.path.join(index_dir, "tombstones.parquet")
-        if os.path.exists(tomb_path):
-            self.alive[pq.read_table(tomb_path, columns=["doc_id"])
-                       .column("doc_id").to_numpy()] = False
+        self._load_alive()
         self.num_parts = st.get("num_parts", 0)
-        # merge fingerprint keys the cross-actor shared position cache (a
-        # rebuilt index must never serve another fingerprint's arrays)
-        try:
-            with open(os.path.join(index_dir, "_merge.json")) as f:
-                self._merge_fp = json.load(f).get("fingerprint", "")
-        except (OSError, ValueError):
-            self._merge_fp = ""
         # byte-budgeted LRU of per-term position cumsums (phrase payload)
         self._pos_gaps_lru: "OrderedDict[str, Optional[np.ndarray]]" = OrderedDict()
         self._pos_gaps_bytes = 0
@@ -324,6 +369,189 @@ class IndexSearcher:
         # the first filtered search; predicate masks cached per tuple
         self._fastfields = None
         self._filter_cache: Dict[tuple, np.ndarray] = {}
+        # unfolded delta buckets: raw segment rows per bucket, and their
+        # consolidated scoring / position rows with a term -> row index
+        self._ov_segs: Dict[int, pa.Table] = {}
+        self._ov_rows = self._ov_pos = None
+        self._ov_index: Dict[str, int] = {}
+        self._sync_overlay()
+
+    def _read_stats(self) -> dict:
+        with open(os.path.join(self.index_dir, "stats.json")) as f:
+            st = json.load(f)
+        if st.get("format_version") != layout.FORMAT_VERSION:
+            raise ValueError(
+                f"index {self.index_dir} has format_version "
+                f"{st.get('format_version')}; this searcher reads only "
+                f"format_version {layout.FORMAT_VERSION} — rebuild the index")
+        return st
+
+    def _read_docmeta(self, names: List[str]) -> pa.Table:
+        """The docmeta rows of the given bucket files, sorted by doc_id:
+        ONE threaded dataset read (per-file pq.read_table cost ~2ms of
+        footer parsing x hundreds of bucket files)."""
+        meta_dir = os.path.join(self.index_dir, "docmeta")
+        cols = ["doc_id", "doc_key", "bucket", "norm_title", "norm_body"]
+        if not names:  # empty index (zero docs survived normalization)
+            return pa.table({
+                "doc_id": pa.array([], pa.int64()),
+                "doc_key": pa.array([], pa.string()),
+                "bucket": pa.array([], pa.int32()),
+                "norm_title": pa.array([], pa.uint8()),
+                "norm_body": pa.array([], pa.uint8())})
+        return pads.dataset([os.path.join(meta_dir, f) for f in names]
+                            ).to_table(columns=cols
+                                       ).sort_by("doc_id").combine_chunks()
+
+    def _add_docs(self, meta: pa.Table, n_docs: int) -> None:
+        """Append docs ``[len(self.norm_title_id), n_docs)`` from their
+        docmeta rows: quantized norm IDS (uint8) are the primary fast field
+        — BM25 scores are looked up by (tf, norm_id) in per-term tables;
+        the dequantized float lengths are kept for the bound/phrase paths.
+        Doc keys stay an Arrow string array (no 388k-element to_pylist at
+        actor startup); top-k consumers index it per hit."""
+        lo = len(self.norm_title_id)
+        ids = meta.column("doc_id").to_numpy() - lo
+        title = np.zeros(n_docs - lo, dtype=np.uint8)
+        body = np.zeros(n_docs - lo, dtype=np.uint8)
+        bucket = np.zeros(n_docs - lo, dtype=np.int64)
+        title[ids] = meta.column("norm_title").to_numpy()
+        body[ids] = meta.column("norm_body").to_numpy()
+        bucket[ids] = meta.column("bucket").to_numpy()
+        self.norm_title_id = np.concatenate([self.norm_title_id, title])
+        self.norm_body_id = np.concatenate([self.norm_body_id, body])
+        self.norm_title = np.concatenate(
+            [self.norm_title, id_to_fieldnorm(title).astype(np.float64)])
+        self.norm_body = np.concatenate(
+            [self.norm_body, id_to_fieldnorm(body).astype(np.float64)])
+        if meta.num_rows:
+            keys = meta.column("doc_key").chunk(0)
+            self.doc_keys = pa.concat_arrays([self.doc_keys, keys]) \
+                if len(self.doc_keys) else keys
+        # bucket b's doc_ids span [bucket_bounds[b], bucket_bounds[b+1]) —
+        # doc_ids are assigned contiguously per bucket (cumsum of bucket
+        # counts, build.py), which makes bucket-level score bounds cheap
+        counts = np.bincount(bucket, minlength=len(self._bucket_counts))
+        counts[:len(self._bucket_counts)] += self._bucket_counts
+        self._bucket_counts = counts
+        self.num_buckets = len(counts)
+        self.bucket_bounds = np.concatenate(
+            ([0], np.cumsum(counts))).astype(np.int64)
+
+    def _load_alive(self) -> None:
+        """Tombstones (delete-then-reinsert upsert support, serve.rs:456-467
+        analog) as tantivy's alive bitset: deleted doc_ids drop out of
+        every candidate set through this mask; corpus stats keep counting
+        them until compaction (tantivy-style deleted-doc accounting)."""
+        self.alive = np.ones(self.n_docs, dtype=bool)
+        tomb_path = os.path.join(self.index_dir, "tombstones.parquet")
+        if os.path.exists(tomb_path):
+            self.alive[pq.read_table(tomb_path, columns=["doc_id"])
+                       .column("doc_id").to_numpy()] = False
+
+    def _sync_overlay(self) -> None:
+        """Serve the unfolded delta buckets (``layout.unfolded_buckets``)
+        as an overlay: their segment rows, loaded once per bucket, are
+        reshaped into one consolidated scoring row and one position row per
+        term, which ``_term_rows`` appends after the term's base part row.
+        Delta doc ids sit above every base id, so base + overlay is exactly
+        the row a fold writes."""
+        merge = layout.load_merge_state(self.index_dir)
+        unfolded = layout.unfolded_buckets(
+            layout.load_manifests(self.index_dir), merge) or []
+        # keys the cross-actor position cache: the merged parts' identity
+        # plus the overlay generation (a rebuilt index or a new delta must
+        # never serve another state's arrays)
+        self._cache_gen = (merge or {}).get("fingerprint", "") + "".join(
+            f"+{b}" for b in unfolded)
+        if set(unfolded) == set(self._ov_segs):
+            return
+        self._ov_segs = {b: self._ov_segs[b] if b in self._ov_segs
+                         else pq.read_table(os.path.join(
+                             self.index_dir, "segments",
+                             f"bucket={b:08d}.parquet"))
+                         for b in unfolded}
+        segs = [t for t in self._ov_segs.values() if t.num_rows]
+        seg = pa.concat_tables(segs) if segs else None
+        self._ov_rows = layout.part_rows(seg, False) if seg else None
+        self._ov_pos = layout.part_rows(seg, True) if seg else None
+        self._ov_index = {} if seg is None else {
+            t: i for i, t in
+            enumerate(self._ov_rows.column("term").to_pylist())}
+
+    def _overlay_dict(self) -> pa.Table:
+        """(term, df, df_title, df_body) of the overlay — the unfolded
+        buckets' contribution to the dictionary the inspect readers add."""
+        cols = ["term", "df", "df_title", "df_body"]
+        if self._ov_rows is None:
+            return layout.PART_SCHEMA.empty_table().select(cols)
+        return self._ov_rows.select(cols)
+
+    def refresh(self) -> None:
+        """Catch up with the writes since open — new delta buckets,
+        tombstones, corpus stats, folds — without dropping what is still
+        valid (the ``ReloadPolicy::OnCommitWithDelay`` reload of a live
+        tantivy searcher).  Reads only the new buckets' docmeta and
+        segments, the tombstones and stats.json.  Keeps every handle whose
+        file's path, inode, size and mtime are unchanged, the position
+        cumsums of every term no new bucket touches, and every decoded
+        postings list: a resident term the new buckets hold gets their
+        postings appended.  Score tables are cleared when N or avgdl moved.
+        A fold leaves each term's logical postings unchanged, so the caches
+        survive it.  A change that is not an append (an index rebuilt in
+        place, the corpus-wide statistics of a shard) reopens instead."""
+        st = self._read_stats()
+        names = _parquet_names(os.path.join(self.index_dir, "docmeta"))
+        old = len(self._meta_files)
+        meta = self._read_docmeta(names[old:])
+        if (self._global_stats_dir is not None
+                or names[:old] != self._meta_files
+                or not np.array_equal(meta.column("doc_id").to_numpy(),
+                                      np.arange(self.n_docs, st["n_docs"]))):
+            self.__init__(self.index_dir, self.boost_terms,
+                          self._global_stats_dir)
+            return
+        self._meta_files = names
+        if meta.num_rows:
+            self._add_docs(meta, st["n_docs"])
+            self._fastfields = None
+            self._filter_cache = {}
+        if (st["n_docs"], st["avgdl_title"], st["avgdl_body"]) != (
+                self.n_docs, self.avgdl_title, self.avgdl_body):
+            for tp in self._postings_lru.values():
+                if tp is not None:
+                    tp.lut = tp.scores = None
+        self.n_docs = self.score_n_docs = st["n_docs"]
+        self.avgdl_title = st["avgdl_title"]
+        self.avgdl_body = st["avgdl_body"]
+        self.num_parts = st.get("num_parts", 0)
+        self._load_alive()
+        self._sync_overlay()
+        # the new buckets' postings extend every resident term they hold;
+        # those terms' position cumsums are dropped
+        segs = []
+        for f in names[old:]:
+            seg = self._ov_segs.get(int(f.split("=")[1].split(".")[0]))
+            if seg is None:  # already folded
+                seg = pq.read_table(os.path.join(self.index_dir, "segments", f))
+            if seg.num_rows:
+                segs.append(seg)
+        rows = layout.part_rows(pa.concat_tables(segs), False) if segs \
+            else layout.PART_SCHEMA.empty_table()
+        terms = rows.column("term").to_pylist()
+        resident = [i for i, t in enumerate(terms) if t in self._postings_lru]
+        for i, tail in zip(resident, _decode_postings(rows, resident)):
+            tp = self._postings_lru[terms[i]]
+            if tp is None:
+                self._postings_lru[terms[i]] = tail
+            else:
+                tp.append(tail)
+        for t in terms:
+            c = self._pos_gaps_lru.pop(t, None)
+            self._pos_gaps_bytes -= c.nbytes if c is not None else 0
+        for path, stat in list(self._handle_stats.items()):
+            if _file_stat(path) != stat:
+                del self._handles[path], self._handle_stats[path]
 
     def prewarm(self, n_top_terms: int = 64, n_pos_terms: int = 0,
                 budget_bytes: Optional[int] = None,
@@ -417,6 +645,7 @@ class IndexSearcher:
         a staged docstore file."""
         h = self._handles.get(path)
         if h is None:
+            self._handle_stats[path] = _file_stat(path)
             h = self._handles[path] = opener(path)
         return h
 
@@ -433,6 +662,33 @@ class IndexSearcher:
             tbl, rows = _point_rows(self._handle(path), part_terms, columns)
             if rows:
                 yield tbl, rows
+
+    def _term_rows(self, terms: Sequence[str], positions: bool
+                   ) -> List[Tuple[pa.Table, Dict[str, int]]]:
+        """``(table, {term: row})`` groups holding each present term's
+        consolidated scoring (or position) row: the point reads of the base
+        part rows, and for the terms the unfolded buckets hold, one table
+        where the overlay's row is appended to the base row through
+        ``layout.consolidate_part_rows`` — exactly the row folding them
+        would write."""
+        sub, cols, ov = (("positions", layout.POS_PART_COLUMNS, self._ov_pos)
+                         if positions else
+                         ("postings", layout.PART_COLUMNS, self._ov_rows))
+        groups = list(self._part_rows(os.path.join(self.index_dir, sub),
+                                      terms, cols, self.num_parts))
+        hit = sorted(t for t in set(terms) if t in self._ov_index)
+        if not hit:
+            return groups
+        base = {t: (tbl, rows.pop(t)) for tbl, rows in groups
+                for t in hit if t in rows}
+        pieces = []
+        for t in hit:
+            if t in base:
+                pieces.append(base[t][0].slice(base[t][1], 1))
+            pieces.append(ov.slice(self._ov_index[t], 1))
+        merged = layout.consolidate_part_rows(
+            pa.concat_tables(pieces, promote_options="default"))
+        return groups + [(merged, {t: i for i, t in enumerate(hit)})]
 
     def fetch_postings(self, terms: Sequence[str]) -> Dict[str, _TermPostings]:
         if not terms:
@@ -451,22 +707,8 @@ class IndexSearcher:
             return out
         # format v4: one consolidated row per term, term-sorted
         found: Dict[str, _TermPostings] = {}
-        for tbl, rows in self._part_rows(
-                os.path.join(self.index_dir, "postings"), missing,
-                layout.PART_COLUMNS, self.num_parts):
-            dft = tbl.column("df_title").to_numpy()
-            dfb = tbl.column("df_body").to_numpy()
-            for t, i in rows.items():
-                found[t] = _TermPostings(
-                    _list_row_np(tbl.column("seg_bucket"), i),
-                    _list_row_np(tbl.column("seg_df"), i),
-                    _list_row_np(tbl.column("seg_max_tf"), i),
-                    _list_row_np(tbl.column("seg_min_nb"), i),
-                    _list_row_np(tbl.column("seg_min_nt"), i),
-                    int(dft[i]), int(dfb[i]),
-                    _large_binary_row(tbl.column("doc_ids"), i),
-                    _large_binary_row(tbl.column("tfs"), i),
-                    _large_binary_row(tbl.column("title_flags"), i))
+        for tbl, rows in self._term_rows(missing, positions=False):
+            found.update(zip(rows, _decode_postings(tbl, list(rows.values()))))
         if self._global_dict_path is not None and found:
             for t, (dft, dfb) in self._global_df(list(found)).items():
                 found[t].df_title = dft
@@ -494,8 +736,8 @@ class IndexSearcher:
                 dfb = tbl.column("df_body").to_numpy()
                 for t, i in rows.items():
                     out[t] = (int(dft[i]), int(dfb[i]))
-        if self._overlay_files:
-            o_terms, o_dft, o_dfb = self._load_overlay()
+        if self._global_overlay_files:
+            o_terms, o_dft, o_dfb = self._load_global_overlay()
             for t in terms:
                 i = bisect.bisect_left(o_terms, t)
                 if i < len(o_terms) and o_terms[i] == t:
@@ -503,20 +745,19 @@ class IndexSearcher:
                     out[t] = (dft + int(o_dft[i]), dfb + int(o_dfb[i]))
         return out
 
-    def _load_overlay(self):
-        """Merged delta-overlay dictionary (tiny — bounded by the sharded
+    def _load_global_overlay(self):
+        """Merged global-dictionary overlay (tiny — bounded by the sharded
         fold's overlay_max_segs compaction), loaded once per searcher."""
-        if self._overlay is None:
-            import pyarrow.dataset as _pads
-            t = _pads.dataset(self._overlay_files).to_table(
+        if self._global_overlay is None:
+            t = pads.dataset(self._global_overlay_files).to_table(
                 columns=["term", "df_title", "df_body"])
             m = pa.TableGroupBy(t, "term").aggregate(
                 [("df_title", "sum"), ("df_body", "sum")]).rename_columns(
                 ["term", "df_title", "df_body"]).sort_by("term")
-            self._overlay = (m.column("term").to_pylist(),
-                             m.column("df_title").to_numpy(),
-                             m.column("df_body").to_numpy())
-        return self._overlay
+            self._global_overlay = (m.column("term").to_pylist(),
+                                    m.column("df_title").to_numpy(),
+                                    m.column("df_body").to_numpy())
+        return self._global_overlay
 
     # ------------------------------------------------------------------ score
     def _topk(self, scores: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
@@ -823,10 +1064,8 @@ class IndexSearcher:
         absent from ``postings`` or with empty blobs are omitted."""
         out: Dict[str, np.ndarray] = {}
         # zero-df terms have no positions either
-        for tbl, rows in self._part_rows(
-                os.path.join(self.index_dir, "positions"),
-                [t for t in terms if t in postings],
-                layout.POS_PART_COLUMNS, self.num_parts):
+        for tbl, rows in self._term_rows([t for t in terms if t in postings],
+                                         positions=True):
             for t, i in rows.items():
                 if not np.array_equal(
                         _list_row_np(tbl.column("seg_bucket"), i),
@@ -925,9 +1164,9 @@ class IndexSearcher:
                 # plasma arrays are zero-copy read-only views, so a hit
                 # costs no heap and no decode
                 hit = poscache.fetch(
-                    [f"{self._merge_fp}:{t}" for t in missing])
+                    [f"{self._cache_gen}:{t}" for t in missing])
                 for t in list(missing):
-                    c = hit.get(f"{self._merge_fp}:{t}")
+                    c = hit.get(f"{self._cache_gen}:{t}")
                     if c is not None:
                         out[t] = c
                         self._pos_gaps_lru[t] = c
@@ -943,7 +1182,7 @@ class IndexSearcher:
                 self._pos_gaps_lru[t] = c
                 self._pos_gaps_bytes += c.nbytes if c is not None else 0
                 if c is not None and shared_on:
-                    poscache.publish(f"{self._merge_fp}:{t}", c)
+                    poscache.publish(f"{self._cache_gen}:{t}", c)
         while (self._pos_gaps_bytes > self._pos_gaps_budget
                and len(self._pos_gaps_lru) > len(terms)):
             _, old = self._pos_gaps_lru.popitem(last=False)
@@ -1406,8 +1645,8 @@ class IndexSearcher:
         anchor the pattern tighter)."""
         from prosearch_ray.index.inspect import regex_terms
 
-        terms = regex_terms(self.index_dir,
-                            pattern).column("term").to_pylist()
+        terms = regex_terms(self.index_dir, pattern, self._overlay_dict()
+                            ).column("term").to_pylist()
         if len(terms) > max_expansions:
             raise ValueError(
                 f"regex {pattern!r} expands to {len(terms)} terms "
@@ -1459,8 +1698,8 @@ class IndexSearcher:
         neighborhood over a real vocabulary is intrinsically small)."""
         from prosearch_ray.index.inspect import fuzzy_terms
 
-        terms = fuzzy_terms(self.index_dir, term,
-                            distance).column("term").to_pylist()
+        terms = fuzzy_terms(self.index_dir, term, distance,
+                            self._overlay_dict()).column("term").to_pylist()
         return self._union_candidates(terms, filter)
 
     def _ranked(self, cand: np.ndarray, scores: Optional[np.ndarray],
@@ -1526,8 +1765,8 @@ class IndexSearcher:
         if not tokens:
             return np.empty(0, np.int64)
         prefix, fixed = tokens[-1], tokens[:-1]
-        exp = prefix_terms(self.index_dir,
-                           prefix).column("term").to_pylist()
+        exp = prefix_terms(self.index_dir, prefix, self._overlay_dict()
+                           ).column("term").to_pylist()
         exp = exp[:max_expansions]
         if not exp:
             return np.empty(0, np.int64)
@@ -1567,7 +1806,8 @@ class IndexSearcher:
         from prosearch_ray.index.inspect import range_terms
 
         terms = range_terms(self.index_dir, lower, upper, include_lower,
-                            include_upper).column("term").to_pylist()
+                            include_upper, self._overlay_dict()
+                            ).column("term").to_pylist()
         if len(terms) > max_expansions:
             raise ValueError(
                 f"term range [{lower!r}, {upper!r}] expands to "

@@ -10,9 +10,12 @@ Ray-side shape: the searcher state (mmap'd postings handles, LUT caches,
 docmeta fast fields — or the sharded scatter-gather actor pool) is loaded
 ONCE and reused across requests, exactly the reference's warmed
 ``IndexServer`` (serve.rs:324-360).  Mutations route through the delta
-machinery (``index/delta.py``, ``index/sharded.py``) under a write lock and
-reopen the searcher afterwards — the ``ReloadPolicy::OnCommitWithDelay``
-analog (serve.rs:353-355).
+machinery (``index/delta.py``, ``index/sharded.py``) under a write lock.
+A POST lands as an unfolded delta bucket the searcher serves as an overlay
+until the fold policy merges it, and the searcher then ``refresh``es: it
+reads only what the write added and keeps its handles and decoded postings
+— the ``ReloadPolicy::OnCommitWithDelay`` analog (serve.rs:353-355).  A
+sharded root reopens its actor pool instead.
 
 This module owns NO Ray session: ``scripts/serve.py`` (the CLI) inits Ray,
 pytest uses the session fixture.
@@ -52,8 +55,9 @@ class IndexService:
         the hottest terms — moving the phrase first-touch decode
         (minutes at envelope scale) from the first user query to open
         time; ``prewarm_terms`` replaces df rank with configured
-        query-log hot terms.  All re-apply on every reopen (delta fold /
-        delete)."""
+        query-log hot terms.  All re-apply after every write (a refresh
+        keeps warm terms resident, so only the ones a write touched are
+        fetched again)."""
         if lazy_index and not sharded:
             raise ValueError("lazy_index requires a sharded root")
         self.index_dir = index_dir
@@ -68,6 +72,8 @@ class IndexService:
 
     # -- lifecycle ---------------------------------------------------------
     def _open(self) -> None:
+        """Open the searcher, or catch it up after a write: a sharded pool
+        is replaced, an unsharded searcher refreshes in place."""
         old = self._searcher
         if self.sharded:
             from prosearch_ray.query.sharded import ShardedSearcher
@@ -75,6 +81,8 @@ class IndexService:
             self._searcher = ShardedSearcher(self.index_dir)
             if old is not None:
                 old.shutdown()
+        elif old is not None:
+            old.refresh()
         else:
             from prosearch_ray.query.searcher import IndexSearcher
 
@@ -147,7 +155,8 @@ class IndexService:
 
     def delete(self, url: str) -> int:
         """/delete handler body: tombstone every live doc with this doc
-        key, then reopen (delete_term + commit analog, serve.rs:452-463)."""
+        key, then refresh the searcher (delete_term + commit analog,
+        serve.rs:452-463)."""
         with self._lock:
             if self.sharded:
                 from prosearch_ray.index.sharded import delete_docs_sharded
@@ -162,9 +171,10 @@ class IndexService:
 
     def index_doc(self, obj) -> int:
         """/index handler body: validate the fixed document schema (all
-        corpus columns present and string-valued — serve.rs:469-493), fold
-        the one-doc delta in, reopen, and return the indexed content length
-        (len(content) + len(doc key), the serve.rs:503-516 convention)."""
+        corpus columns present and string-valued — serve.rs:469-493), add
+        the one-doc delta bucket, refresh the searcher, and return the
+        indexed content length (len(content) + len(doc key), the
+        serve.rs:503-516 convention)."""
         if not isinstance(obj, dict):
             raise ValueError("json body must be an object.")
         for key in CORPUS_COLUMNS:

@@ -223,20 +223,25 @@ def test_compact_drops_tombstones(small_index, tmp_path):
 
 
 def test_delta_merge_is_incremental(small_index):
-    """A small delta must rewrite only the postings parts its terms hash to —
-    unaffected part files stay byte-untouched (tiered merge, not a full
-    re-merge)."""
+    """An add leaves every part file untouched (its bucket is served
+    unfolded); the explicit fold then rewrites only the postings parts the
+    delta's terms hash to — unaffected part files stay byte-untouched
+    (tiered merge, not a full re-merge)."""
     import json
     import os
 
     import ray.data as rd
 
-    from prosearch_ray.index.delta import add_documents
+    from prosearch_ray.index.delta import add_documents, fold_deltas
 
     index_dir, report, _ = small_index
     pdir = os.path.join(index_dir, "postings")
-    before = {f: os.path.getmtime(os.path.join(pdir, f))
-              for f in os.listdir(pdir) if f.endswith(".parquet")}
+
+    def mtimes():
+        return {f: os.path.getmtime(os.path.join(pdir, f))
+                for f in os.listdir(pdir) if f.endswith(".parquet")}
+
+    before = mtimes()
     assert len(before) > 4, "need several parts to make the test meaningful"
 
     delta = pa.table({
@@ -247,10 +252,11 @@ def test_delta_merge_is_incremental(small_index):
         "content": ["qqincremental merge probe"],
     })
     res = add_documents(index_dir, rd.from_arrow(delta))
-    assert res["added"] == 1
+    assert res["added"] == 1 and not res["folded"]
+    assert mtimes() == before
 
-    after = {f: os.path.getmtime(os.path.join(pdir, f))
-             for f in os.listdir(pdir) if f.endswith(".parquet")}
+    fold_deltas(index_dir)
+    after = mtimes()
     changed = {f for f in before if after.get(f) != before[f]}
     # the delta has ~5 distinct terms -> at most a handful of parts touched
     assert changed, "delta must rewrite the parts its terms hash to"
@@ -259,6 +265,62 @@ def test_delta_merge_is_incremental(small_index):
     # merge bookkeeping stays consistent
     ms = json.load(open(os.path.join(index_dir, "_merge.json")))
     assert ms["n_terms"] == sum(ms["parts"].values())
+
+
+def test_fold_policy_and_unfolded_stats(small_index):
+    """Adds stay unfolded until LAZY_MAX_SEGS buckets are pending, then
+    the add folds them all; ``index_stats`` reports the unfolded bucket
+    count and their segment bytes."""
+    import os
+
+    from prosearch_ray.index.delta import LAZY_MAX_SEGS, add_documents
+    from prosearch_ray.index.inspect import index_stats
+
+    index_dir, _, _ = small_index
+    seg_dir = os.path.join(index_dir, "segments")
+    for i in range(LAZY_MAX_SEGS):
+        res = add_documents(index_dir, pa.table({
+            "repo": ["foldorg/r"], "path": [f"f{i}.py"], "commit": ["a" * 40],
+            "lang": ["py"], "content": [f"qqfold{i} merge hash"]}))
+        st = index_stats(index_dir)
+        if i + 1 < LAZY_MAX_SEGS:
+            assert not res["folded"]
+            assert st["unfolded_buckets"] == i + 1
+            assert st["unfolded_bytes"] == sum(
+                os.path.getsize(os.path.join(seg_dir, f"bucket={b:08d}"
+                                             ".parquet"))
+                for b in range(res["new_buckets"][0] - i,
+                               res["new_buckets"][0] + 1))
+        else:
+            assert res["folded"]
+            assert (st["unfolded_buckets"], st["unfolded_bytes"]) == (0, 0)
+
+
+def test_readd_of_delta_key_tombstones_it(small_index):
+    """A key whose live version sits in a delta bucket (not its base
+    bucket) is still found by the delete lookup: re-adding it tombstones
+    the delta copy, and deleting it removes the last version."""
+    from prosearch_ray.index.delta import (add_documents, delete_docs,
+                                           load_tombstones)
+
+    index_dir, _, _ = small_index
+    key = "deltaorg/deltarepo/src/moved.py"
+
+    def doc(body):
+        return pa.table({"repo": ["deltaorg/deltarepo"],
+                         "path": ["src/moved.py"], "commit": ["f" * 40],
+                         "lang": ["py"], "content": [body]})
+
+    add_documents(index_dir, doc("first qqmovedone"))
+    assert _hit_keys(index_dir, "qqmovedone") == [key]
+    res = add_documents(index_dir, doc("second qqmovedtwo"))
+    assert res["tombstoned"] == 1
+    assert _hit_keys(index_dir, "qqmovedone") == []
+    assert _hit_keys(index_dir, "qqmovedtwo") == [key]
+    n = load_tombstones(index_dir).num_rows
+    assert delete_docs(index_dir, [key]) == 2  # both versions resolve
+    assert load_tombstones(index_dir).num_rows == n + 1
+    assert _hit_keys(index_dir, "qqmovedtwo") == []
 
 
 @pytest.fixture(scope="module")
@@ -374,3 +436,75 @@ def test_sparse_conjunction_matches_dense(typed_index, tmp_path,
     assert not s._dense(2)
     assert sparse == dense
     assert any(len(a[0]) for a in dense if isinstance(a, tuple))
+
+
+# delta docs for the overlay equivalence test: the terms every
+# _DELETE_CASES query needs, plus terms no base doc has ("mergex" for the
+# regex/fuzzy/range expansions, "thaaaq" for the phrase-prefix one); the
+# last doc matches those expansions through "mergex" alone
+_OVERLAY_BODIES = [
+    "return thaaaq merge hash mergex return the value",
+    "merge hash return the mergex",
+    "the return value merge hash return thaaaq",
+    "mergex",
+]
+
+
+@pytest.mark.parametrize("case", sorted(_DELETE_CASES) + ["facet_counts"])
+def test_overlay_matches_fold(typed_index, tmp_path, case):
+    """Unfolded delta buckets served as a searcher overlay answer exactly
+    like the folded index: ids, bitwise scores, ``last_count`` and
+    snippets agree between a warm searcher refreshed over the overlay, a
+    fresh searcher over the overlay, the warm searcher refreshed after the
+    fold, and a fresh searcher after it — and overlay-only terms are found
+    by every dictionary expansion."""
+    import os
+    import shutil
+
+    import pyarrow.dataset as pads
+
+    from prosearch_ray.index.delta import add_documents, fold_deltas
+    from prosearch_ray.index.inspect import index_stats
+    from prosearch_ray.query.searcher import IndexSearcher
+    from prosearch_ray.query.snippet import make_snippet
+
+    index_dir = str(tmp_path / "idx")
+    shutil.copytree(typed_index, index_dir)
+
+    def run(s):
+        if case == "facet_counts":
+            ids, scores = s.search("merge hash", _ALL)
+            count = s.facet_counts("merge hash", "lang")
+        else:
+            ids, scores = _DELETE_CASES[case](s)
+            count = s.last_count
+        contents = s.fetch_contents(ids[:5])
+        return (ids.tolist(), scores.tobytes(), count,
+                [make_snippet(contents[int(d)], ["merge", "hash"])
+                 for d in ids[:5]])
+
+    live = IndexSearcher(index_dir)
+    base_n = live.n_docs
+    run(live)  # warm: resident postings must take the new buckets' tails
+    # one base doc that matches is upserted by every add
+    key = str(live.doc_keys[int(live.search("merge hash", 1)[0][0])])
+    old = pads.dataset(os.path.join(index_dir, "staged")).to_table(
+        columns=["repo", "path"], filter=pads.field("doc_key") == key)
+    repo, path = old.column("repo")[0].as_py(), old.column("path")[0].as_py()
+    for i, body in enumerate(_OVERLAY_BODIES):
+        res = add_documents(index_dir, pa.table({
+            "repo": ["ovorg/ovrepo", repo],
+            "path": [f"src/ov{i}.py", path], "commit": [f"{i:040x}"] * 2,
+            "lang": ["py", "py"], "content": [body, f"{body} v{i}"]}))
+        assert not res["folded"]
+    assert index_stats(index_dir)["unfolded_buckets"] == len(_OVERLAY_BODIES)
+    live.refresh()
+    overlay = run(live)
+    assert any(d >= base_n for d in overlay[0]), "overlay docs must match"
+    assert run(IndexSearcher(index_dir)) == overlay
+
+    fold_deltas(index_dir)
+    assert index_stats(index_dir)["unfolded_buckets"] == 0
+    live.refresh()
+    assert run(live) == overlay
+    assert run(IndexSearcher(index_dir)) == overlay

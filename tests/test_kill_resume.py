@@ -1,6 +1,8 @@
 """FIXTURES.md §5 kill_resume: SIGKILL a build mid-flight in a separate
 process, rerun, and require (a) finished buckets untouched (attempt==1),
-(b) the final index byte-identical to an uninterrupted build."""
+(b) the final index byte-identical to an uninterrupted build.  The same
+contract holds for the delta fold: a writer killed between an add and its
+fold, or inside the fold, resumes to the uninterrupted bytes."""
 
 import json
 import os
@@ -10,6 +12,7 @@ import sys
 import time
 
 import pyarrow.parquet as pq
+import pytest
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -86,3 +89,105 @@ def test_sigkill_resume_byte_identical(tmp_path):
     s1 = json.load(open(os.path.join(idx_killed, "stats.json")))
     s2 = json.load(open(os.path.join(idx_clean, "stats.json")))
     assert s1 == s2
+
+
+ADD_SNIPPET = """
+import os, signal, sys
+sys.path.insert(0, {repo!r})
+import pyarrow as pa
+from prosearch_ray.index import build, delta
+
+def die(*args, **kwargs):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+kill = {kill!r}
+if kill == "between":  # the last add's writes are done, its fold not begun
+    delta.fold_deltas = die
+elif kill == "staging":  # the fold has staged some of its part files
+    write_part = build._write_part_files
+    calls = []
+    def write(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            die()
+        return write_part(*args, **kwargs)
+    build._write_part_files = write
+elif kill == "commit":  # the fold has moved one staged file into place
+    replace = os.replace
+    moved = []
+    def commit_move(src, dst):
+        if delta.FOLD_DIR in str(src) and delta.FOLD_DIR not in str(dst):
+            moved.append(src)
+            if len(moved) == 2:
+                die()
+        return replace(src, dst)
+    os.replace = commit_move
+for i in range(delta.LAZY_MAX_SEGS):
+    delta.add_documents({idx!r}, pa.table({docs!r}[i]))
+print("DONE")
+"""
+
+
+def _fold_docs(n):
+    return [{"repo": ["killorg/r"], "path": [f"src/k{i}.py"],
+             "commit": ["c" * 40], "lang": ["py"],
+             "content": [f"qqkill{i} merge hash return the value {i}"]}
+            for i in range(n)]
+
+
+def _tree_bytes(root):
+    out = {}
+    for d, _, files in os.walk(root):
+        for f in files:
+            p = os.path.join(d, f)
+            with open(p, "rb") as fh:
+                out[os.path.relpath(p, root)] = fh.read()
+    return out
+
+
+@pytest.fixture(scope="module")
+def fold_base(ray_session, tmp_path_factory):
+    import ray.data as rd
+
+    from prosearch_ray.fixtures.gen import generate_corpus
+    from prosearch_ray.index.build import build_index
+
+    idx = str(tmp_path_factory.mktemp("fold") / "base")
+    build_index(rd.from_arrow(generate_corpus(300)), idx, docs_per_bucket=64)
+    return idx
+
+
+@pytest.mark.parametrize("kill", ["between", "staging", "commit"])
+def test_fold_kill_resume_byte_identical(fold_base, tmp_path, kill):
+    """SIGKILL the writer between an add and the fold it triggers, or
+    inside that fold (while staging part files, or while committing them):
+    ``fold_deltas`` then resumes to an index byte-identical to an
+    uninterrupted run."""
+    import shutil
+
+    import pyarrow as pa
+
+    from prosearch_ray.index import delta
+
+    docs = _fold_docs(delta.LAZY_MAX_SEGS)
+    clean = str(tmp_path / "clean")
+    shutil.copytree(fold_base, clean)
+    for i, d in enumerate(docs):
+        res = delta.add_documents(clean, pa.table(d))
+        assert res["folded"] == (i == len(docs) - 1)
+
+    killed = str(tmp_path / "killed")
+    shutil.copytree(fold_base, killed)
+    p = subprocess.run(
+        [sys.executable, "-c",
+         ADD_SNIPPET.format(repo=REPO, idx=killed, kill=kill, docs=docs)],
+        cwd=REPO, capture_output=True, text=True)
+    assert p.returncode == -signal.SIGKILL, p.stderr
+    staged = os.path.join(killed, delta.FOLD_DIR)
+    assert os.path.isdir(staged) == (kill != "between")
+    assert os.path.exists(os.path.join(staged, delta.FOLD_MARKER)) == (
+        kill == "commit")
+    assert _tree_bytes(killed) != _tree_bytes(clean)
+
+    delta.fold_deltas(killed)
+    assert _tree_bytes(killed) == _tree_bytes(clean)

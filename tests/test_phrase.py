@@ -102,8 +102,8 @@ def test_phrase_on_fixture_corpus(ray_session, tiny_index, tiny_oracle):
 
 
 def test_positions_parts_follow_delta(ray_session, tmp_path):
-    """add_documents must fold the delta's positions into the merged
-    positions parts — a phrase matching only the delta doc must hit."""
+    """A phrase matching only a delta doc must hit: the delta bucket's
+    positions are served with the merged positions parts."""
     import ray.data as rd
 
     from prosearch_ray.fixtures.gen import generate_corpus

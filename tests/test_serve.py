@@ -159,13 +159,16 @@ def test_upsert_snippet_serves_new_version(ray_session, tmp_path, sharded):
     """Re-indexing an existing key: the SERP hit's snippet comes from the
     NEW body — the tombstoned old version shares the doc_key, so stored
     docs must be resolved by the hit's own doc_id (unsharded) or shard-
-    local doc_id (sharded), never by key."""
+    local doc_id (sharded), never by key — both while the new version's
+    delta bucket is served unfolded and after it is folded."""
     import pyarrow.parquet as pq
 
     from prosearch_ray.fixtures import write_corpus
     from prosearch_ray.index import docid
     from prosearch_ray.index.build import build_index
-    from prosearch_ray.index.sharded import build_sharded_index
+    from prosearch_ray.index.delta import fold_deltas
+    from prosearch_ray.index.inspect import index_stats
+    from prosearch_ray.index.sharded import build_sharded_index, shard_dirs
     from prosearch_ray.query.snippet import make_snippet
     from prosearch_ray.serve import IndexService
 
@@ -186,13 +189,22 @@ def test_upsert_snippet_serves_new_version(ray_session, tmp_path, sharded):
         old_only = next(t for t in row["content"].split()
                         if t not in new_body.split())
         service.index_doc(dict(row, commit="f" * 40, content=new_body))
-        serp = service.search("zzupsertfresh", 10)
-        assert serp["count"] == 1
-        hit = serp["hits"][0]
-        assert hit["doc"]["url"][0] == key
-        assert "<b>zzupsertfresh</b>" in hit["snip"]
-        assert old_only not in hit["snip"].split()
-        assert hit["snip"] == make_snippet(new_body, ["zzupsertfresh"])
+        dirs = shard_dirs(root) if sharded else [root]
+        # served from the unfolded delta bucket, then again after the fold
+        assert sum(index_stats(d)["unfolded_buckets"] for d in dirs) == 1
+        for folded in (False, True):
+            if folded:
+                for d in dirs:
+                    fold_deltas(d)
+                service._open()
+            serp = service.search("zzupsertfresh", 10)
+            assert serp["count"] == 1
+            hit = serp["hits"][0]
+            assert hit["doc"]["url"][0] == key
+            assert "<b>zzupsertfresh</b>" in hit["snip"]
+            assert old_only not in hit["snip"].split()
+            assert hit["snip"] == make_snippet(new_body, ["zzupsertfresh"])
+        assert sum(index_stats(d)["unfolded_buckets"] for d in dirs) == 0
     finally:
         service.close()
 
