@@ -19,9 +19,9 @@ Replaces the reference's crawl→commit→tantivy-segment path
       ── stage B: Dataset of bucket work-items → one task per bucket:
          tokenize, build segment postings, write segments+docmeta+manifest
          atomically (resume skips buckets with a valid manifest)
-      ── merge: segments → spill exchange keyed on hash(term) % P → final
-         term-partitioned postings + dict shards, then positions parts the
-         same way (forcemerge analog).
+      ── merge: ONE spill exchange keyed on hash(term) % P reads every
+         segment once and writes, per part, the positions part, the
+         postings part and its dict shard (forcemerge analog).
 
 Scale notes (explicitly designed for the 100 TB case):
 - exactly ONE pass over content and ONE content shuffle (the bucket
@@ -429,9 +429,9 @@ def content_dup_losers_distributed(keys_ds: "ray.data.Dataset") -> list:
 def _rewrite_one_loser_bucket(staged_dir: str, bucket: int, losers) -> int:
     path = os.path.join(staged_dir, f"bucket={bucket:08d}.parquet")
     tbl = pq.read_table(path)
-    mask = pa.array([k not in losers
-                     for k in tbl.column("doc_key").to_pylist()])
-    tbl = tbl.filter(mask)
+    keys = tbl.column("doc_key")
+    tbl = tbl.filter(pc.invert(pc.is_in(
+        keys, value_set=pa.array(list(losers), keys.type))))
     _write_staged(tbl, path)
     return tbl.num_rows
 
@@ -535,21 +535,17 @@ def _write_part_files(index_dir: str, part: int, v4: pa.Table,
     return v4.num_rows
 
 
-POS_MERGE_COLUMNS = ["term", "bucket", "df", "positions"]
-
-
-def _merge_exchange(index_dir: str, num_parts: int, merge_fp: str,
-                    positions: bool = False) -> exchange.Exchange:
-    """The term-partitioned merge as a spill exchange: map tasks read
-    segment-file spans and spill rows by reducer group (part % n_red);
-    reduce tasks write one consolidated part per term-hash partition.  The
-    scoring merge reads SCORING_COLUMNS into ``merge_spill/`` and writes
-    postings + dict parts; the positions merge reads POS_MERGE_COLUMNS into
-    ``pos_spill/`` and writes positions parts, off the scoring merge's
-    critical path."""
+def _merge_exchange(index_dir: str, num_parts: int,
+                    merge_fp: str) -> exchange.Exchange:
+    """The term-partitioned merge as ONE spill exchange under
+    ``merge_spill/``: map tasks read segment-file spans once (scoring
+    columns plus positions), tag each row with its part and spill rows by
+    reducer group (part % n_red); reduce tasks write, per part, the
+    positions part, then the postings part and its dict shard, from the
+    same rows."""
     from prosearch_ray.index.segment import SCORING_COLUMNS
 
-    columns = POS_MERGE_COLUMNS if positions else SCORING_COLUMNS
+    columns = SCORING_COLUMNS + ["positions"]
     seg_dir = os.path.join(index_dir, "segments")
     files = [os.path.join(seg_dir, f) for f in sorted(os.listdir(seg_dir))
              if f.endswith(".parquet")]
@@ -573,22 +569,24 @@ def _merge_exchange(index_dir: str, num_parts: int, merge_fp: str,
     def reduce(g: int, tbl) -> list:
         if tbl is None:
             return []
-        return [{"part": part, "n_terms": _write_part_files(
-                    index_dir, part,
-                    layout.part_rows(rows.drop_columns(["part"]), positions),
-                    positions)}
-                for part, rows in exchange.key_slices(
-                    tbl, tbl.column("part").to_numpy())]
+        out = []
+        for part, rows in exchange.key_slices(tbl,
+                                              tbl.column("part").to_numpy()):
+            rows = rows.drop_columns(["part"])
+            _write_part_files(index_dir, part, layout.part_rows(rows, True),
+                              positions=True)
+            out.append({"part": part, "n_terms": _write_part_files(
+                index_dir, part, layout.part_rows(rows, False))})
+        return out
 
     return exchange.Exchange(
-        os.path.join(index_dir, "pos_spill" if positions else "merge_spill"),
+        os.path.join(index_dir, "merge_spill"),
         n_red, reduce=reduce, produce=produce, items=items,
-        config={"merge_fp": merge_fp, "n_red": n_red,
+        config={"merge_fp": merge_fp, "n_red": n_red, "columns": columns,
                 "plan": [it["fp"] for it in items]})
 
 
-def _run_merge(index_dir: str, num_parts: int, merge_fp: str,
-               positions: bool = False) -> list:
+def _run_merge(index_dir: str, num_parts: int, merge_fp: str) -> list:
     """Run the merge exchange (``_merge_exchange``), remove part files it
     did not write and its spill dir; returns [{part, n_terms}].  The
     exchange replaces a Ray sort shuffle whose all-to-all materialization
@@ -597,10 +595,10 @@ def _run_merge(index_dir: str, num_parts: int, merge_fp: str,
     if not any(f.endswith(".parquet")
                for f in os.listdir(os.path.join(index_dir, "segments"))):
         return []
-    ex = _merge_exchange(index_dir, num_parts, merge_fp, positions)
+    ex = _merge_exchange(index_dir, num_parts, merge_fp)
     rows = ex.run()
     live = {f"part={int(r['part']):05d}.parquet" for r in rows}
-    for sub in (("positions",) if positions else ("postings", "dict")):
+    for sub in ("positions", "postings", "dict"):
         for f in os.listdir(os.path.join(index_dir, sub)):
             if f.endswith(".parquet") and f not in live:
                 os.remove(os.path.join(index_dir, sub, f))
@@ -783,16 +781,16 @@ def build_index(
     if resume and os.path.exists(merge_path):
         try:
             ms = json.load(open(merge_path))
-            if ms.get("fingerprint") == merge_fp:
+            # without a matching pos_fp the positions parts may not match
+            # the postings (an older build killed between two merge
+            # phases): the merge redoes all three
+            if ms.get("fingerprint") == merge_fp == ms.get("pos_fp"):
                 merge_state = ms
         except (ValueError, OSError):
             pass
 
     t0 = time.perf_counter()
     if merge_state is None and manifests:
-        # positions stay per-bucket in segments/ (they are phrase-only
-        # payload); the merge exchange reads only SCORING_COLUMNS so
-        # position bytes never move
         part_rows = _run_merge(index_dir, num_parts, merge_fp)
         n_terms = int(sum(r["n_terms"] for r in part_rows))
         merge_state = {"fingerprint": merge_fp, "num_parts": num_parts,
@@ -800,23 +798,14 @@ def build_index(
                        # per-part term counts enable the delta path's
                        # INCREMENTAL merge (rewrite only affected parts)
                        "parts": {str(int(r["part"])): int(r["n_terms"])
-                                 for r in part_rows}}
+                                 for r in part_rows},
+                       "pos_fp": merge_fp}
         _atomic_write_json(merge_state, merge_path)
         merged = True
     else:
         n_terms = int(merge_state["n_terms"]) if merge_state else 0
         merged = False
     _mark("merge_postings_dict", t0)
-
-    # positions merge: phrase payload into its own term-partitioned part
-    # files (one-file phrase locality), resumable on its own — a kill
-    # between the scoring merge and here re-runs only this exchange
-    t0 = time.perf_counter()
-    if manifests and merge_state.get("pos_fp") != merge_fp:
-        _run_merge(index_dir, num_parts, merge_fp, positions=True)
-        merge_state["pos_fp"] = merge_fp
-        _atomic_write_json(merge_state, merge_path)
-    _mark("merge_positions", t0)
 
     stats = {
         "n_docs": n_docs,

@@ -403,7 +403,6 @@ def fold_deltas(index_dir: str) -> dict:
     else:
         parts_map = {str(int(r["part"])): int(r["n_terms"])
                      for r in _run_merge(index_dir, num_parts, merge_fp)}
-        _run_merge(index_dir, num_parts, merge_fp, positions=True)
         _atomic_write_json({"fingerprint": merge_fp, "num_parts": num_parts,
                             "n_terms": int(sum(parts_map.values())),
                             "parts": parts_map, "pos_fp": merge_fp},

@@ -11,7 +11,7 @@ killed stage resumes at item/group granularity, and a run with a
 different plan starts from an empty spill dir.
 
 Callers: stage A of a path-source build and its fused sharded variant
-(build.py, sharded.py), the postings and positions merges (build.py) and
+(build.py, sharded.py), the term-partitioned merge (build.py) and
 the distributed global-dictionary merge (sharded.py).
 """
 

@@ -69,10 +69,10 @@ PART_SCHEMA = pa.schema([
 PART_COLUMNS = [f.name for f in PART_SCHEMA]
 
 # consolidated per-term schema of the POSITIONS part files (phrase payload,
-# merged by its own off-critical-path exchange).  Positions decode needs the
-# per-doc tf counts, which the phrase path takes from the SCORING part row
-# of the same term (identical bucket order); seg_bucket is stored to assert
-# that alignment.
+# written from the same merge rows as the postings part).  Positions decode
+# needs the per-doc tf counts, which the phrase path takes from the SCORING
+# part row of the same term (identical bucket order); seg_bucket is stored
+# to assert that alignment.
 POS_PART_SCHEMA = pa.schema([
     ("term", pa.string()),
     ("seg_bucket", pa.list_(pa.int32())),
@@ -258,9 +258,13 @@ def num_parts_for(total_segment_rows: int,
 
 
 def add_part_column(num_parts: int):
+    """``t`` with a ``part`` column, ``term_part`` of each row's term.  Each
+    distinct term is hashed once: a term occurs in many segment rows."""
     def fn(t: pa.Table) -> pa.Table:
-        parts = np.fromiter(
-            (term_part(x, num_parts) for x in t.column("term").to_pylist()),
-            dtype=np.int32, count=t.num_rows)
+        enc = pc.dictionary_encode(_combined(t.column("term")))
+        dict_parts = np.fromiter(
+            (term_part(x, num_parts) for x in enc.dictionary.to_pylist()),
+            dtype=np.int32, count=len(enc.dictionary))
+        parts = dict_parts[enc.indices.to_numpy(zero_copy_only=False)]
         return t.append_column("part", pa.array(parts, pa.int32()))
     return fn

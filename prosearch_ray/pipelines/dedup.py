@@ -32,6 +32,20 @@ CAND_BROADCAST_LIMIT = 250_000  # pairs; below this the candidate ID set
                                 # broadcasts as a map-side filter
 
 _MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
+# largest offset a ListArray (int32 offsets) holds; a numpy int32 cast
+# past it wraps silently
+LIST_OFFSET_MAX = int(np.iinfo(np.int32).max)
+
+
+def _list_array(offsets, values) -> pa.ListArray:
+    """A ListArray over ``values`` from integer ``offsets``; raises
+    OverflowError instead of wrapping an offset past ``LIST_OFFSET_MAX``."""
+    offsets = np.asarray(offsets, dtype=np.int64)
+    if len(offsets) and int(offsets.max()) > LIST_OFFSET_MAX:
+        raise OverflowError(f"list offset {int(offsets.max())} exceeds "
+                            f"the int32 offset limit {LIST_OFFSET_MAX}")
+    return pa.ListArray.from_arrays(
+        pa.array(offsets.astype(np.int32), pa.int32()), values)
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
@@ -167,11 +181,10 @@ def _doc_hash_lists(t: pa.Table) -> pa.Table:
         first[1:] = (d_s[1:] != d_s[:-1]) | (h_s[1:] != h_s[:-1])
         d_s, h_s = d_s[first], h_s[first]
     counts = np.bincount(d_s, minlength=len(ids))
-    offs = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+    offs = np.concatenate([[0], np.cumsum(counts)])
     return pa.table({
         "doc_id": pa.array(ids, pa.int64()),
-        "hashes": pa.ListArray.from_arrays(
-            pa.array(offs, pa.int32()), pa.array(h_s, pa.uint64())),
+        "hashes": _list_array(offs, pa.array(h_s, pa.uint64())),
     })
 
 
@@ -746,8 +759,8 @@ def _ann_dup_pairs(emb: "rd.Dataset", threshold: float, n_clusters: int,
         return pa.table({
             "cluster": pa.array(top.ravel().astype(np.int32), pa.int32()),
             "vec_id": pa.array(np.repeat(ids, p), pa.int64()),
-            "embedding": pa.ListArray.from_arrays(
-                pa.array(np.arange(len(rep) + 1, dtype=np.int32) * dim),
+            "embedding": _list_array(
+                np.arange(len(rep) + 1, dtype=np.int64) * dim,
                 pa.array(rep.ravel(), pa.float64())),
         })
 
@@ -1170,10 +1183,8 @@ def _doc_spans(col, k: int):
     first = np.concatenate(([0], np.cumsum(ns)[:-1]))
     span_idx = np.arange(total, dtype=np.int64) - np.repeat(first, ns)
     span_start = offs[:-1][doc_of] + span_idx * k
-    span_offsets = np.append(span_start, offs[-1]).astype(np.int32)
     spans = pc.binary_join(
-        pa.ListArray.from_arrays(pa.array(span_offsets, pa.int32()),
-                                 split.values), " ")
+        _list_array(np.append(span_start, offs[-1]), split.values), " ")
     return spans, doc_of, span_idx
 
 
@@ -1268,9 +1279,8 @@ def span_dedup(sf_dir: str, k: int = SPAN_K,
         if isinstance(kept, pa.ChunkedArray):
             kept = kept.combine_chunks()
         kept_counts = n_spans - n_removed
-        offsets = np.concatenate(([0], np.cumsum(kept_counts))).astype(np.int32)
-        text_clean = pc.binary_join(
-            pa.ListArray.from_arrays(pa.array(offsets, pa.int32()), kept), " ")
+        offsets = np.concatenate(([0], np.cumsum(kept_counts)))
+        text_clean = pc.binary_join(_list_array(offsets, kept), " ")
         return pa.table({
             "doc_id": pa.array(ids, pa.int64()),
             "n_spans": pa.array(n_spans.astype(np.int64), pa.int64()),
@@ -1540,11 +1550,8 @@ def exact_substr_dedup(sf_dir: str, L: int = EXACT_SUBSTR_L,
         if isinstance(kept, pa.ChunkedArray):
             kept = kept.combine_chunks()
         kept_counts = n_tok - n_removed
-        offsets = np.concatenate(([0], np.cumsum(kept_counts))).astype(
-            np.int32)
-        text_clean = pc.binary_join(
-            pa.ListArray.from_arrays(pa.array(offsets, pa.int32()), kept),
-            " ")
+        offsets = np.concatenate(([0], np.cumsum(kept_counts)))
+        text_clean = pc.binary_join(_list_array(offsets, kept), " ")
         return pa.table({
             "doc_id": pa.array(ids, pa.int64()),
             "n_tokens": pa.array(n_tok.astype(np.int64), pa.int64()),

@@ -110,38 +110,38 @@ def test_fresh_rebuild_is_deterministic(built, tiny_corpus, tmp_path):
     assert s1 == s2
 
 
-def test_positions_merge_resumes_independently(built, tiny_corpus):
-    """A kill between the scoring merge and the positions merge leaves
-    _merge.json without pos_fp — resume must re-run ONLY the positions
-    exchange (no bucket rebuilds, no scoring re-merge) and reproduce the
-    positions parts byte-identically."""
-    import json
-
+def test_merge_state_without_pos_fp_reruns_merge(built, tiny_corpus):
+    """A _merge.json without pos_fp (an older build killed between its
+    postings and positions merges) is no merge state: resume rebuilds no
+    bucket, runs the one merge again and reproduces postings, positions and
+    dict byte for byte."""
     import ray.data as rd
 
     from prosearch_ray.index.build import build_index
 
     index_dir, _ = built
-    pos_dir = os.path.join(index_dir, "positions")
-    before = {f: open(os.path.join(pos_dir, f), "rb").read()
-              for f in sorted(os.listdir(pos_dir)) if f.endswith(".parquet")}
-    assert before, "build must produce positions parts"
 
-    # emulate the kill: positions state gone, scoring state intact
+    def merged_bytes():
+        return {f"{sub}/{f}": open(os.path.join(index_dir, sub, f), "rb").read()
+                for sub in ("postings", "positions", "dict")
+                for f in sorted(os.listdir(os.path.join(index_dir, sub)))
+                if f.endswith(".parquet")}
+
+    before = merged_bytes()
+    assert any(k.startswith("positions/") for k in before)
+
     mp = os.path.join(index_dir, "_merge.json")
     ms = json.load(open(mp))
     ms.pop("pos_fp")
     with open(mp, "w") as f:
         json.dump(ms, f)
-    for f in before:
+    pos_dir = os.path.join(index_dir, "positions")
+    for f in os.listdir(pos_dir):
         os.remove(os.path.join(pos_dir, f))
 
     report = build_index(rd.from_arrow(tiny_corpus), index_dir,
                          docs_per_bucket=64)
-    assert report["built_buckets"] == 0          # no segment rebuilds
-    assert not report["merged"]                  # no scoring re-merge
-    assert report["phases"]["merge_positions"] > 0
-    after = {f: open(os.path.join(pos_dir, f), "rb").read()
-             for f in sorted(os.listdir(pos_dir)) if f.endswith(".parquet")}
-    assert after == before
-    assert json.load(open(mp)).get("pos_fp") == ms["fingerprint"]
+    assert report["built_buckets"] == 0
+    assert report["merged"]
+    assert merged_bytes() == before
+    assert json.load(open(mp))["pos_fp"] == ms["fingerprint"]

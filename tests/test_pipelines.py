@@ -32,6 +32,26 @@ def test_minhash_finds_exact_jaccard_pairs():
     assert full == lsh
 
 
+def test_list_offsets_past_the_int32_limit_raise(monkeypatch):
+    """The dedup list builders raise instead of wrapping a list offset
+    past the int32 limit (pinned with a tiny limit)."""
+    import pyarrow as pa
+
+    from prosearch_ray.pipelines import dedup
+
+    docs = pa.table({"doc_id": pa.array([1, 2], pa.int64()),
+                     "text": pa.array(["a b c d e f", "g h i"])})
+    hashes = dedup._doc_hash_lists(docs)  # 5 + 2 distinct bigrams
+    assert [len(h) for h in hashes.column("hashes").to_pylist()] == [5, 2]
+    monkeypatch.setattr(dedup, "LIST_OFFSET_MAX", 7)
+    assert dedup._doc_hash_lists(docs).equals(hashes)
+    with pytest.raises(OverflowError):
+        dedup._doc_spans(docs.column("text"), 2)  # 9 tokens
+    monkeypatch.setattr(dedup, "LIST_OFFSET_MAX", 6)
+    with pytest.raises(OverflowError):
+        dedup._doc_hash_lists(docs)
+
+
 def test_simhash_pairs_are_symmetric_and_verified():
     from prosearch_ray.pipelines.dedup import simhash64, simhash_dup_pairs
 

@@ -138,16 +138,16 @@ def test_spill_map_item_skip_marker(ray_session, tmp_path):
 
 
 def test_merge_resumes_mid_scoring_map(ray_session, tmp_path, monkeypatch):
-    """A build killed inside the postings/dict merge map (half the map
-    items done, no _merge.json) resumes the merge exchange: finished items
-    keep their markers, and postings + dict come out byte-identical to a
-    clean build."""
+    """A build killed inside the merge map (half the map items done, no
+    _merge.json) resumes the one merge exchange: finished items keep their
+    markers, no second (positions) spill exchange runs, and postings,
+    positions and dict come out byte-identical to a clean build."""
     import json
 
     import ray.data as rd
 
     from prosearch_ray.fixtures.gen import generate_corpus
-    from prosearch_ray.index import layout
+    from prosearch_ray.index import exchange, layout
     from prosearch_ray.index.build import (_merge_exchange, build_index,
                                            merge_fingerprint)
 
@@ -172,12 +172,44 @@ def test_merge_resumes_mid_scoring_map(ray_session, tmp_path, monkeypatch):
     before = _finish_half(ex)
 
     seen = _markers_at_reduce(monkeypatch, "merge_spill")
+    spills = []
+    orig_prepare = exchange.Exchange.prepare
+
+    def prepare(self, fresh=False):
+        spills.append(os.path.basename(self.spill_dir))
+        return orig_prepare(self, fresh)
+
+    monkeypatch.setattr(exchange.Exchange, "prepare", prepare)
     rep = build_index(rd.from_arrow(corpus), idx, docs_per_bucket=64)
     assert rep["built_buckets"] == 0 and rep["merged"] is True
+    assert spills == ["merge_spill"]
     assert len(seen) == len(ex.items)
     assert {f: seen[f] for f in before} == before
     assert not os.path.exists(ex.spill_dir)
-    assert _postings_bytes(idx) == _postings_bytes(ref)
+    assert not os.path.exists(os.path.join(idx, "pos_spill"))
+    got, want = _postings_bytes(idx), _postings_bytes(ref)
+    for sub in ("postings/", "positions/", "dict/"):
+        assert any(k.startswith(sub) for k in want)
+    assert got == want
+    idx_ms, ref_ms = (json.load(open(os.path.join(i, "_merge.json")))
+                      for i in (idx, ref))
+    assert idx_ms == ref_ms and idx_ms["pos_fp"] == idx_ms["fingerprint"]
+
+
+def test_add_part_column_matches_per_row_term_part():
+    """add_part_column hashes each distinct term once; its parts equal
+    per-row term_part on a multi-chunk table with repeated terms."""
+    import pyarrow as pa
+
+    from prosearch_ray.index import layout
+
+    chunks = [["merge", "hash", "merge", "é"], [], ["hash", "zz", "merge"]]
+    t = pa.table({"term": pa.chunked_array(chunks, pa.string()),
+                  "bucket": pa.array(range(7), pa.int32())})
+    got = layout.add_part_column(16)(t)
+    assert got.column_names == ["term", "bucket", "part"]
+    assert got.column("part").to_pylist() == [
+        layout.term_part(x, 16) for c in chunks for x in c]
 
 
 def test_content_dedup_distributed_matches_driver(ray_session, tmp_path,
