@@ -94,7 +94,7 @@ def _shared_sharded(root: str):
     m = _SHARDED_CACHE.get(key)
     if m is None or not m.actors:
         # Hold at most ONE resident pool: a second root's pool (base vs
-        # lazy) pins additional logical cores that Ray Data actor-pool
+        # delta) pins additional logical cores that Ray Data actor-pool
         # stages of LATER entries need — two resident pools on the
         # 8-CPU correctness session starved a map_batches actor pool
         # forever.  Evicting costs one ~1s respawn when the gate
@@ -129,10 +129,10 @@ def _build_docs_sharded(sf_dir: str, num_shards: int = 3) -> str:
     return root
 
 
-# Fixed additions-only delta for the lazy-segment driver entry: brand-new
+# Fixed additions-only delta for the unfolded-delta driver entry: brand-new
 # doc_keys (no upsert shadowing, no tombstones — the oracle unions these
 # rows into the corpus verbatim) whose body/title hit the AND_QUERIES
-# terms so the unfolded segment actually lands rows in the top-10.
+# terms so the unfolded delta buckets actually land rows in the top-10.
 LAZY_DELTA_DOCS = (
     ("lazydelta/org", "src/table_hash.py",
      "table hash value table hash value merge lazy segment probe table"),
@@ -142,22 +142,25 @@ LAZY_DELTA_DOCS = (
 
 
 def _build_docs_sharded_lazy(sf_dir: str) -> str:
-    """Copy of the cached 3-shard root plus ONE lazy-segment delta
-    (``add_documents_lazy``): the segment stays UNFOLDED (two docs are far
-    below lazy_max_segs), so the searcher exercises the extra
-    scatter-gather target and the overlay-dict point-read path against
-    corpus-wide BM25 stats spanning shards AND segment."""
+    """Copy of the cached 3-shard root plus ONE delta
+    (``add_documents_sharded``) landed as unfolded per-shard delta buckets
+    (two docs are far below ``LAZY_MAX_SEGS``), so each shard searcher
+    serves them from its overlay and the global-dict overlay point-read
+    path scores them against corpus-wide BM25 stats.  The cache tag names
+    the ingest function, so a root cached by another ingest path is
+    rebuilt."""
     import json
     import shutil
 
     import pyarrow as pa
 
-    from prosearch_ray.index.sharded import add_documents_lazy
+    from prosearch_ray.index.sharded import add_documents_sharded
 
     base = _build_docs_sharded(sf_dir)
     root = _index_dir_for(sf_dir) + "-sharded3lazy"
     marker = os.path.join(root, "_driver_lazy_done.json")
-    tag = hashlib.md5(repr(LAZY_DELTA_DOCS).encode()).hexdigest()
+    tag = hashlib.md5(repr((add_documents_sharded.__name__,
+                            LAZY_DELTA_DOCS)).encode()).hexdigest()
     try:
         with open(marker) as f:
             fresh = json.load(f).get("tag") == tag
@@ -175,19 +178,20 @@ def _build_docs_sharded_lazy(sf_dir: str) -> str:
             "lang": pa.array(["txt"] * len(LAZY_DELTA_DOCS)),
             "content": pa.array([c for _, _, c in LAZY_DELTA_DOCS]),
         })
-        add_documents_lazy(root, delta)
+        add_documents_sharded(root, delta)
         with open(marker, "w") as f:
             json.dump({"tag": tag}, f)
     return root
 
 
 def code_search_lazy_topk(sf_dir: str) -> Any:
-    """Sharded search with an UNFOLDED lazy delta segment: same queries and
-    result shape as code_search_topk_sharded, over base corpus plus the
-    fixed LAZY_DELTA_DOCS additions.  The oracle recomputes BM25 over the
-    unioned corpus — green means the segment's docs score through the SAME
-    corpus-wide stats as an eager fold / fresh rebuild (the bit-identical
-    lazy-vs-eager contract of index/sharded.py add_documents_lazy)."""
+    """Sharded search over unfolded per-shard delta buckets: same queries
+    and result shape as code_search_topk_sharded, over base corpus plus
+    the fixed LAZY_DELTA_DOCS additions.  The oracle recomputes BM25 over
+    the unioned corpus — green means the unfolded delta docs score through
+    the SAME corpus-wide stats as a fold / fresh rebuild (the
+    unfolded-vs-folded contract of index/sharded.py
+    add_documents_sharded)."""
     root = _build_docs_sharded_lazy(sf_dir)
     m = _shared_sharded(root)
     results = []
@@ -252,7 +256,7 @@ def entry() -> Any:
                            "window sort", "zzznothing"], pa.string()),
         "k": pa.array([10] * 6, pa.int32()),
     }))
-    return search_dataset(queries, index_dir, concurrency=2, batch_size=4)
+    return search_dataset(queries, index_dir, concurrency=1, batch_size=4)
 
 
 AND_QUERIES = ("table", "hash value", "merge batch", "scan")
@@ -1184,8 +1188,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # REDACT_DRIVER_PATTERNS)
         "redact_text": lambda sf_dir: curate.redact_text(
             sf_dir, patterns=REDACT_DRIVER_PATTERNS),
-        # unfolded lazy-segment scatter-gather (corpus-wide stats across
-        # shards + segment) — new this round
+        # scatter-gather over unfolded per-shard delta buckets (corpus-wide
+        # stats across the shards' folded and unfolded docs)
         "code_search_lazy_topk": code_search_lazy_topk,
         # typed filters composed with raw-OR / phrase search — new
         "code_search_or_filtered": code_search_or_filtered,
@@ -2341,8 +2345,8 @@ ORDER BY p.prefix, d.tok
     d["more_like_this_sharded"] = _code_search_sql(
         conjunctive=False, mlt_src_ids=MLT_SRC_IDS, tiebreak="key")
     d["code_search_topk_sharded"] = _code_search_sql(tiebreak="key")
-    # additions-only lazy delta: union the fixed delta rows into the
-    # corpus and recompute BM25 — checks the lazy segment scores through
+    # additions-only delta: union the fixed delta rows into the corpus
+    # and recompute BM25 — checks the unfolded delta buckets score through
     # corpus-wide stats (negative src_ids keep clear of documents.doc_id)
     from prosearch_ray.index import docid as _docid
     lazy_vals = ", ".join(
@@ -2665,7 +2669,7 @@ def _code_search_sql(tiebreak: str = "doc", conjunctive: bool = True,
     extra_docs_vals: a VALUES list of (src_id, doc_key, text) rows unioned
     into the corpus verbatim — the oracle for an ADDITIONS-ONLY delta
     (brand-new doc_keys, so no upsert shadowing and no tombstones): the
-    engine's lazy-segment contract makes delta docs participate in the
+    engine's delta contract makes unfolded delta docs participate in the
     corpus-wide stats exactly like a fresh rebuild over base ∪ delta.
     qterms_fld=True: ``qterms`` rows are (qid, term, fld) with fld in
     {'both','title','body'} — a field-scoped term (QueryParser

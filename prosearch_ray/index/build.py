@@ -485,7 +485,6 @@ def _content_dedup_fixup(staged_dir: str, counts: Dict[int, int],
 def _build_bucket(index_dir: str):
     """Stage-B task body: one bucket -> segment postings + docmeta + manifest."""
     def fn(item: dict) -> dict:
-        t0 = time.perf_counter()
         bucket = int(item["bucket"])
         docs = pq.read_table(item["staged_path"])
         postings, docmeta = build_segment(bucket, docs, int(item["base_doc_id"]))
@@ -500,7 +499,6 @@ def _build_bucket(index_dir: str):
             "sum_len_title": int(pc.sum(docmeta.column("len_title")).as_py() or 0),
             "sum_len_body": int(pc.sum(docmeta.column("len_body")).as_py() or 0),
             "postings_bytes": pbytes,
-            "wall_ms": int((time.perf_counter() - t0) * 1000),
             "attempt": int(item["attempt"]),
             "fingerprint": item["fingerprint"],
         }

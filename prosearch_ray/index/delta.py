@@ -78,9 +78,9 @@ def load_tombstones(index_dir: str) -> pa.Table:
     return pq.read_table(path)
 
 
-LAZY_MAX_SEGS = 8  # unfolded delta buckets (sharded roots: lazy segments)
-# that trigger a fold — bounds the searcher overlay and batches the part
-# rewrites a one-doc add would otherwise pay alone
+LAZY_MAX_SEGS = 8  # unfolded delta buckets per index dir (per shard on a
+# sharded root) that trigger a fold — bounds the searcher overlay and
+# batches the part rewrites a one-doc add would otherwise pay alone
 FOLD_DIR = "fold_staged"  # a fold's rewritten part files before commit
 FOLD_MARKER = "_fold.json"
 
@@ -216,7 +216,7 @@ def add_documents(index_dir: str, source, *, langs=DEFAULT_LANGS,
             "base_doc_id": base_doc_id, "n_terms": postings.num_rows,
             "sum_len_title": int(pc.sum(docmeta.column("len_title")).as_py() or 0),
             "sum_len_body": int(pc.sum(docmeta.column("len_body")).as_py() or 0),
-            "postings_bytes": 0, "wall_ms": 0, "attempt": 1,
+            "postings_bytes": 0, "attempt": 1,
             "fingerprint": f"delta:{chunk.num_rows}",
             "delta": True,
         }, os.path.join(manifest_dir, f"bucket={bucket:08d}.json"))

@@ -61,12 +61,10 @@ def _join_fast_fields(metas: List[Tuple[int, str]], src,
                       columns: List[str], n_buckets: int):
     """Co-group join of source rows against one or more shards' docmeta
     mappings.  ``metas``: list of (shard, docmeta_dir), shard ids dense
-    0..S-1 in ``search_dirs`` order (hash shards first, then any unfolded
-    lazy delta segments).  All docmeta dirs are read by ONE
+    0..S-1 in ``shard_dirs`` order.  All docmeta dirs are read by ONE
     ``read_parquet`` (a 40-way ``Dataset.union`` chain stalls Ray's
     planner at scale) with ``include_paths=True``, and each row's shard is
-    the dir its docmeta file lives in — NOT re-derived from the doc_key
-    hash, because lazy-segment docs do not sit at their routing position.
+    the dir its docmeta file lives in, so no doc_key is hashed again.
     Returns the (shard, doc_id, typed columns) Dataset + col_types."""
     nb = n_buckets
     base = src.schema().base_schema
@@ -218,12 +216,12 @@ def build_fast_fields_sharded(root: str, source, columns: Sequence[str],
     (shard, doc_id, typed) result is then split per shard.  Each shard's
     sidecar is the exact layout ``build_fast_fields`` writes, so shard
     workers load it with the same ``load_fast_fields``."""
-    from prosearch_ray.index.sharded import search_dirs
+    from prosearch_ray.index.sharded import shard_dirs
 
     import shutil
 
     columns = list(columns)
-    dirs = search_dirs(root)  # hash shards + unfolded lazy segments
+    dirs = shard_dirs(root)
     src = _read_source(source, columns)
     joined, col_types = _join_fast_fields(
         [(s, os.path.join(d, "docmeta")) for s, d in enumerate(dirs)],

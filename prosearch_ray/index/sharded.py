@@ -50,8 +50,7 @@ import ray.data as rd
 from prosearch_ray.index import docid
 from prosearch_ray.index.build import (CORPUS_COLUMNS, DEFAULT_LANGS,
                                        _sha256_hex_arrow, build_index)
-from prosearch_ray.index.delta import (LAZY_MAX_SEGS, fold_deltas,
-                                       segment_dict_rows)
+from prosearch_ray.index.delta import fold_deltas, segment_dict_rows
 from prosearch_ray.sinks import write_partitioned
 
 
@@ -94,30 +93,6 @@ def shard_dirs(root: str):
     names = [d for d in os.listdir(root) if d.startswith("shard=")]
     names.sort(key=lambda d: int(d.split("=", 1)[1]))
     return [os.path.join(root, d) for d in names]
-
-
-LAZYSEG_DIR = "lazysegs"
-
-
-def lazyseg_dirs(root: str):
-    """Unfolded lazy delta segments in CREATION order (seg=NNNNN).  Each is
-    a complete self-contained index dir (own postings/dict/positions/
-    docmeta) built from one delta — the tantivy analog is a freshly
-    committed segment the merge policy has not folded yet."""
-    base = os.path.join(root, LAZYSEG_DIR)
-    if not os.path.isdir(base):
-        return []
-    names = [d for d in os.listdir(base) if d.startswith("seg=")]
-    names.sort(key=lambda d: int(d.split("=", 1)[1]))
-    return [os.path.join(base, d) for d in names]
-
-
-def search_dirs(root: str):
-    """Every index dir a searcher must consult: the hash shards plus any
-    unfolded lazy delta segments.  Scatter-gather scoring is layout-
-    independent (corpus-wide stats + global dict), so lazy segments are
-    just extra fan-out targets."""
-    return shard_dirs(root) + lazyseg_dirs(root)
 
 
 def _tag_batch(langs: FrozenSet[str], num_shards: int):
@@ -209,7 +184,7 @@ DICT_DRIVER_ROWS = 2_000_000
 
 def _shard_dict_files(root: str):
     files = []
-    for d in search_dirs(root):  # hash shards + unfolded lazy segments
+    for d in shard_dirs(root):
         dd = os.path.join(d, "dict")
         if os.path.isdir(dd):
             files += [os.path.join(dd, f) for f in sorted(os.listdir(dd))
@@ -359,7 +334,8 @@ def refresh_global(root: str, *,
 
     n_docs = total_lt = total_lb = 0
     shard_counts = []
-    for d in search_dirs(root):  # lazy segments contribute stats too
+    dirs = shard_dirs(root)
+    for d in dirs:
         sp = os.path.join(d, "stats.json")
         if not os.path.exists(sp):
             continue
@@ -371,8 +347,8 @@ def refresh_global(root: str, *,
         shard_counts.append(st["n_docs"])
     gstats = {
         "n_docs": n_docs,
-        "num_shards": len(shard_dirs(root)),
-        "shard_n_docs": shard_counts,  # hash shards, then lazy segments
+        "num_shards": len(dirs),
+        "shard_n_docs": shard_counts,
         "avgdl_title": (total_lt / n_docs) if n_docs else 0.0,
         "avgdl_body": (total_lb / n_docs) if n_docs else 0.0,
     }
@@ -383,7 +359,7 @@ def refresh_global(root: str, *,
 
     if not merge_dict:
         return gstats
-    for d in shard_dirs(root):  # the merge reads shard dicts: fold first
+    for d in dirs:  # the merge reads shard dicts: fold first
         fold_deltas(d)
     dict_files = _shard_dict_files(root)
     if dict_files:
@@ -405,9 +381,21 @@ def _shard_manifest_check(root: str, num_shards: int = None) -> int:
     corpus partitions routed under two hash moduli — refuse loudly.  A root
     without ``_sharding.json`` is not a sharded index this code wrote:
     every operation but a fresh build (``num_shards`` given, no shard dirs
-    yet) refuses it."""
+    yet) refuses it.
+
+    A root that still holds ``lazysegs/`` (unfolded lazy delta segments,
+    written by versions up to commit 51984b8) is refused too: their docs
+    live outside the shard dirs this version searches, so serving the root
+    would silently drop them.  Fold them with ``fold_lazysegs`` at that
+    commit, or rebuild the root."""
     from prosearch_ray.index.build import _atomic_write_json
 
+    if os.path.isdir(os.path.join(root, "lazysegs")):
+        raise ValueError(
+            f"sharded index at {root} has unfolded lazy segments under "
+            f"lazysegs/, which this version no longer reads; fold them with "
+            f"fold_lazysegs at commit 51984b8 (the last version that has "
+            f"it), or rebuild the root.")
     man_path = os.path.join(root, "_sharding.json")
     if os.path.exists(man_path):
         with open(man_path) as f:
@@ -431,12 +419,14 @@ def add_documents_sharded(root: str, source, *,
                           langs: FrozenSet[str] = DEFAULT_LANGS,
                           driver_threshold: int = DELTA_DRIVER_ROWS,
                           fold_parallelism: int = 4,
-                          overlay_max_segs: int = OVERLAY_MAX_SEGS,
-                          _heal_lazy: bool = True) -> dict:
+                          overlay_max_segs: int = OVERLAY_MAX_SEGS) -> dict:
     """Incremental upsert into a sharded index: route delta rows to their
-    key shard, fold each affected shard's delta (index/delta.py), then
+    key shard, add each affected shard's rows as unfolded delta buckets
+    (``delta.add_documents``: the shard searcher serves them as an overlay
+    until ``LAZY_MAX_SEGS`` of them trigger that shard's fold), then
     refresh the corpus-wide stats and append the delta's dictionary
-    contribution as an OVERLAY segment.
+    contribution as an OVERLAY segment.  This is the one delta model of a
+    sharded root: every version of a key lives in its hash shard.
 
     Small deltas (≤ ``driver_threshold`` rows, the common case) route
     driver-side with one pyarrow filter per shard.  Larger deltas route
@@ -464,13 +454,6 @@ def add_documents_sharded(root: str, source, *,
 
     dirs = shard_dirs(root)
     num_shards = _shard_manifest_check(root)
-
-    if _heal_lazy and os.path.exists(
-            os.path.join(root, LAZYSEG_DIR, "_folding.json")):
-        # a lazy-segment fold died mid-flight: complete it before mutating
-        # anything else (fold_lazysegs is resumable — re-adding a surviving
-        # segment's docs is an ordinary upsert)
-        fold_lazysegs(root, langs=langs, fold_parallelism=fold_parallelism)
 
     odir = os.path.join(root, OVERLAY_DIR)
     pending = os.path.join(odir, "_pending.json")
@@ -558,29 +541,6 @@ def add_documents_sharded(root: str, source, *,
     if spill is not None:
         shutil.rmtree(spill, ignore_errors=True)
 
-    if _heal_lazy:
-        # upsert shadowing across UNFOLDED lazy segments: the per-shard
-        # folds above only tombstone hash-shard copies, but a lazily
-        # upserted key lives in its segment (skipped inside fold_lazysegs —
-        # the docs being folded COME from the segments)
-        lsegs = lazyseg_dirs(root)
-        if lsegs:
-            from prosearch_ray.index.delta import delete_docs
-
-            if n_rows <= driver_threshold:
-                dkeys = keys
-            else:
-                from prosearch_ray.index.build import _normalize_batch
-
-                kds = ds.map_batches(
-                    lambda t, _fn=_normalize_batch(langs, 1):
-                        _fn(t).select(["doc_key"]),
-                    batch_format="pyarrow")
-                dkeys = [k for b in kds.iter_batches(batch_format="pyarrow")
-                         for k in b.column("doc_key").to_pylist()]
-            for seg in lsegs:
-                tombstoned += delete_docs(seg, dkeys)
-
     n_segs = len([f for f in os.listdir(odir)
                   if f.startswith("seg=") and f.endswith(".parquet")])
     if n_segs >= overlay_max_segs:
@@ -597,240 +557,6 @@ def add_documents_sharded(root: str, source, *,
         g = refresh_global(root, merge_dict=False)
         os.remove(pending)
     return {"added": added, "tombstoned": tombstoned, "n_docs": g["n_docs"]}
-
-
-def _lazyseg_dict_rows(seg_dir: str) -> pa.Table:
-    """A lazy segment's full (term, df) table — its own term-partitioned
-    dict files ARE exactly the delta's contribution to the global
-    dictionary (parts are term-disjoint, so a plain concat is merged)."""
-    dd = os.path.join(seg_dir, "dict")
-    files = ([os.path.join(dd, f) for f in sorted(os.listdir(dd))
-              if f.endswith(".parquet")] if os.path.isdir(dd) else [])
-    if not files:
-        return pa.table({"term": pa.array([], pa.string()),
-                         "df": pa.array([], pa.int64()),
-                         "df_title": pa.array([], pa.int64()),
-                         "df_body": pa.array([], pa.int64())})
-    t = pads.dataset(files).to_table(
-        columns=["term", "df", "df_title", "df_body"])
-    return pa.table({"term": t.column("term"),
-                     "df": pc.cast(t.column("df"), pa.int64()),
-                     "df_title": pc.cast(t.column("df_title"), pa.int64()),
-                     "df_body": pc.cast(t.column("df_body"), pa.int64())})
-
-
-def _seed_empty_sidecar(root: str, seg_dir: str) -> None:
-    """Lazy-segment docs carry no typed fast-field rows — exactly the eager
-    fold's semantics (delta docs never match typed predicates until
-    ``update_fast_fields`` covers them).  But a MISSING sidecar raises on
-    filtered queries, so when the root's shards have sidecars, seed the
-    segment with a zero-row sidecar in the same schema."""
-    from prosearch_ray.index.build import (_atomic_write_json,
-                                           _atomic_write_table)
-    from prosearch_ray.index.fastfields import FASTFIELD_DIR
-
-    for d in shard_dirs(root):
-        ffdir = os.path.join(d, FASTFIELD_DIR)
-        meta = os.path.join(ffdir, "_meta.json")
-        if not os.path.exists(meta):
-            continue
-        pf = [f for f in sorted(os.listdir(ffdir)) if f.endswith(".parquet")]
-        if not pf:
-            continue
-        schema = pq.read_schema(os.path.join(ffdir, pf[0]))
-        out = os.path.join(seg_dir, FASTFIELD_DIR)
-        os.makedirs(out, exist_ok=True)
-        _atomic_write_table(schema.empty_table(),
-                            os.path.join(out, "part-00000.parquet"))
-        with open(meta) as f:
-            _atomic_write_json(json.load(f), os.path.join(out, "_meta.json"))
-        return
-
-
-def add_documents_lazy(root: str, source, *,
-                       langs: FrozenSet[str] = DEFAULT_LANGS,
-                       lazy_max_segs: int = LAZY_MAX_SEGS,
-                       overlay_max_segs: int = OVERLAY_MAX_SEGS,
-                       fold_parallelism: int = 4) -> dict:
-    """Incremental upsert as a LAZY SEGMENT (tantivy's freshly-committed-
-    segment + merge-policy analog, index.rs semantics): instead of folding
-    the delta into every term-hash part of its target shards (a near-full
-    postings rewrite for wide deltas — the fresh identifiers of 1k docs
-    scatter over every part; 37.9 s at the 16M-doc envelope), build the
-    delta as ONE tiny self-contained index under ``lazysegs/seg=N`` and let
-    searchers consult it as an extra scatter-gather target.
-
-    Correctness is layout-independent by construction, so lazy and eager
-    folds score BIT-identically (pytest-pinned):
-      - idf: the segment's own dict files are appended as a global-dict
-        OVERLAY segment (point-reads sum main + overlays), the same totals
-        the eager per-shard fold contributes — tombstoned old versions keep
-        counting until compaction on both paths.
-      - corpus stats: ``refresh_global`` sums shard AND segment stats.
-      - upsert shadowing: old versions are tombstoned wherever they live
-        (hash shard by key routing, earlier lazy segments by membership
-        probe) — match counts and top-k sets are unchanged.
-      - typed filters: segment docs get a zero-row sidecar (same
-        missing-row semantics as eagerly folded delta docs).
-
-    Past ``lazy_max_segs`` unfolded segments, ``fold_lazysegs`` runs the
-    merge policy: one ordinary eager upsert of all segment LIVE docs
-    (segment tombstones are expunged, the tantivy-merge analog — see
-    ``fold_lazysegs``), then a full stats+dict re-derive — the expensive
-    wide-delta rewrite is paid once per ``lazy_max_segs`` deltas instead
-    of on every delta.
-
-    The delta's surviving doc_keys are collected driver-side to route the
-    tombstones (keys only, ~50 B/doc — bounded by delta size, not corpus
-    size; deltas large enough for that to matter should use the eager
-    ``add_documents_sharded``, whose routing exchange never lands rows on
-    the driver)."""
-    import shutil
-
-    from prosearch_ray.index.build import (_atomic_write_json,
-                                           _atomic_write_table,
-                                           _normalize_batch, build_index)
-    from prosearch_ray.index.delta import delete_docs
-
-    dirs = shard_dirs(root)
-    num_shards = _shard_manifest_check(root)
-    if os.path.exists(os.path.join(root, LAZYSEG_DIR, "_folding.json")):
-        fold_lazysegs(root, langs=langs, fold_parallelism=fold_parallelism)
-
-    odir = os.path.join(root, OVERLAY_DIR)
-    pending = os.path.join(odir, "_pending.json")
-    if os.path.exists(pending):
-        refresh_global(root)
-    os.makedirs(odir, exist_ok=True)
-    _atomic_write_json({"op": "add-lazy"}, pending)
-
-    if isinstance(source, str):
-        source = rd.read_parquet(source)
-
-    with open(os.path.join(dirs[0], "stats.json")) as f:
-        st0 = json.load(f)
-    nb0, dpb = int(st0["num_buckets"]), int(st0["docs_per_bucket"])
-
-    # surviving doc_keys (lang filter applied: a filtered-out row must NOT
-    # tombstone the old version it failed to replace)
-    if isinstance(source, pa.Table):
-        n_rows = source.num_rows
-        keys = _normalize_batch(langs, nb0)(source).column(
-            "doc_key").to_pylist()
-        build_src = rd.from_arrow(source)
-    else:
-        norm = source.map_batches(
-            lambda t, _fn=_normalize_batch(langs, nb0):
-                _fn(t).select(["doc_key"]),
-            batch_format="pyarrow")
-        keys = [k for b in norm.iter_batches(batch_format="pyarrow")
-                for k in b.column("doc_key").to_pylist()]
-        n_rows = len(keys)
-        build_src = source
-
-    tombstoned = 0
-    if keys:
-        by_shard: dict = {}
-        for k in keys:
-            by_shard.setdefault(docid.bucket_of(k, num_shards), []).append(k)
-        for s, ks in by_shard.items():
-            tombstoned += delete_docs(dirs[s], ks)
-        for seg in lazyseg_dirs(root):
-            tombstoned += delete_docs(seg, keys)
-    else:
-        # nothing survives the lang filter — no segment to build
-        os.remove(pending)
-        g = refresh_global(root, merge_dict=False)
-        return {"added": 0, "tombstoned": 0, "n_docs": g["n_docs"],
-                "seg_dir": None, "folded": False}
-
-    segs = lazyseg_dirs(root)
-    n_seg = (int(os.path.basename(segs[-1]).split("=")[1]) + 1) if segs else 0
-    seg_dir = os.path.join(root, LAZYSEG_DIR, f"seg={n_seg:05d}")
-    shutil.rmtree(seg_dir, ignore_errors=True)  # sweep a dead attempt
-    rep = build_index(build_src, seg_dir, docs_per_bucket=dpb, langs=langs,
-                      n_input_estimate=n_rows, content_dedup=False)
-    _seed_empty_sidecar(root, seg_dir)
-
-    n_over = len([f for f in os.listdir(odir)
-                  if f.startswith("seg=") and f.endswith(".parquet")])
-    if n_over >= overlay_max_segs:
-        # bounded read amplification: fold every overlay (and the lazy
-        # segments' dicts, which _shard_dict_files includes) into the main
-        # global dict — rmtree of the overlay dir clears the pending marker
-        g = refresh_global(root)
-    else:
-        d = _lazyseg_dict_rows(seg_dir)
-        if d.num_rows:
-            _atomic_write_table(
-                d, os.path.join(odir, f"seg={n_over:05d}.parquet"))
-        g = refresh_global(root, merge_dict=False)
-        os.remove(pending)
-
-    out = {"added": int(rep.get("n_docs", 0)), "tombstoned": tombstoned,
-           "n_docs": g["n_docs"], "seg_dir": seg_dir, "folded": False}
-    if len(lazyseg_dirs(root)) > lazy_max_segs:
-        fr = fold_lazysegs(root, langs=langs,
-                           fold_parallelism=fold_parallelism)
-        out["folded"] = True
-        out["n_docs"] = fr["n_docs"]
-    return out
-
-
-def fold_lazysegs(root: str, *, langs: FrozenSet[str] = DEFAULT_LANGS,
-                  fold_parallelism: int = 4) -> dict:
-    """The merge policy: fold every unfolded lazy segment into the hash
-    shards.  Re-emits each segment's LIVE docs (its docstore minus
-    tombstones — the segment is the corpus of record), runs ONE ordinary
-    eager sharded upsert for all of them, drops the segment dirs, then
-    re-derives the global stats + dictionary (the full merge clears the
-    overlay segments that carried the lazy dfs — the shard dicts own them
-    now).
-
-    Segment-resident tombstones are EXPUNGED, exactly like a tantivy
-    segment merge (merger.rs drops deleted docs; re-indexing dead copies
-    to keep them counting would be pure waste at scale).  So corpus stats
-    and idf shift toward compaction semantics and BM25 scores are NOT
-    bit-stable across a fold — same as tantivy, where any merge changes
-    scores.  What IS pinned (tests/test_lazy.py): live match counts and
-    result sets are unchanged, and compacting a folded root is
-    bit-identical to compacting the equivalent eagerly-maintained root.
-    Shard-resident tombstones (from eager upserts) survive the fold and
-    keep counting until compaction, as on the eager path.
-
-    Resumable: the ``_folding.json`` marker commits intent; a crash at any
-    point re-runs the fold on the next maintenance call — re-adding an
-    already-folded segment's docs is an ordinary idempotent upsert (the
-    first copies tombstone), and segment dirs are only deleted after the
-    eager add completes.  Searchers opened before a fold should reopen
-    after it, as with compaction."""
-    import shutil
-
-    from prosearch_ray.index.build import _atomic_write_json
-    from prosearch_ray.index.delta import live_docs
-
-    base = os.path.join(root, LAZYSEG_DIR)
-    marker = os.path.join(base, "_folding.json")
-    segs = lazyseg_dirs(root)
-    if not segs:
-        if os.path.exists(marker):
-            os.remove(marker)
-        g = refresh_global(root)
-        return {"folded_segs": 0, "n_docs": g["n_docs"]}
-    _atomic_write_json({"segs": [os.path.basename(s) for s in segs]}, marker)
-
-    ds = None
-    for s in segs:
-        d, _ = live_docs(s)
-        ds = d if ds is None else ds.union(d)
-    add_documents_sharded(root, ds, langs=langs,
-                          fold_parallelism=fold_parallelism,
-                          _heal_lazy=False)
-    for s in segs:
-        shutil.rmtree(s, ignore_errors=True)
-    g = refresh_global(root)
-    os.remove(marker)
-    return {"folded_segs": len(segs), "n_docs": g["n_docs"]}
 
 
 def compact_sharded(root: str, out_root: str, *,
@@ -889,11 +615,9 @@ def reshard(root: str, out_root: str, new_num_shards: int, *,
     from prosearch_ray.index.build import _atomic_write_json
     from prosearch_ray.index.delta import live_docs
 
-    if not shard_dirs(root):
+    dirs = shard_dirs(root)
+    if not dirs:
         raise FileNotFoundError(f"no shard=* index dirs under {root}")
-    # lazy segments re-emit like shards: their live docs route into hash
-    # shards under the new modulus — a reshard (or compact) folds them
-    dirs = search_dirs(root)
     _shard_manifest_check(root)
     if docs_per_bucket is None:
         with open(os.path.join(dirs[0], "stats.json")) as f:
@@ -931,22 +655,17 @@ def reshard(root: str, out_root: str, new_num_shards: int, *,
 
 def delete_docs_sharded(root: str, doc_keys) -> int:
     """Delete-by-key across shards (tombstones; corpus stats keep counting
-    deleted docs until compaction, same as the unsharded index).  Unfolded
-    lazy segments are probed with the full key set — a lazily upserted doc
-    lives in its segment, not its hash shard (the isin lookup no-ops for
-    absent keys)."""
+    deleted docs until compaction, same as the unsharded index).  A key's
+    every version lives in its hash shard, folded or in an unfolded delta
+    bucket, so one ``delete_docs`` per key shard reaches them all."""
     from prosearch_ray.index.delta import delete_docs
 
     dirs = shard_dirs(root)
-    num_shards = len(dirs)
-    keys = sorted(set(doc_keys))
+    num_shards = _shard_manifest_check(root)
     by_shard: dict = {}
-    for k in keys:
+    for k in sorted(set(doc_keys)):
         by_shard.setdefault(docid.bucket_of(k, num_shards), []).append(k)
-    n = sum(delete_docs(dirs[s], ks) for s, ks in by_shard.items())
-    for seg in lazyseg_dirs(root):
-        n += delete_docs(seg, keys)
-    return n
+    return sum(delete_docs(dirs[s], ks) for s, ks in by_shard.items())
 
 
 def _fused_corpus_spill(source: str, root: str, num_shards: int,

@@ -26,7 +26,7 @@ from typing import List, Optional, Tuple
 import ray
 
 from prosearch_ray.index import scoring
-from prosearch_ray.index.sharded import search_dirs
+from prosearch_ray.index.sharded import _shard_manifest_check, shard_dirs
 
 
 class _ShardWorker:
@@ -49,6 +49,15 @@ class _ShardWorker:
 
         self.s = IndexSearcher(shard_dir, boost_terms=boost_terms,
                                global_stats_dir=root)
+        return True
+
+    def refresh(self) -> bool:
+        """Catch this shard's searcher up with the writes since open (new
+        delta buckets, tombstones, folds, corpus-wide stats) inside the
+        same actor process; drops the per-query phrase caches."""
+        self.s.refresh()
+        self._phrase_cache = (None, None)
+        self._raw_cache = (None, None)
         return True
 
     def _keys(self, ids) -> List[str]:
@@ -180,7 +189,8 @@ def _auto_cpus_per_actor(n_actors: int) -> float:
     core for the driver), else 0 (co-scheduled).  "Hold" counts cores
     already pinned by OTHER live searcher pools in this process
     (``_RESERVED_CPUS``): a second searcher opened while one is resident
-    (eager-vs-lazy parity, two roots served side by side) must not reserve
+    (an unfolded-vs-folded parity check, two roots served side by
+    side) must not reserve
     cores the first pinned, or its first ``ray.get`` blocks forever.  A
     process-local counter, not ``ray.available_resources()`` — that
     gauge is eventually-consistent and reads stale right after the first
@@ -216,9 +226,10 @@ class ShardedSearcher:
         shards on 32 cores).  ``prespawned`` takes actor handles from
         ``prespawn()`` (process + imports already warm) and only opens the
         indexes."""
-        dirs = search_dirs(root)  # hash shards + unfolded lazy segments
+        dirs = shard_dirs(root)
         if not dirs:
             raise FileNotFoundError(f"no shard=* index dirs under {root}")
+        _shard_manifest_check(root)  # refuses a root it would misread
         if num_cpus_per_actor is None:
             num_cpus_per_actor = _auto_cpus_per_actor(len(dirs))
         if prespawned is not None:
@@ -237,6 +248,13 @@ class ShardedSearcher:
                           else num_cpus_per_actor * len(dirs))
         _RESERVED_CPUS += self._reserved
         self.last_count = 0
+
+    def refresh(self) -> None:
+        """Catch every shard actor up with the writes since open (the
+        unsharded ``IndexSearcher.refresh`` contract): the pool, its actor
+        processes and their imports stay; only the shard searchers reopen.
+        A sharded root's shard set is fixed, so the fan-out never changes."""
+        ray.get([a.refresh.remote() for a in self.actors])
 
     @staticmethod
     def prespawn(num_shards: int,

@@ -15,7 +15,8 @@ A POST lands as an unfolded delta bucket the searcher serves as an overlay
 until the fold policy merges it, and the searcher then ``refresh``es: it
 reads only what the write added and keeps its handles and decoded postings
 — the ``ReloadPolicy::OnCommitWithDelay`` analog (serve.rs:353-355).  A
-sharded root reopens its actor pool instead.
+sharded root lands the POST in its key shard the same way and refreshes
+its actor pool in place.
 
 This module owns NO Ray session: ``scripts/serve.py`` (the CLI) inits Ray,
 pytest uses the session fixture.
@@ -41,16 +42,9 @@ class IndexService:
     mutations use the sharded delta routing."""
 
     def __init__(self, index_dir: str, sharded: bool = False,
-                 lazy_index: bool = False, prewarm: int = 0,
-                 prewarm_pos: int = 0, prewarm_terms=None):
-        """``lazy_index=True`` (sharded roots only) lands each POST /index
-        delta as a lazy segment (``add_documents_lazy``) instead of the
-        eager per-shard fold — the tantivy serve analog, where a commit
-        writes a fresh segment and the merge policy folds later.  Ingest
-        latency stays flat in corpus size; the auto-fold cap
-        (``LAZY_MAX_SEGS``) bounds searcher fan-out.
-
-        ``prewarm`` warms the top-df postings per (shard) searcher at
+                 prewarm: int = 0, prewarm_pos: int = 0,
+                 prewarm_terms=None):
+        """``prewarm`` warms the top-df postings per (shard) searcher at
         open; ``prewarm_pos`` additionally builds position cumsums for
         the hottest terms — moving the phrase first-touch decode
         (minutes at envelope scale) from the first user query to open
@@ -58,11 +52,8 @@ class IndexService:
         query-log hot terms.  All re-apply after every write (a refresh
         keeps warm terms resident, so only the ones a write touched are
         fetched again)."""
-        if lazy_index and not sharded:
-            raise ValueError("lazy_index requires a sharded root")
         self.index_dir = index_dir
         self.sharded = sharded
-        self.lazy_index = lazy_index
         self.prewarm = int(prewarm)
         self.prewarm_pos = int(prewarm_pos)
         self.prewarm_terms = list(prewarm_terms) if prewarm_terms else None
@@ -72,17 +63,13 @@ class IndexService:
 
     # -- lifecycle ---------------------------------------------------------
     def _open(self) -> None:
-        """Open the searcher, or catch it up after a write: a sharded pool
-        is replaced, an unsharded searcher refreshes in place."""
-        old = self._searcher
-        if self.sharded:
+        """Open the searcher, or catch it up in place after a write."""
+        if self._searcher is not None:
+            self._searcher.refresh()
+        elif self.sharded:
             from prosearch_ray.query.sharded import ShardedSearcher
 
             self._searcher = ShardedSearcher(self.index_dir)
-            if old is not None:
-                old.shutdown()
-        elif old is not None:
-            old.refresh()
         else:
             from prosearch_ray.query.searcher import IndexSearcher
 
@@ -189,11 +176,7 @@ class IndexService:
         tbl = pa.table({c: pa.array([obj[c]], pa.string())
                         for c in CORPUS_COLUMNS})
         with self._lock:
-            if self.sharded and self.lazy_index:
-                from prosearch_ray.index.sharded import add_documents_lazy
-
-                add_documents_lazy(self.index_dir, tbl)
-            elif self.sharded:
+            if self.sharded:
                 from prosearch_ray.index.sharded import add_documents_sharded
 
                 # pass the Table directly: the router normalizes it on the
@@ -321,8 +304,7 @@ def _make_handler(service: IndexService):
 
 
 def make_server(index_dir: str, host: str = "127.0.0.1", port: int = 0,
-                sharded: bool = False, lazy_index: bool = False,
-                prewarm: int = 0, prewarm_pos: int = 0, prewarm_terms=None,
+                sharded: bool = False, prewarm: int = 0, prewarm_pos: int = 0, prewarm_terms=None,
                 service: Optional[IndexService] = None
                 ) -> tuple[ThreadingHTTPServer, IndexService]:
     """Build (but don't start) the HTTP server; port 0 binds an ephemeral
@@ -330,8 +312,7 @@ def make_server(index_dir: str, host: str = "127.0.0.1", port: int = 0,
     ``server.serve_forever()`` / ``server.shutdown()`` + ``service.close()``.
     """
     svc = service or IndexService(index_dir, sharded=sharded,
-                                  lazy_index=lazy_index, prewarm=prewarm,
-                                  prewarm_pos=prewarm_pos,
+                                  prewarm=prewarm, prewarm_pos=prewarm_pos,
                                   prewarm_terms=prewarm_terms)
     srv = ThreadingHTTPServer((host, port), _make_handler(svc))
     return srv, svc

@@ -28,9 +28,6 @@ def main() -> None:
     p.add_argument("--port", type=int, default=3000)
     p.add_argument("--sharded", action="store_true",
                    help="--index is a doc-sharded root (scatter-gather pool)")
-    p.add_argument("--lazy", action="store_true",
-                   help="POST /index lands as a lazy segment (sharded only):"
-                        " flat ingest latency, merge policy folds later")
     p.add_argument("--num-cpus", type=int,
                    default=int(os.environ.get("RAY_GRAFT_CPUS", "32")))
     p.add_argument("--prewarm", type=int, default=0,
@@ -58,7 +55,7 @@ def main() -> None:
     pw_terms = (args.prewarm_terms.split(",") if args.prewarm_terms
                 else None)
     server, service = make_server(args.index, host=args.host, port=args.port,
-                                  sharded=args.sharded, lazy_index=args.lazy,
+                                  sharded=args.sharded,
                                   prewarm=args.prewarm,
                                   prewarm_pos=args.prewarm_pos,
                                   prewarm_terms=pw_terms)

@@ -108,6 +108,13 @@ def test_fresh_rebuild_is_deterministic(built, tiny_corpus, tmp_path):
     s1 = json.load(open(os.path.join(index_dir, "stats.json")))
     s2 = json.load(open(os.path.join(other, "stats.json")))
     assert s1 == s2
+    # manifests record no measured timings: two clean builds write the
+    # same bytes under manifest/
+    def manifest_bytes(d):
+        mdir = os.path.join(d, "manifest")
+        return {f: open(os.path.join(mdir, f), "rb").read()
+                for f in sorted(os.listdir(mdir))}
+    assert manifest_bytes(index_dir) == manifest_bytes(other)
 
 
 def test_merge_state_without_pos_fp_reruns_merge(built, tiny_corpus):

@@ -1,15 +1,16 @@
-"""Lazy delta segments (the tantivy freshly-committed-segment + merge-policy
-analog, index.rs semantics): ``add_documents_lazy`` builds each delta as a
-tiny self-contained index under ``lazysegs/`` instead of folding it into
-every term-hash part of its target shards.  These tests pin the controlling
-claim — lazy and eager folds score BIT-identically on every query surface —
-plus shadowing across segments, deletes, the merge-policy fold (which
-expunges segment tombstones like a tantivy merge — parity pinned through
-compaction), the auto-fold cap, and crash-heal of an interrupted fold."""
+"""Unfolded per-shard delta buckets on a sharded root: ``add_documents_sharded``
+lands each delta in its key shards as unfolded delta buckets that the shard
+searchers serve as an overlay (a freshly committed tantivy segment, index.rs
+semantics) until ``LAZY_MAX_SEGS`` of them trigger the shard's fold.  These
+tests pin the controlling claim — a root whose deltas are still unfolded
+scores BIT-identically to the same root after ``refresh_global`` folds them,
+on every query surface — plus upsert shadowing of an unfolded copy, deletes,
+typed sidecars over delta docs, compaction, the per-shard fold cap, and the
+refusal of a root that still holds the removed ``lazysegs/`` layout."""
 
+import os
 import shutil
 
-import numpy as np
 import pyarrow as pa
 import pytest
 
@@ -29,28 +30,43 @@ def _row(corpus: pa.Table, i: int):
             for c in ("repo", "path", "commit", "lang", "content")]
 
 
-DELTA3_TOKEN = "qqlazythird"
+def _unfolded(root):
+    from prosearch_ray.index.inspect import index_stats
+    from prosearch_ray.index.sharded import shard_dirs
+
+    return [index_stats(d)["unfolded_buckets"] for d in shard_dirs(root)]
+
+
+def _write(roots, fn):
+    """Apply one write to both roots, then fold the second one: the first
+    keeps its deltas as unfolded buckets, the second is fully folded (shard
+    parts and global dictionary) after every write."""
+    from prosearch_ray.index.sharded import refresh_global
+
+    root_u, root_f = roots
+    out = [fn(root_u), fn(root_f)]
+    refresh_global(root_f)
+    return out
 
 
 @pytest.fixture(scope="module")
-def lazy_vs_eager(ray_session, tmp_path_factory):
-    """Two roots from one build (copytree): deltas applied EAGERLY to one
-    and LAZILY to the other.  delta1 = 2 upserts of base docs + 2 new docs;
-    delta2 = 1 re-upsert of a delta1 doc (segment shadows segment) + 1 new
-    doc."""
+def unfolded_vs_folded(ray_session, tmp_path_factory):
+    """Two roots from one build (copytree), given the same deltas; only
+    the second is folded.  delta1 = 2 upserts of base docs + 2 new docs;
+    delta2 = 1 re-upsert of a delta1 doc (its old copy sits in an unfolded
+    bucket) + 1 new doc."""
     import ray.data as rd
 
     from prosearch_ray.fixtures.gen import generate_corpus
-    from prosearch_ray.index.sharded import (add_documents_lazy,
-                                             add_documents_sharded,
+    from prosearch_ray.index.sharded import (add_documents_sharded,
                                              build_sharded_index)
 
-    base = tmp_path_factory.mktemp("lazysegs")
+    base = tmp_path_factory.mktemp("deltas")
     corpus = generate_corpus(600)
-    root_e, root_l = str(base / "eager"), str(base / "lazy")
-    build_sharded_index(rd.from_arrow(corpus), root_e, num_shards=3,
+    root_u, root_f = str(base / "unfolded"), str(base / "folded")
+    build_sharded_index(rd.from_arrow(corpus), root_u, num_shards=3,
                         docs_per_bucket=128)
-    shutil.copytree(root_e, root_l)
+    shutil.copytree(root_u, root_f)
 
     up1, up2 = _row(corpus, 5), _row(corpus, 17)
     up1[4] += " qqlazyupdated extra tokens"
@@ -63,17 +79,16 @@ def lazy_vs_eager(ray_session, tmp_path_factory):
          "class QqLazyNew: qqlazynew marker"],
     ])
     d2 = _delta([
-        # re-upsert of a delta1 doc: the OLD copy lives in seg=00000, not in
-        # any hash shard — the new segment must shadow it
+        # re-upsert of a delta1 doc: on the unfolded root its old copy is
+        # still in an unfolded delta bucket of its shard
         ["lazyorg/one", "src/a_new.py", "c2", "py",
          "def qqlazynew(): return qqlazyv2"],
         ["lazyorg/two", "src/c_new.py", "c1", "py",
          "qqlazynew number three"],
     ])
     for d in (d1, d2):
-        add_documents_sharded(root_e, d)
-        add_documents_lazy(root_l, d)
-    return root_e, root_l, corpus
+        _write((root_u, root_f), lambda r, d=d: add_documents_sharded(r, d))
+    return root_u, root_f, corpus
 
 
 def _open(root):
@@ -82,136 +97,133 @@ def _open(root):
     return ShardedSearcher(root)
 
 
-def _assert_parity(se, sl, queries):
+def _assert_parity(su, sf, queries):
     for q in queries:
-        ek, es = se.search(q, 20)
-        lk, ls = sl.search(q, 20)
-        assert se.last_count == sl.last_count, q
-        assert ek == lk, q
-        assert es == ls, q  # bit-identical scores, not just close
+        uk, us = su.search(q, 20)
+        fk, fs = sf.search(q, 20)
+        assert su.last_count == sf.last_count, q
+        assert uk == fk, q
+        assert us == fs, q  # bit-identical scores, not just close
 
 
-def test_lazyseg_layout(lazy_vs_eager):
+def test_lazyseg_layout(unfolded_vs_folded, tmp_path):
+    """The deltas sit in the shards (unfolded on one root, folded on the
+    other) with identical corpus accounting; a root that still holds the
+    removed ``lazysegs/`` layout is refused by every entry point instead
+    of silently dropping the docs there."""
     import json
-    import os
 
-    from prosearch_ray.index.sharded import lazyseg_dirs
+    from prosearch_ray.index.sharded import (add_documents_sharded,
+                                             compact_sharded,
+                                             delete_docs_sharded)
+    from prosearch_ray.query.sharded import ShardedSearcher
 
-    root_e, root_l, _ = lazy_vs_eager
-    assert lazyseg_dirs(root_e) == []
-    segs = lazyseg_dirs(root_l)
-    assert [s.rsplit("=", 1)[1] for s in segs] == ["00000", "00001"]
-    ge = json.load(open(os.path.join(root_e, "global_stats.json")))
-    gl = json.load(open(os.path.join(root_l, "global_stats.json")))
-    # identical corpus accounting (tombstoned old versions count until
-    # compaction on BOTH paths)
-    assert ge["n_docs"] == gl["n_docs"]
-    assert ge["avgdl_title"] == gl["avgdl_title"]
-    assert ge["avgdl_body"] == gl["avgdl_body"]
+    root_u, root_f, _ = unfolded_vs_folded
+    assert sum(_unfolded(root_u)) >= 2 and sum(_unfolded(root_f)) == 0
+    gu = json.load(open(os.path.join(root_u, "global_stats.json")))
+    gf = json.load(open(os.path.join(root_f, "global_stats.json")))
+    # tombstoned old versions count until compaction on both roots
+    assert gu == gf and len(gu["shard_n_docs"]) == 3
+
+    old = str(tmp_path / "old")
+    shutil.copytree(root_u, old)
+    os.makedirs(os.path.join(old, "lazysegs", "seg=00000"))
+    delta = _delta([["lazyorg/x", "src/x.py", "c1", "py", "qqrefused"]])
+    with pytest.raises(ValueError, match="lazysegs"):
+        add_documents_sharded(old, delta)
+    with pytest.raises(ValueError, match="lazysegs"):
+        delete_docs_sharded(old, ["lazyorg/one/src/a_new.py"])
+    with pytest.raises(ValueError, match="lazysegs"):
+        ShardedSearcher(old)
+    with pytest.raises(ValueError, match="lazysegs"):
+        compact_sharded(old, str(tmp_path / "old_compact"))
+    assert _unfolded(old) == _unfolded(root_u)  # nothing was written
 
 
-def test_search_parity(lazy_vs_eager):
+def test_search_parity(unfolded_vs_folded):
     from prosearch_ray.fixtures.gen import generate_queries
 
-    root_e, root_l, _ = lazy_vs_eager
-    se, sl = _open(root_e), _open(root_l)
+    root_u, root_f, _ = unfolded_vs_folded
+    su, sf = _open(root_u), _open(root_f)
     try:
         qs = [r["query"] for r in generate_queries().to_pylist()]
         qs += ["qqlazynew", "qqlazyupdated", "qqlazyv2", "marker"]
-        _assert_parity(se, sl, qs)
-        # the segment docs are actually reachable (not just absent-on-both)
-        sl.search("qqlazynew", 10)
-        assert sl.last_count == 3
+        _assert_parity(su, sf, qs)
+        # the delta docs are actually reachable (not just absent on both)
+        su.search("qqlazynew", 10)
+        assert su.last_count == 3
     finally:
-        se.shutdown()
-        sl.shutdown()
+        su.shutdown()
+        sf.shutdown()
 
 
-def test_raw_and_phrase_parity(lazy_vs_eager):
-    root_e, root_l, _ = lazy_vs_eager
-    se, sl = _open(root_e), _open(root_l)
+def test_raw_and_phrase_parity(unfolded_vs_folded):
+    root_u, root_f, _ = unfolded_vs_folded
+    su, sf = _open(root_u), _open(root_f)
     try:
         for q in ['+qqlazynew -qqlazyv2', 'qqlazynew qqlazyupdated',
                   '+class "qqlazynew marker"', '"return qqlazyv2"']:
-            ek, es = se.search_raw(q, 20)
-            lk, ls = sl.search_raw(q, 20)
-            assert (se.last_count, ek, es) == (sl.last_count, lk, ls), q
+            uk, us = su.search_raw(q, 20)
+            fk, fs = sf.search_raw(q, 20)
+            assert (su.last_count, uk, us) == (sf.last_count, fk, fs), q
         for q in ["qqlazynew marker", "return qqlazyv2"]:
-            ek, es = se.search_phrase(q, 20)
-            lk, ls = sl.search_phrase(q, 20)
-            assert (se.last_count, ek, es) == (sl.last_count, lk, ls), q
+            uk, us = su.search_phrase(q, 20)
+            fk, fs = sf.search_phrase(q, 20)
+            assert (su.last_count, uk, us) == (sf.last_count, fk, fs), q
     finally:
-        se.shutdown()
-        sl.shutdown()
+        su.shutdown()
+        sf.shutdown()
 
 
-def test_upsert_shadowing_across_segments(lazy_vs_eager):
-    """delta2 re-upserted src/a_new.py: its delta1 copy (in seg=00000) must
-    be tombstoned — qqlazyv1 is gone, qqlazyv2 matches once, and the key
-    appears exactly once in the union."""
-    root_e, root_l, _ = lazy_vs_eager
-    for root in (root_e, root_l):
+def test_upsert_shadowing_across_segments(unfolded_vs_folded):
+    """delta2 re-upserted src/a_new.py while its delta1 copy was still in
+    an unfolded bucket of its shard: that copy must be tombstoned —
+    qqlazyv1 is gone, qqlazyv2 matches once, and the key appears exactly
+    once in the union."""
+    from prosearch_ray.index import docid
+
+    root_u, root_f, _ = unfolded_vs_folded
+    key = "lazyorg/one/src/a_new.py"
+    # both versions are unfolded buckets of the key's shard
+    assert _unfolded(root_u)[docid.bucket_of(key, 3)] == 2
+    for root in (root_u, root_f):
         s = _open(root)
         try:
             s.search("qqlazyv1", 10)
             assert s.last_count == 0
             keys, _ = s.search("qqlazyv2", 10)
             assert s.last_count == 1
-            assert keys == ["lazyorg/one/src/a_new.py"]
+            assert keys == [key]
         finally:
             s.shutdown()
 
 
-def test_delete_probes_lazysegs(lazy_vs_eager):
+def test_delete_reaches_unfolded_delta(unfolded_vs_folded):
     from prosearch_ray.index.sharded import delete_docs_sharded
 
-    root_e, root_l, _ = lazy_vs_eager
-    for root in (root_e, root_l):
-        n = delete_docs_sharded(root, ["lazyorg/two/src/c_new.py"])
-        assert n == 1
-    se, sl = _open(root_e), _open(root_l)
+    root_u, root_f, _ = unfolded_vs_folded
+    n = _write((root_u, root_f), lambda r: delete_docs_sharded(
+        r, ["lazyorg/two/src/c_new.py"]))
+    assert n == [1, 1]
+    su, sf = _open(root_u), _open(root_f)
     try:
-        _assert_parity(se, sl, ["qqlazynew"])
-        sl.search("qqlazynew", 10)
-        assert sl.last_count == 2
+        _assert_parity(su, sf, ["qqlazynew", "number three"])
+        su.search("qqlazynew", 10)
+        assert su.last_count == 2
     finally:
-        se.shutdown()
-        sl.shutdown()
+        su.shutdown()
+        sf.shutdown()
 
 
-def test_eager_add_shadows_lazyseg_copy(lazy_vs_eager):
-    """Mixed usage: an EAGER upsert on a root with unfolded segments must
-    tombstone the segment-resident old copy (applied to both roots to keep
-    them in lockstep for the fold test)."""
-    from prosearch_ray.index.sharded import add_documents_lazy, \
-        add_documents_sharded
+def test_filtered_parity_with_sidecars(unfolded_vs_folded):
+    """Typed fast-field sidecars built AFTER the adds cover the delta
+    docs (their docmeta sits in the shard dirs, folded or not), and
+    filtered scatter-gather matches the folded root bit-for-bit."""
+    import ray.data as rd
 
-    root_e, root_l, _ = lazy_vs_eager
-    d3 = _delta([
-        ["lazyorg/one", "src/b_new.py", "c3", "py",
-         f"def rewritten(): {DELTA3_TOKEN}"],
-    ])
-    add_documents_sharded(root_e, d3)
-    add_documents_sharded(root_l, d3)  # eager onto the lazy root
-    se, sl = _open(root_e), _open(root_l)
-    try:
-        _assert_parity(se, sl, ["qqlazynew", DELTA3_TOKEN, "marker"])
-        sl.search(DELTA3_TOKEN, 10)
-        assert sl.last_count == 1
-        sl.search("qqlazynew", 10)  # the b_new.py v1 body is shadowed
-        assert sl.last_count == 1
-    finally:
-        se.shutdown()
-        sl.shutdown()
-
-
-def test_filtered_parity_with_sidecars(lazy_vs_eager):
-    """Typed fast-field sidecars over a lazy root: the root-level sidecar
-    build covers segment docs (search_dirs), and filtered scatter-gather
-    matches the eager root bit-for-bit."""
     from prosearch_ray.index.fastfields import build_fast_fields_sharded
 
-    root_e, root_l, corpus = lazy_vs_eager
+    root_u, root_f, corpus = unfolded_vs_folded
     typed = corpus.select(["repo", "path", "commit", "lang"])
     extra = pa.table({
         "repo": ["lazyorg/one", "lazyorg/one", "lazyorg/two"],
@@ -219,142 +231,130 @@ def test_filtered_parity_with_sidecars(lazy_vs_eager):
         "commit": ["c9", "c9", "c9"],
         "lang": ["py", "py", "py"],
     })
-    import ray.data as rd
-
     src = pa.concat_tables([typed, extra])
-    for root in (root_e, root_l):
+    for root in (root_u, root_f):
         build_fast_fields_sharded(root, rd.from_arrow(src), ["lang"])
-    se, sl = _open(root_e), _open(root_l)
+    assert sum(_unfolded(root_u)) >= 2
+    su, sf = _open(root_u), _open(root_f)
     try:
         for q, flt in [("qqlazynew", [("lang", "==", "py")]),
                        ("qqlazynew", [("lang", "==", "rs")]),
                        ("def", [("lang", "==", "py")])]:
-            ek, es = se.search(q, 20, filter=flt)
-            lk, ls = sl.search(q, 20, filter=flt)
-            assert (se.last_count, ek, es) == (sl.last_count, lk, ls), (q, flt)
-        sl.search("qqlazynew", 10, filter=[("lang", "==", "py")])
-        assert sl.last_count == 1  # the segment doc IS filterable
+            uk, us = su.search(q, 20, filter=flt)
+            fk, fs = sf.search(q, 20, filter=flt)
+            assert (su.last_count, uk, us) == (sf.last_count, fk, fs), (q, flt)
+        su.search("qqlazynew", 10, filter=[("lang", "==", "py")])
+        assert su.last_count == 2  # the unfolded delta docs ARE filterable
     finally:
-        se.shutdown()
-        sl.shutdown()
+        su.shutdown()
+        sf.shutdown()
 
 
-def test_empty_sidecar_seeded_on_lazy_add(lazy_vs_eager, tmp_path):
-    """A lazy add AFTER sidecars exist seeds the new segment with a
-    zero-row sidecar: filtered queries neither raise nor match the new doc
-    (the eager fold's delta-doc semantics)."""
-    from prosearch_ray.index.sharded import (add_documents_lazy,
-                                             add_documents_sharded,
-                                             lazyseg_dirs)
+def test_add_after_sidecars_is_unfiltered(unfolded_vs_folded):
+    """An add AFTER the sidecars exist: the new doc is searchable, and a
+    filtered query neither raises nor matches it until the sidecar is
+    rebuilt (delta docs carry no typed rows)."""
+    from prosearch_ray.index.sharded import add_documents_sharded
 
-    root_e, root_l, _ = lazy_vs_eager
+    root_u, root_f, _ = unfolded_vs_folded
     d4 = _delta([["lazyorg/three", "src/d_new.py", "c1", "py",
                   "qqlazyfourth content"]])
-    add_documents_sharded(root_e, d4)  # lockstep for the fold test
-    rep = add_documents_lazy(root_l, d4)
-    assert rep["added"] == 1 and not rep["folded"]
-    sl = _open(root_l)
+    reps = _write((root_u, root_f), lambda r: add_documents_sharded(r, d4))
+    assert [r["added"] for r in reps] == [1, 1]
+    su, sf = _open(root_u), _open(root_f)
     try:
-        sl.search("qqlazyfourth", 10)
-        assert sl.last_count == 1
-        keys, _ = sl.search("qqlazyfourth", 10, filter=[("lang", "==", "py")])
-        assert sl.last_count == 0 and keys == []
+        _assert_parity(su, sf, ["qqlazyfourth", "qqlazynew"])
+        su.search("qqlazyfourth", 10)
+        assert su.last_count == 1
+        for s in (su, sf):
+            keys, _ = s.search("qqlazyfourth", 10,
+                               filter=[("lang", "==", "py")])
+            assert s.last_count == 0 and keys == []
     finally:
-        sl.shutdown()
+        su.shutdown()
+        sf.shutdown()
 
 
-def test_fold_converges_to_eager(lazy_vs_eager, tmp_path):
-    """The merge policy (tantivy segment merge analog): fold_lazysegs
-    expunges segment-resident tombstones, so corpus stats/idf shift toward
-    compaction semantics and raw BM25 scores are NOT bit-stable across the
-    fold — same as any tantivy merge.  The pinned contract instead:
-      1. live match counts and result KEY sets are unchanged by the fold
-         (deletes/upserts stay applied; nothing resurrects or vanishes);
-      2. compacting the folded root is BIT-identical to compacting the
-         equivalent eagerly-maintained root (counts, keys, scores) — both
-         converge to the same pure-live corpus."""
+def test_fold_converges_to_eager(unfolded_vs_folded, tmp_path):
+    """Compacting the root with unfolded deltas re-emits its delta docs and
+    is bit-identical to compacting the folded root; folding it
+    (``refresh_global``) leaves no unfolded bucket and changes no result."""
     from prosearch_ray.fixtures.gen import generate_queries
-    from prosearch_ray.index.sharded import (compact_sharded, fold_lazysegs,
-                                             lazyseg_dirs)
+    from prosearch_ray.index.sharded import (OVERLAY_DIR, compact_sharded,
+                                             refresh_global)
 
-    root_e, root_l, _ = lazy_vs_eager
-    rep = fold_lazysegs(root_l)
-    assert rep["folded_segs"] == 3
-    assert lazyseg_dirs(root_l) == []
-    se, sl = _open(root_e), _open(root_l)
+    root_u, root_f, _ = unfolded_vs_folded
+    qs = [r["query"] for r in generate_queries().to_pylist()]
+    qs += ["qqlazynew", "qqlazyupdated", "qqlazyv2", "qqlazyfourth"]
+
+    cu, cf = str(tmp_path / "cu"), str(tmp_path / "cf")
+    assert sum(_unfolded(root_u)) >= 2
+    compact_sharded(root_u, cu)
+    compact_sharded(root_f, cf)
+    su, sf = _open(cu), _open(cf)
     try:
-        qs = [r["query"] for r in generate_queries().to_pylist()]
-        for q in qs:
-            se.search(q, 20)
-            sl.search(q, 20)
-            assert se.last_count == sl.last_count, q
-        # exact results on the fold-affected tokens (few matches, k covers
-        # all: rank flips at the k boundary can't mask a membership bug)
-        for q in ["qqlazynew", "qqlazyupdated", "qqlazyv2", DELTA3_TOKEN,
-                  "qqlazyfourth"]:
-            ek, _ = se.search(q, 20)
-            lk, _ = sl.search(q, 20)
-            assert (se.last_count, sorted(ek)) == (sl.last_count, sorted(lk)), q
-        for q in ['+qqlazynew -qqlazyv2', '"return qqlazyv2"']:
-            ek, _ = se.search_raw(q, 20)
-            lk, _ = sl.search_raw(q, 20)
-            assert (se.last_count, sorted(ek)) == (sl.last_count, sorted(lk)), q
+        _assert_parity(su, sf, qs)
+        su.search("qqlazynew", 10)
+        assert su.last_count == 2
     finally:
-        se.shutdown()
-        sl.shutdown()
+        su.shutdown()
+        sf.shutdown()
 
-    # post-compaction both roots are the same pure-live corpus: bit parity
-    ce, cl = str(tmp_path / "ce"), str(tmp_path / "cl")
-    compact_sharded(root_e, ce)
-    compact_sharded(root_l, cl)
-    se, sl = _open(ce), _open(cl)
+    su = _open(root_u)
     try:
-        _assert_parity(se, sl, qs + ["qqlazynew", "qqlazyupdated",
-                                     "qqlazyv2", DELTA3_TOKEN,
-                                     "qqlazyfourth"])
+        before = [(su.search(q, 20), su.last_count) for q in qs]
+        refresh_global(root_u)
+        assert sum(_unfolded(root_u)) == 0
+        assert not os.path.exists(os.path.join(root_u, OVERLAY_DIR))
+        su.refresh()
+        assert [(su.search(q, 20), su.last_count) for q in qs] == before
     finally:
-        se.shutdown()
-        sl.shutdown()
+        su.shutdown()
 
 
-def test_autofold_cap_and_heal(ray_session, tmp_path):
-    """lazy_max_segs caps unfolded segments (the add that crosses it folds
-    everything), and a dangling _folding.json marker is healed by the next
-    maintenance call."""
-    import os
-
+def test_autofold_cap_and_heal(ray_session, tmp_path, monkeypatch):
+    """``LAZY_MAX_SEGS`` caps the unfolded buckets of each shard (the add
+    that reaches it folds that shard only), and an add that died before
+    its global-dict overlay segment (pending marker) is healed by the next
+    add."""
     import ray.data as rd
 
     from prosearch_ray.fixtures.gen import generate_corpus
+    from prosearch_ray.index import delta, docid
     from prosearch_ray.index.build import _atomic_write_json
-    from prosearch_ray.index.sharded import (add_documents_lazy,
-                                             build_sharded_index,
-                                             lazyseg_dirs)
+    from prosearch_ray.index.sharded import (OVERLAY_DIR,
+                                             add_documents_sharded,
+                                             build_sharded_index)
 
+    monkeypatch.setattr(delta, "LAZY_MAX_SEGS", 2)
     root = str(tmp_path / "root")
     build_sharded_index(rd.from_arrow(generate_corpus(200)), root,
                         num_shards=2, docs_per_bucket=64)
-    d1 = _delta([["caporg/r", "src/one.py", "c1", "py", "qqcapone body"]])
-    rep = add_documents_lazy(root, d1, lazy_max_segs=1)
-    assert not rep["folded"] and len(lazyseg_dirs(root)) == 1
-    d2 = _delta([["caporg/r", "src/two.py", "c1", "py", "qqcaptwo body"]])
-    rep = add_documents_lazy(root, d2, lazy_max_segs=1)
-    assert rep["folded"] and lazyseg_dirs(root) == []
+    # paths whose keys route to shard 0
+    paths = [p for p in (f"src/f{i}.py" for i in range(64))
+             if docid.bucket_of(docid.doc_key("caporg/r", p), 2) == 0][:4]
+    toks = ["qqcapone", "qqcaptwo", "qqcapthree", "qqcapfour"]
 
-    # dangling marker (a fold that died before deleting anything): the next
-    # lazy add completes the fold first, then proceeds
-    d3 = _delta([["caporg/r", "src/three.py", "c1", "py", "qqcapthree x"]])
-    add_documents_lazy(root, d3, lazy_max_segs=8)
-    assert len(lazyseg_dirs(root)) == 1
-    _atomic_write_json({"segs": ["seg=00000"]},
-                       os.path.join(root, "lazysegs", "_folding.json"))
-    d4 = _delta([["caporg/r", "src/four.py", "c1", "py", "qqcapfour y"]])
-    add_documents_lazy(root, d4, lazy_max_segs=8)
-    # heal folded seg=00000 (the d3 doc) into the shards; d4 got a fresh seg
-    assert [os.path.basename(s) for s in lazyseg_dirs(root)] == ["seg=00000"]
+    def add(i):
+        add_documents_sharded(root, _delta(
+            [["caporg/r", paths[i], "c1", "py", f"{toks[i]} body"]]))
+
+    add(0)
+    assert _unfolded(root) == [1, 0]
+    add(1)
+    assert _unfolded(root) == [0, 0]  # the second bucket folded shard 0
+    add(2)
+    assert _unfolded(root) == [1, 0]
+
+    # an add that died after its shard writes, before its overlay segment
+    _atomic_write_json({"op": "add"},
+                       os.path.join(root, OVERLAY_DIR, "_pending.json"))
+    add(3)
+    assert not os.path.exists(os.path.join(root, OVERLAY_DIR,
+                                           "_pending.json"))
     s = _open(root)
     try:
-        for tok in ("qqcapone", "qqcaptwo", "qqcapthree", "qqcapfour"):
+        for tok in toks:
             s.search(tok, 5)
             assert s.last_count == 1, tok
     finally:

@@ -113,10 +113,13 @@ def test_index_then_search(served_index):
 
 def test_sharded_serve_roundtrip(ray_session, tmp_path):
     """Sharded root behind the same routes: search via the scatter-gather
-    pool, delete + index via the sharded delta routing."""
+    pool, delete + index via the sharded delta routing.  A POST lands as an
+    unfolded delta bucket of its key shard; an upsert shadows that copy and
+    a delete reaches it; every write refreshes the SAME actor pool."""
     from prosearch_ray.fixtures import write_corpus
     from prosearch_ray.index import docid
-    from prosearch_ray.index.sharded import build_sharded_index
+    from prosearch_ray.index.inspect import index_stats
+    from prosearch_ray.index.sharded import build_sharded_index, shard_dirs
     from prosearch_ray.serve import make_server
 
     d = write_corpus(str(tmp_path / "corpus"), n_docs=300)
@@ -127,6 +130,8 @@ def test_sharded_serve_roundtrip(ray_session, tmp_path):
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     base = f"http://127.0.0.1:{server.server_address[1]}"
+    searcher = service._searcher
+    actors = list(searcher.actors)
     try:
         code, body = _get(f"{base}/api?q=the&nhits=5")
         assert code == 200
@@ -146,8 +151,24 @@ def test_sharded_serve_roundtrip(ray_session, tmp_path):
         code, body = _get(f"{base}/api?q=zzshardserve")
         serp = json.loads(body)
         assert serp["count"] == 1
-        assert serp["hits"][0]["doc"]["url"][0] == docid.doc_key(
-            doc["repo"], doc["path"])
+        key = docid.doc_key(doc["repo"], doc["path"])
+        assert serp["hits"][0]["doc"]["url"][0] == key
+        assert sum(index_stats(d)["unfolded_buckets"]
+                   for d in shard_dirs(root)) == 1
+        # re-POST (upsert): the unfolded copy is shadowed, count stays 1
+        doc["content"] = "zzshardserve scatter gather v2 zzshardv2serve"
+        assert _post(f"{base}/index", json.dumps(doc).encode())[0] == 200
+        assert json.loads(_get(f"{base}/api?q=zzshardserve")[1])["count"] == 1
+        assert json.loads(
+            _get(f"{base}/api?q=zzshardv2serve")[1])["count"] == 1
+        # delete reaches the doc in its unfolded delta bucket
+        assert _get(f"{base}/delete?url="
+                    f"{urllib.parse.quote(key)}") == (200, "true")
+        assert json.loads(_get(f"{base}/api?q=zzshardserve")[1])["count"] == 0
+        # no write spawned a new pool: the same actors were refreshed
+        assert service._searcher is searcher
+        assert all(a is b for a, b in zip(searcher.actors, actors))
+        assert len(searcher.actors) == len(actors) == 2
     finally:
         server.shutdown()
         thread.join(timeout=10)
@@ -206,51 +227,6 @@ def test_upsert_snippet_serves_new_version(ray_session, tmp_path, sharded):
             assert hit["snip"] == make_snippet(new_body, ["zzupsertfresh"])
         assert sum(index_stats(d)["unfolded_buckets"] for d in dirs) == 0
     finally:
-        service.close()
-
-
-def test_lazy_serve_roundtrip(ray_session, tmp_path):
-    """--lazy mode: POST /index lands as a lazy segment (flat ingest
-    latency; the searcher reopens over shards + segments), upsert and
-    delete still shadow correctly through the routes."""
-    from prosearch_ray.fixtures import write_corpus
-    from prosearch_ray.index.sharded import build_sharded_index, lazyseg_dirs
-    from prosearch_ray.serve import IndexService, make_server
-
-    with pytest.raises(ValueError):
-        IndexService(str(tmp_path / "nope"), sharded=False, lazy_index=True)
-
-    d = write_corpus(str(tmp_path / "corpus"), n_docs=300)
-    root = str(tmp_path / "shards")
-    build_sharded_index(d + "/corpus", root, num_shards=2,
-                        docs_per_bucket=64)
-    server, service = make_server(root, port=0, sharded=True,
-                                  lazy_index=True)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    base = f"http://127.0.0.1:{server.server_address[1]}"
-    try:
-        doc = {"repo": "serveorg/lazyrepo", "path": "src/lazy_doc.py",
-               "commit": "e" * 40, "lang": "py",
-               "content": "zzlazyserve segment resident v1"}
-        assert _post(f"{base}/index", json.dumps(doc).encode())[0] == 200
-        assert len(lazyseg_dirs(root)) == 1  # landed as a segment
-        code, body = _get(f"{base}/api?q=zzlazyserve")
-        assert code == 200 and json.loads(body)["count"] == 1
-        # re-POST (upsert): the segment copy is shadowed, count stays 1
-        doc["content"] = "zzlazyserve segment resident v2 zzlazyv2serve"
-        assert _post(f"{base}/index", json.dumps(doc).encode())[0] == 200
-        serp = json.loads(_get(f"{base}/api?q=zzlazyserve")[1])
-        assert serp["count"] == 1
-        assert json.loads(_get(f"{base}/api?q=zzlazyv2serve")[1])["count"] == 1
-        # delete reaches the segment-resident doc
-        url = serp["hits"][0]["doc"]["url"][0]
-        assert _get(f"{base}/delete?url="
-                    f"{urllib.parse.quote(url)}") == (200, "true")
-        assert json.loads(_get(f"{base}/api?q=zzlazyserve")[1])["count"] == 0
-    finally:
-        server.shutdown()
-        thread.join(timeout=10)
         service.close()
 
 
