@@ -215,6 +215,38 @@ def test_delete_reaches_unfolded_delta(unfolded_vs_folded):
         sf.shutdown()
 
 
+def test_eager_add_shadows_lazyseg_copy(unfolded_vs_folded):
+    """A second upsert of a base doc whose delta1 copy is still in an
+    unfolded bucket: the new version lands as one more unfolded bucket of
+    its shard and shadows BOTH older copies (the folded base row and the
+    unfolded delta1 row), bit-identically to the folded root."""
+    from prosearch_ray.index import docid
+    from prosearch_ray.index.sharded import add_documents_sharded
+
+    root_u, root_f, corpus = unfolded_vs_folded
+    up1, up2 = _row(corpus, 5), _row(corpus, 17)
+    key1 = docid.doc_key(up1[0], up1[1])
+    key2 = docid.doc_key(up2[0], up2[1])
+    shard = docid.bucket_of(key1, 3)
+    before = _unfolded(root_u)[shard]
+    up1[2], up1[4] = "c3", "def rewritten(): qqlazythird"
+    reps = _write((root_u, root_f),
+                  lambda r: add_documents_sharded(r, _delta([up1])))
+    assert [r["added"] for r in reps] == [1, 1]
+    assert _unfolded(root_u)[shard] == before + 1
+    su, sf = _open(root_u), _open(root_f)
+    try:
+        _assert_parity(su, sf, ["qqlazythird", "qqlazyupdated", "rewritten"])
+        keys, _ = su.search("qqlazythird", 10)
+        assert su.last_count == 1 and keys == [key1]
+        # the delta1 body of key1 is shadowed; key2's copy still matches
+        keys, _ = su.search("qqlazyupdated", 10)
+        assert su.last_count == 1 and keys == [key2]
+    finally:
+        su.shutdown()
+        sf.shutdown()
+
+
 def test_filtered_parity_with_sidecars(unfolded_vs_folded):
     """Typed fast-field sidecars built AFTER the adds cover the delta
     docs (their docmeta sits in the shard dirs, folded or not), and

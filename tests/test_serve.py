@@ -113,13 +113,11 @@ def test_index_then_search(served_index):
 
 def test_sharded_serve_roundtrip(ray_session, tmp_path):
     """Sharded root behind the same routes: search via the scatter-gather
-    pool, delete + index via the sharded delta routing.  A POST lands as an
-    unfolded delta bucket of its key shard; an upsert shadows that copy and
-    a delete reaches it; every write refreshes the SAME actor pool."""
+    pool, delete + index via the sharded delta routing; every write
+    refreshes the SAME actor pool."""
     from prosearch_ray.fixtures import write_corpus
     from prosearch_ray.index import docid
-    from prosearch_ray.index.inspect import index_stats
-    from prosearch_ray.index.sharded import build_sharded_index, shard_dirs
+    from prosearch_ray.index.sharded import build_sharded_index
     from prosearch_ray.serve import make_server
 
     d = write_corpus(str(tmp_path / "corpus"), n_docs=300)
@@ -151,24 +149,68 @@ def test_sharded_serve_roundtrip(ray_session, tmp_path):
         code, body = _get(f"{base}/api?q=zzshardserve")
         serp = json.loads(body)
         assert serp["count"] == 1
-        key = docid.doc_key(doc["repo"], doc["path"])
-        assert serp["hits"][0]["doc"]["url"][0] == key
-        assert sum(index_stats(d)["unfolded_buckets"]
-                   for d in shard_dirs(root)) == 1
-        # re-POST (upsert): the unfolded copy is shadowed, count stays 1
-        doc["content"] = "zzshardserve scatter gather v2 zzshardv2serve"
-        assert _post(f"{base}/index", json.dumps(doc).encode())[0] == 200
-        assert json.loads(_get(f"{base}/api?q=zzshardserve")[1])["count"] == 1
-        assert json.loads(
-            _get(f"{base}/api?q=zzshardv2serve")[1])["count"] == 1
-        # delete reaches the doc in its unfolded delta bucket
-        assert _get(f"{base}/delete?url="
-                    f"{urllib.parse.quote(key)}") == (200, "true")
-        assert json.loads(_get(f"{base}/api?q=zzshardserve")[1])["count"] == 0
+        assert serp["hits"][0]["doc"]["url"][0] == docid.doc_key(
+            doc["repo"], doc["path"])
         # no write spawned a new pool: the same actors were refreshed
         assert service._searcher is searcher
         assert all(a is b for a, b in zip(searcher.actors, actors))
         assert len(searcher.actors) == len(actors) == 2
+    finally:
+        server.shutdown()
+        thread.join(timeout=10)
+        service.close()
+
+
+def test_lazy_serve_roundtrip(ray_session, tmp_path):
+    """POST /index on a sharded service lands as an unfolded delta bucket
+    of the key's shard (no per-add fold); a re-POST (upsert) shadows that
+    copy and a delete reaches it through the routes.  A root that still
+    holds the removed ``lazysegs/`` layout is refused at open."""
+    import os
+    import shutil
+
+    from prosearch_ray.fixtures import write_corpus
+    from prosearch_ray.index.inspect import index_stats
+    from prosearch_ray.index.sharded import build_sharded_index, shard_dirs
+    from prosearch_ray.serve import IndexService, make_server
+
+    d = write_corpus(str(tmp_path / "corpus"), n_docs=300)
+    root = str(tmp_path / "shards")
+    build_sharded_index(d + "/corpus", root, num_shards=2,
+                        docs_per_bucket=64)
+    old = str(tmp_path / "old")
+    shutil.copytree(root, old)
+    os.makedirs(os.path.join(old, "lazysegs", "seg=00000"))
+    with pytest.raises(ValueError, match="lazysegs"):
+        IndexService(old, sharded=True)
+
+    server, service = make_server(root, port=0, sharded=True)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    base = f"http://127.0.0.1:{server.server_address[1]}"
+    try:
+        doc = {"repo": "serveorg/lazyrepo", "path": "src/lazy_doc.py",
+               "commit": "e" * 40, "lang": "py",
+               "content": "zzlazyserve delta resident v1"}
+        assert _post(f"{base}/index", json.dumps(doc).encode())[0] == 200
+        # landed as one unfolded delta bucket
+        assert sum(index_stats(s)["unfolded_buckets"]
+                   for s in shard_dirs(root)) == 1
+        code, body = _get(f"{base}/api?q=zzlazyserve")
+        assert code == 200 and json.loads(body)["count"] == 1
+        # re-POST (upsert): the unfolded copy is shadowed, count stays 1
+        doc["content"] = "zzlazyserve delta resident v2 zzlazyv2serve"
+        assert _post(f"{base}/index", json.dumps(doc).encode())[0] == 200
+        assert sum(index_stats(s)["unfolded_buckets"]
+                   for s in shard_dirs(root)) == 2
+        serp = json.loads(_get(f"{base}/api?q=zzlazyserve")[1])
+        assert serp["count"] == 1
+        assert json.loads(_get(f"{base}/api?q=zzlazyv2serve")[1])["count"] == 1
+        # delete reaches the doc in its unfolded delta bucket
+        url = serp["hits"][0]["doc"]["url"][0]
+        assert _get(f"{base}/delete?url="
+                    f"{urllib.parse.quote(url)}") == (200, "true")
+        assert json.loads(_get(f"{base}/api?q=zzlazyserve")[1])["count"] == 0
     finally:
         server.shutdown()
         thread.join(timeout=10)
