@@ -146,9 +146,7 @@ def _build_docs_sharded_lazy(sf_dir: str) -> str:
     (``add_documents_sharded``) landed as unfolded per-shard delta buckets
     (two docs are far below ``LAZY_MAX_SEGS``), so each shard searcher
     serves them from its overlay and the global-dict overlay point-read
-    path scores them against corpus-wide BM25 stats.  The cache tag names
-    the ingest function, so a root cached by another ingest path is
-    rebuilt."""
+    path scores them against corpus-wide BM25 stats."""
     import json
     import shutil
 
@@ -159,7 +157,9 @@ def _build_docs_sharded_lazy(sf_dir: str) -> str:
     base = _build_docs_sharded(sf_dir)
     root = _index_dir_for(sf_dir) + "-sharded3lazy"
     marker = os.path.join(root, "_driver_lazy_done.json")
-    tag = hashlib.md5(repr((add_documents_sharded.__name__,
+    # the layout string changes whenever the delta layout does, so a root
+    # cached with lazysegs/ by an older version is rebuilt, not refused
+    tag = hashlib.md5(repr(("unfolded-delta-v1",
                             LAZY_DELTA_DOCS)).encode()).hexdigest()
     try:
         with open(marker) as f:

@@ -615,7 +615,6 @@ def build_index(
     n_input_estimate: Optional[int] = None,
     exclude_doc_keys=None,
     prestaged_spill: bool = False,
-    content_dedup: bool = True,
 ) -> dict:
     """Build (or resume) the inverted index at ``index_dir``. Returns a build
     report. ``source`` is a corpus parquet path/dir or a Dataset with columns
@@ -700,12 +699,8 @@ def build_index(
         _mark("stage_a_bucketed_docs", t0)
 
         # ----- content dedup fixup: key columns only, rewrite losers only
-        # (content_dedup=False: the lazy delta-segment build, which must
-        # keep cross-key content duplicates exactly as the eager delta fold
-        # does — delta upserts never content-dedup until compaction)
         t0 = time.perf_counter()
-        if content_dedup:
-            counts = _content_dedup_fixup(staged_dir, counts)
+        counts = _content_dedup_fixup(staged_dir, counts)
         _mark("content_dedup_fixup", t0)
 
         _atomic_write_json(

@@ -375,6 +375,20 @@ def refresh_global(root: str, *,
 DELTA_DRIVER_ROWS = 100_000
 
 
+def refuse_lazysegs(root: str) -> None:
+    """Refuse a root that still holds ``lazysegs/`` (unfolded lazy delta
+    segments, written by versions up to commit 51984b8): their docs live
+    outside the shard dirs this version searches, so serving or writing the
+    root would silently drop them.  Fold them with ``fold_lazysegs`` at that
+    commit, or rebuild the root."""
+    if os.path.isdir(os.path.join(root, "lazysegs")):
+        raise ValueError(
+            f"sharded index at {root} has unfolded lazy segments under "
+            f"lazysegs/, which this version no longer reads; fold them with "
+            f"fold_lazysegs at commit 51984b8 (the last version that has "
+            f"it), or rebuild the root.")
+
+
 def _shard_manifest_check(root: str, num_shards: int = None) -> int:
     """Validate (and on a fresh build, persist) the root's shard count.  A
     resume or delta run under a different ``num_shards`` would silently mix
@@ -383,19 +397,11 @@ def _shard_manifest_check(root: str, num_shards: int = None) -> int:
     every operation but a fresh build (``num_shards`` given, no shard dirs
     yet) refuses it.
 
-    A root that still holds ``lazysegs/`` (unfolded lazy delta segments,
-    written by versions up to commit 51984b8) is refused too: their docs
-    live outside the shard dirs this version searches, so serving the root
-    would silently drop them.  Fold them with ``fold_lazysegs`` at that
-    commit, or rebuild the root."""
+    A root that still holds ``lazysegs/`` is refused too
+    (``refuse_lazysegs``)."""
     from prosearch_ray.index.build import _atomic_write_json
 
-    if os.path.isdir(os.path.join(root, "lazysegs")):
-        raise ValueError(
-            f"sharded index at {root} has unfolded lazy segments under "
-            f"lazysegs/, which this version no longer reads; fold them with "
-            f"fold_lazysegs at commit 51984b8 (the last version that has "
-            f"it), or rebuild the root.")
+    refuse_lazysegs(root)
     man_path = os.path.join(root, "_sharding.json")
     if os.path.exists(man_path):
         with open(man_path) as f:
@@ -418,7 +424,6 @@ def _shard_manifest_check(root: str, num_shards: int = None) -> int:
 def add_documents_sharded(root: str, source, *,
                           langs: FrozenSet[str] = DEFAULT_LANGS,
                           driver_threshold: int = DELTA_DRIVER_ROWS,
-                          fold_parallelism: int = 4,
                           overlay_max_segs: int = OVERLAY_MAX_SEGS) -> dict:
     """Incremental upsert into a sharded index: route delta rows to their
     key shard, add each affected shard's rows as unfolded delta buckets
@@ -433,10 +438,10 @@ def add_documents_sharded(root: str, source, *,
     through a DISTRIBUTED hive exchange (``write_partitioned`` on the shard
     key — the delta never materializes on the driver) and each affected
     shard folds its partition directory; the folds themselves are ordinary
-    distributed ``add_documents`` pipelines, co-scheduled
-    ``fold_parallelism`` at a time (independent shard dirs; overlapping
-    one fold's barrier with another's compute — serial folds measured
-    37 s for 40 shards where the per-shard work was ~25 docs).
+    distributed ``add_documents`` pipelines, co-scheduled four at a time
+    (independent shard dirs; overlapping one fold's barrier with another's
+    compute — serial folds measured 37 s for 40 shards where the per-shard
+    work was ~25 docs).
 
     Global dictionary: a full re-merge scans every shard's vocabulary
     (36.7M rows / ~19 s at the 16M-doc envelope) for ANY delta size — the
@@ -474,7 +479,7 @@ def add_documents_sharded(root: str, source, *,
         n_rows = ds.count()
 
     from concurrent.futures import ThreadPoolExecutor
-    workers = max(1, min(int(fold_parallelism), num_shards))
+    workers = min(4, num_shards)  # co-scheduled shard folds
 
     if n_rows <= driver_threshold:
         from prosearch_ray.index.build import _normalize_batch

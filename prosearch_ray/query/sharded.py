@@ -26,7 +26,7 @@ from typing import List, Optional, Tuple
 import ray
 
 from prosearch_ray.index import scoring
-from prosearch_ray.index.sharded import _shard_manifest_check, shard_dirs
+from prosearch_ray.index.sharded import refuse_lazysegs, shard_dirs
 
 
 class _ShardWorker:
@@ -229,7 +229,7 @@ class ShardedSearcher:
         dirs = shard_dirs(root)
         if not dirs:
             raise FileNotFoundError(f"no shard=* index dirs under {root}")
-        _shard_manifest_check(root)  # refuses a root it would misread
+        refuse_lazysegs(root)
         if num_cpus_per_actor is None:
             num_cpus_per_actor = _auto_cpus_per_actor(len(dirs))
         if prespawned is not None:
