@@ -69,7 +69,9 @@ SourceT = Union[str, "ray.data.Dataset"]
 # object storage) can trade CPU for write volume with
 # GRAFT_PARQUET_COMPRESSION=zstd and larger GRAFT_ROW_GROUP_SIZE — logical
 # file content is identical, so every reader (searcher, delta fold,
-# compaction, resume) is unaffected.  Measured decision recorded in
+# compaction, resume) is unaffected.  The codec knob covers every file
+# except the staged docstore, which is always ``layout.STAGED_CODEC``;
+# GRAFT_ROW_GROUP_SIZE stays its row cap.  Measured decision recorded in
 # BASELINE.md (round 5 disk-writer probe).
 _PQ_COMPRESSION = os.environ.get("GRAFT_PARQUET_COMPRESSION", "snappy")
 _PQ_ROW_GROUP = int(os.environ.get("GRAFT_ROW_GROUP_SIZE", "8192"))
@@ -129,16 +131,19 @@ def _write_row_groups(table: pa.Table, path: str, bounds: list,
 
 def _write_staged(table: pa.Table, path: str) -> int:
     """Write one staged bucket file as a block-addressed docstore: row
-    groups close at ~``layout.STAGED_ROW_GROUP_BYTES`` of content, so the
-    searcher's stored-doc fetch (row i = doc base_doc_id + i) decompresses
-    only the blocks holding its hits.  Column statistics are kept for the
-    key columns only — per-block min/max of content and title would grow
-    the file for no reader."""
+    groups close at ~``layout.STAGED_ROW_GROUP_BYTES`` of content and are
+    compressed with ``layout.STAGED_CODEC``, so the searcher's stored-doc
+    fetch (row i = doc base_doc_id + i) decompresses only the small blocks
+    holding its hits.  Column statistics are kept for the key columns
+    only — per-block min/max of content and title would grow the file for
+    no reader.  No dictionary pages: a block's few rows repeat almost no
+    value, so a dictionary only adds a page to compress and decode per
+    column chunk (measured: smaller files and a cheaper build without)."""
     return _write_row_groups(
         table, path,
         _row_group_bounds(_byte_lengths(table.column("content")),
                           layout.STAGED_ROW_GROUP_BYTES, _PQ_ROW_GROUP),
-        compression=_PQ_COMPRESSION,
+        compression=layout.STAGED_CODEC, use_dictionary=False,
         write_statistics=[c for c in ("doc_key", "bucket")
                           if c in table.column_names])
 
@@ -428,7 +433,8 @@ def content_dup_losers_distributed(keys_ds: "ray.data.Dataset") -> list:
 
 def _rewrite_one_loser_bucket(staged_dir: str, bucket: int, losers) -> int:
     path = os.path.join(staged_dir, f"bucket={bucket:08d}.parquet")
-    tbl = pq.read_table(path)
+    with pq.ParquetFile(path) as pf:
+        tbl = pf.read()
     keys = tbl.column("doc_key")
     tbl = tbl.filter(pc.invert(pc.is_in(
         keys, value_set=pa.array(list(losers), keys.type))))
@@ -486,7 +492,11 @@ def _build_bucket(index_dir: str):
     """Stage-B task body: one bucket -> segment postings + docmeta + manifest."""
     def fn(item: dict) -> dict:
         bucket = int(item["bucket"])
-        docs = pq.read_table(item["staged_path"])
+        # one file, read directly: the dataset reader behind read_table
+        # costs per staged block; build_segment needs only these columns
+        with pq.ParquetFile(item["staged_path"]) as pf:
+            docs = pf.read(columns=["doc_key", "title", "content", "sha256",
+                                    "n_chars"])
         postings, docmeta = build_segment(bucket, docs, int(item["base_doc_id"]))
         name = f"bucket={bucket:08d}.parquet"
         pbytes = _atomic_write_table(postings, os.path.join(index_dir, "segments", name))

@@ -25,9 +25,9 @@ searcher up with a write without dropping its caches.
 
 Stored docs (SERP snippets) are point reads by doc_id: the staged bucket
 files are a block-addressed docstore (row i of bucket B is doc
-``bucket_bounds[B] + i``; row groups are ~128 KiB content blocks), so a
-SERP decompresses only its hits' blocks, like tantivy's ``searcher.doc``
-over lz4 docstore blocks.
+``bucket_bounds[B] + i``; row groups are ~32 KiB zstd content blocks),
+so a SERP decompresses only its hits' blocks, like tantivy's
+``searcher.doc`` over lz4 docstore blocks.
 """
 
 from __future__ import annotations

@@ -2,10 +2,13 @@
 query (the analog of tantivy's SnippetGenerator use at
 /root/reference/tantivy-cli/src/commands/serve.rs:443-453,428-433).
 
-Pure function of (content, matched query terms): picks the whitespace-token
-window that covers the most distinct query terms (earliest such window on
-ties) and wraps matched raw tokens in <b></b>, mirroring the HTML fragment
-the reference returns in its SERP JSON.
+Pure function of (content, matched query terms): picks the window of at
+most ``window`` whitespace tokens that holds the most matched tokens — a raw
+token matches when any of its ``expand_token`` forms is a query term, and
+every occurrence counts, so a term repeated twice outscores two distinct
+terms once each (earliest such window on ties) — and wraps the matched raw
+tokens in <b></b>, mirroring the HTML fragment the reference returns in its
+SERP JSON.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ import os
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 
@@ -183,3 +184,126 @@ def test_make_snippet_matches_per_token_reference():
             for window in (4, 24):
                 assert make_snippet(body, q, window) == \
                     _reference_snippet(body, q, window), (body, q)
+
+
+def _staged_files(index_dir: str) -> list:
+    sdir = os.path.join(index_dir, "staged")
+    return [os.path.join(sdir, f) for f in sorted(os.listdir(sdir))
+            if f.endswith(".parquet")]
+
+
+def test_staged_blocks_are_small_zstd(ray_session, tmp_path, monkeypatch):
+    """Every staged writer (stage A, the delta bucket of add_documents)
+    writes ``layout.STAGED_CODEC`` blocks of at most
+    ``STAGED_ROW_GROUP_BYTES`` of content plus the one body that crosses
+    the bound, whatever the codec knob of the other files says (the
+    writers that run in this process see the patched knob)."""
+    from prosearch_ray.index import build, layout
+    from prosearch_ray.index.delta import add_documents
+
+    monkeypatch.setattr(build, "_PQ_COMPRESSION", "snappy")
+    rng = np.random.default_rng(5)
+    sizes = rng.choice([20, 800, 3000, 6000], size=64)
+
+    def corpus(repo, lo, hi):
+        return pa.table({
+            "repo": [repo] * (hi - lo),
+            "path": [f"src/f{i:04d}.py" for i in range(lo, hi)],
+            "commit": ["c" * 40] * (hi - lo), "lang": ["py"] * (hi - lo),
+            "content": [_body(rng, int(sizes[i]), f"doc{i}")
+                        for i in range(lo, hi)]})
+
+    src = tmp_path / "src"
+    src.mkdir()
+    pq.write_table(corpus("aa/repo", 0, 48), str(src / "corpus.parquet"))
+    index_dir = str(tmp_path / "idx")
+    build.build_index(str(src), index_dir, docs_per_bucket=DPB)
+    add_documents(index_dir, corpus("dd/repo", 48, 64))
+
+    files = _staged_files(index_dir)
+    largest = multi = 0
+    for path in files:
+        pf = pq.ParquetFile(path)
+        md = pf.metadata
+        multi += md.num_row_groups > 1
+        for g in range(md.num_row_groups):
+            rg = md.row_group(g)
+            chunks = [rg.column(c) for c in range(rg.num_columns)]
+            assert {c.compression for c in chunks} == {"ZSTD"}, path
+            assert not any(c.has_dictionary_page for c in chunks), path
+            content = pf.read_row_group(g, columns=["content"]).column(
+                "content")
+            body = pc.binary_length(content).to_numpy(zero_copy_only=False)
+            largest = max(largest, int(body.max()))
+            assert body.sum() <= layout.STAGED_ROW_GROUP_BYTES + body.max()
+    # the bound was really in play: blocks closed inside buckets
+    assert multi >= len(files) // 2
+    assert largest > layout.STAGED_ROW_GROUP_BYTES // 2
+
+
+def test_parent_block_shape_reads_the_same(docstore_index, tmp_path):
+    """An index whose staged files still hold 128 KiB snappy blocks (the
+    layout before 32 KiB zstd) serves the same bodies: the reader finds
+    blocks from the footer, not from the writer's constants."""
+    import shutil
+
+    from prosearch_ray.index import build
+    from prosearch_ray.query.searcher import IndexSearcher
+
+    index_dir, _ = docstore_index
+    old_dir = str(tmp_path / "old")
+    shutil.copytree(index_dir, old_dir)
+    for path in _staged_files(old_dir):
+        tbl = pq.read_table(path)
+        before = pq.ParquetFile(path).metadata.num_row_groups
+        build._write_row_groups(
+            tbl, path,
+            build._row_group_bounds(build._byte_lengths(tbl.column("content")),
+                                    128 << 10, build._PQ_ROW_GROUP),
+            compression="snappy", write_statistics=["doc_key", "bucket"])
+        md = pq.ParquetFile(path).metadata
+        assert pq.read_table(path).equals(tbl)
+        if tbl.num_rows:
+            assert md.row_group(0).column(0).compression == "SNAPPY"
+            assert md.num_row_groups <= before
+    ids = np.arange(IndexSearcher(index_dir).n_docs)
+    assert IndexSearcher(old_dir).fetch_contents(ids) == \
+        IndexSearcher(index_dir).fetch_contents(ids)
+
+
+def test_make_snippet_contract():
+    """The snippet window holds the most matched token occurrences: at
+    most ``window`` tokens, ``<b>`` on exactly the raw tokens whose
+    expand_token forms hit a query term, the earliest best window on a
+    tie, and a repeated term outscoring two distinct terms once each."""
+    from prosearch_ray.query.snippet import make_snippet
+    from prosearch_ray.text.tokenizer import expand_token
+
+    def parse(snip):
+        toks = snip.split()
+        return ([t[3:-4] if t.startswith("<b>") else t for t in toks],
+                [t.startswith("<b>") for t in toks])
+
+    rng = np.random.default_rng(17)
+    toks = ["self.fooBar", "foo", "Bar", "baz_qux", "x", "y", "(foo)", "z"]
+    for _ in range(200):
+        raw = list(rng.choice(toks, size=int(rng.integers(1, 40))))
+        terms = list(rng.choice(["foo", "bar", "qux", "nope"],
+                                size=int(rng.integers(1, 3))))
+        window = int(rng.integers(1, 12))
+        out, bold = parse(make_snippet(" ".join(raw), terms, window))
+        hits = [bool(set(terms) & set(expand_token(t))) for t in raw]
+        w = min(window, len(raw))
+        assert len(out) == w
+        counts = [sum(hits[s:s + w]) for s in range(len(raw) - w + 1)]
+        start = counts.index(max(counts))   # earliest best window
+        assert out == raw[start:start + w]
+        assert bold == hits[start:start + w]
+
+    # tie: both windows hold one match; the earlier wins
+    assert make_snippet("foo x x bar", ["foo", "bar"], 2) == "<b>foo</b> x"
+    # occurrences, not distinct terms: baz three times beats foo + bar
+    assert make_snippet("foo x bar x x x baz baz baz",
+                        ["foo", "bar", "baz"], 3) == \
+        "<b>baz</b> <b>baz</b> <b>baz</b>"
+    assert make_snippet("", ["foo"], 4) == ""

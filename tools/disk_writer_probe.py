@@ -2,11 +2,12 @@
 
 Measures the archive-target writer matrix on the VIRTIO DISK (/tmp) vs the
 tmpfs control: parquet compression {snappy, zstd, none} x row-group size
-{8192, 65536} through ``_atomic_write_table`` and ``_write_staged`` (the
-write helpers that read both knobs; the staged docstore also closes row
-groups at ``layout.STAGED_ROW_GROUP_BYTES``).  Each config runs in a FRESH process (its own
-``ray.init``) with the knobs exported before Ray starts so workers inherit
-them.  Timing includes a terminal ``os.sync()`` — an archive build is only
+{8192, 65536}.  ``_atomic_write_table`` reads both knobs; ``_write_staged``
+reads only the row-group size (its row cap) and always writes the staged
+docstore in ``layout.STAGED_CODEC`` blocks that close at
+``layout.STAGED_ROW_GROUP_BYTES``.  Each config runs in a FRESH process
+(its own ``ray.init``) with the knobs exported before Ray starts so workers
+inherit them.  Timing includes a terminal ``os.sync()`` — an archive build is only
 done when the bytes are durable, and on tmpfs sync is free so the control
 is unaffected.
 
