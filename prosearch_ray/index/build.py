@@ -5,16 +5,16 @@ Replaces the reference's crawl→commit→tantivy-segment path
 /root/reference/tantivy-cli/src/commands/index.rs:20-148) with:
 
     read_parquet(corpus)
-      ── stage A: normalize + sha256 + lang filter + bucket, then the ONE
-         content exchange to per-bucket writers (in-bucket last-write-wins
-         upsert, sort by doc_key, write docs/bucket parquet atomically) — the
-         ONLY pass over content.  Path sources run it as the resumable spill
-         exchange of exchange.py (map: normalize and spill by bucket group;
-         reduce: one writer per bucket); Dataset sources, which have no
-         stable work plan, as groupby(bucket).map_groups
-      ── content-dedup fixup: scan staged KEY columns (doc_key, sha, bucket),
-         pick min-doc_key winner per sha, rewrite just the buckets holding
-         losers (cross-bucket dups are rare; the scan never touches content)
+      ── stage A: the ONE content exchange (exchange.py).  Map: normalize
+         (sha256, lang filter, bucket), spill rows by bucket group and write
+         a key sidecar (doc_key, sha_hex, commit).  Path sources map their
+         planned row-group spans and resume per item; Dataset sources map
+         their blocks and rerun on a kill.
+      ── loser step: the content-dedup rule over the sidecars' key columns
+         (upsert survivors, then min doc_key per sha) → spill/_exclude.parquet
+      ── reduce: one writer per bucket group drops the losers, runs the
+         in-bucket last-write-wins upsert, sorts by doc_key and writes each
+         staged bucket file once, atomically
       ── per-bucket offsets (tiny driver-side cumsum) → doc_ids
       ── stage B: Dataset of bucket work-items → one task per bucket:
          tokenize, build segment postings, write segments+docmeta+manifest
@@ -25,8 +25,8 @@ Replaces the reference's crawl→commit→tantivy-segment path
 
 Scale notes (explicitly designed for the 100 TB case):
 - exactly ONE pass over content and ONE content shuffle (the bucket
-  exchange); upsert dedup is in-bucket (doc_key ⇒ bucket), content dedup is a
-  key-column scan + loser-bucket rewrite — content is never re-read;
+  exchange); upsert dedup is in-bucket (doc_key ⇒ bucket), content dedup
+  reads key columns only, and every staged bucket is written once;
 - skew: the shuffle key is ``bucket`` — uniformly distributed by md5 and
   bounded at ``docs_per_bucket`` docs, so no Zipf-heavy term or repo can
   create a straggler group (the bucket is the salt; see segment.py);
@@ -43,6 +43,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 import time
 from typing import Dict, FrozenSet, Optional, Union
 
@@ -183,7 +184,7 @@ def _normalize_batch(langs: FrozenSet[str], num_buckets: int):
 
     No dedup here: upsert duplicates share a doc_key, hence a bucket, and are
     resolved inside the bucket writer; cross-bucket content duplicates are
-    resolved by the staged-key fixup pass (no extra pass over content)."""
+    found from the key columns between stage A's map and reduce."""
     def fn(batch: pa.Table) -> pa.Table:
         mask = pc.is_in(batch.column("lang"), value_set=pa.array(sorted(langs)))
         batch = batch.filter(mask)
@@ -233,27 +234,19 @@ def _canonicalize_bucket(group: pa.Table) -> pa.Table:
     return group.filter(pa.array(keep))
 
 
-def _stage_a_writer(staged_dir: str):
-    """groupby(bucket).map_groups body: canonical in-bucket order + atomic
-    docs file; emits (bucket, n_docs)."""
-    def fn(group: pa.Table) -> pa.Table:
-        bucket = int(group.column("bucket")[0].as_py())
-        group = _canonicalize_bucket(group)
-        _write_staged(group, os.path.join(
-            staged_dir, f"bucket={bucket:08d}.parquet"))
-        return pa.table({"bucket": pa.array([bucket], pa.int32()),
-                         "n_docs": pa.array([group.num_rows], pa.int64())})
-    return fn
-
-
 # --------------------------------------------------------------------------
-# Stage A of a path source runs as a spill exchange (exchange.py): map tasks
-# (one per planned row-group span) normalize their rows and spill them by
-# bucket GROUP (bucket % n_groups); reduce tasks (one per group) canonicalize
-# each bucket and write the staged bucket files.  A killed build resumes
-# mid-stage-A without re-normalizing finished input spans.  Only available
-# when the source is a parquet path (a Dataset has no stable work plan).
+# Stage A runs as a spill exchange (exchange.py): map tasks normalize their
+# rows, spill them by bucket GROUP (bucket % n_groups) and write a key
+# sidecar; the loser step turns the sidecars into ``spill/_exclude.parquet``;
+# reduce tasks (one per group) drop those keys, canonicalize each bucket and
+# write its staged file.  A path source's map items are planned row-group
+# spans, so a killed build resumes mid-stage-A without re-normalizing
+# finished spans; a Dataset has no stable work plan and maps its blocks.
 # --------------------------------------------------------------------------
+
+KEY_COLUMNS = ["doc_key", "sha_hex", "commit"]
+EXCLUDE_FILE = "_exclude.parquet"
+
 
 def _plan_spill_items(source: str, target_items: int) -> list:
     """Deterministic map work items sized so ~``target_items`` items cover
@@ -301,6 +294,10 @@ def _plan_spill_items(source: str, target_items: int) -> list:
     return items
 
 
+def _plan_stage_a(source: str) -> list:
+    return _plan_spill_items(source, target_items=4 * exchange.cluster_cpus())
+
+
 def _read_spans(it: dict) -> pa.Table:
     """The corpus rows of one planned spill item."""
     return pa.concat_tables(
@@ -318,20 +315,41 @@ def _drop_keys(tbl: pa.Table, keys_ref) -> pa.Table:
                                          value_set=ray.get(keys_ref))))
 
 
+def _write_key_sidecar(key_dir: str, item: int, norm: pa.Table) -> None:
+    """The key columns of one map item's normalized rows — all the loser
+    step reads."""
+    os.makedirs(key_dir, exist_ok=True)
+    _atomic_write_table(norm.select(KEY_COLUMNS),
+                        os.path.join(key_dir, f"item={int(item):06d}.parquet"))
+
+
+def _key_files(key_dir: str) -> list:
+    return ([os.path.join(key_dir, f) for f in sorted(os.listdir(key_dir))
+             if f.endswith(".parquet")] if os.path.isdir(key_dir) else [])
+
+
+def _write_doc_keys(keys, path: str) -> None:
+    _atomic_write_table(pa.table({"doc_key": pa.array(keys, pa.string())}),
+                        path)
+
+
 def _stage_a_reduce(staged_dir: str, exclude_ref=None):
     """Stage-A reduce body: one canonical staged file per bucket of the
-    group.  ``exclude_ref`` (broadcast doc_key array) drops those keys
-    before the in-bucket upsert — the REDUCE-side hook for cross-shard
-    dedup losers, used by the fused sharded stage A where the loser set is
-    only known after the map phase ran (the map itself computes the shas)."""
+    group.  ``exclude_ref`` (broadcast doc_key array, the loser set) drops
+    those keys before the in-bucket upsert — per bucket, so a bucket that
+    held only losers still gets its (empty) staged file."""
     def reduce(g: int, tbl) -> list:
         if tbl is None:
             return []
-        tbl = _drop_keys(tbl, exclude_ref)
+        lost = (pa.array(np.zeros(tbl.num_rows, dtype=bool))
+                if exclude_ref is None else
+                pc.is_in(tbl.column("doc_key"), value_set=ray.get(exclude_ref)))
         out = []
         for bucket, rows in exchange.key_slices(
-                tbl, tbl.column("bucket").to_numpy()):
-            docs = _canonicalize_bucket(rows)
+                tbl.append_column("_lost", lost),
+                tbl.column("bucket").to_numpy()):
+            docs = _canonicalize_bucket(rows.filter(
+                pc.invert(rows.column("_lost"))).drop_columns(["_lost"]))
             _write_staged(
                 docs, os.path.join(staged_dir, f"bucket={bucket:08d}.parquet"))
             out.append({"bucket": bucket, "n_docs": docs.num_rows})
@@ -339,16 +357,20 @@ def _stage_a_reduce(staged_dir: str, exclude_ref=None):
     return reduce
 
 
-def _stage_a_exchange(source: str, staged_dir: str, langs: FrozenSet[str],
-                      num_buckets: int,
+def _stage_a_exchange(staged_dir: str, langs: FrozenSet[str],
+                      num_buckets: int, items: Optional[list] = None,
                       exclude_doc_keys=None) -> exchange.Exchange:
-    """Stage A of a path source as a spill exchange under ``spill/`` of the
-    index dir.  ``exclude_doc_keys`` (sorted iterable) drops those keys
-    after normalize — the broadcast-filter hook for cross-shard dedup
-    losers."""
-    ncpu = exchange.cluster_cpus()
-    items = _plan_spill_items(source, target_items=4 * ncpu)
-    n_groups = int(max(1, min(num_buckets, 4 * ncpu)))
+    """Stage A's map side as a spill exchange under ``spill/`` of the index
+    dir: a path source maps its planned ``items`` (``_plan_stage_a``), a
+    Dataset source (``items`` None) its blocks (``Exchange.run_map(ds)``).
+    ``exclude_doc_keys`` (sorted iterable) drops those keys after
+    normalize — the broadcast-filter hook for cross-shard dedup losers.
+    The reduce body is attached once the loser set is known
+    (``_run_stage_a_reduce``)."""
+    n_groups = int(max(1, min(num_buckets, 4 * exchange.cluster_cpus())))
+    spill_dir = os.path.join(os.path.dirname(os.path.normpath(staged_dir)),
+                             "spill")
+    key_dir = os.path.join(spill_dir, "keys")
     exclude_ref = exclude_digest = None
     if exclude_doc_keys:
         ex_sorted = sorted(exclude_doc_keys)
@@ -358,38 +380,43 @@ def _stage_a_exchange(source: str, staged_dir: str, langs: FrozenSet[str],
     normalize = _normalize_batch(langs, num_buckets)
 
     def produce(it: dict):
-        norm = _drop_keys(normalize(_read_spans(it)), exclude_ref)
+        rows = it["rows"] if "rows" in it else _read_spans(it)
+        norm = _drop_keys(normalize(rows), exclude_ref)
+        _write_key_sidecar(key_dir, it["item"], norm)
         return norm, norm.column("bucket").to_numpy() % n_groups
 
     return exchange.Exchange(
-        os.path.join(os.path.dirname(os.path.normpath(staged_dir)), "spill"),
-        n_groups, reduce=_stage_a_reduce(staged_dir), produce=produce,
-        items=items,
+        spill_dir, n_groups, produce=produce, items=items or [],
         config={"num_buckets": num_buckets, "n_groups": n_groups,
                 "langs": sorted(langs), "exclude": exclude_digest,
-                "plan": [it["fp"] for it in items]})
+                "plan": None if items is None else [it["fp"] for it in items]})
+
+
+def _stage_a_losers(spill_dir: str) -> None:
+    """The loser step between stage A's map and reduce: write the content
+    dedup losers of the map's key sidecars to ``spill/_exclude.parquet``.
+    A resume keeps an existing file — the sidecars stay until the staged
+    offsets are durable, so a missing one is recomputed identically."""
+    path = os.path.join(spill_dir, EXCLUDE_FILE)
+    if not os.path.exists(path):
+        _write_doc_keys(content_dup_loser_keys(
+            _key_files(os.path.join(spill_dir, "keys"))), path)
+
+
+def _run_stage_a_reduce(ex: exchange.Exchange, staged_dir: str) -> list:
+    """Reduce every group of stage A's exchange, dropping the doc_keys of
+    ``spill/_exclude.parquet`` (when present) before the in-bucket upsert."""
+    exclude_ref = None
+    expath = os.path.join(ex.spill_dir, EXCLUDE_FILE)
+    if os.path.exists(expath):
+        keys = pq.read_table(expath).column("doc_key").combine_chunks()
+        if len(keys):
+            exclude_ref = ray.put(keys)
+    ex.reduce = _stage_a_reduce(staged_dir, exclude_ref)
+    return ex.run_reduce()
 
 
 PRESTAGED_META = "_prestaged.json"
-
-
-def _stage_a_from_prestaged(index_dir: str, staged_dir: str) -> list:
-    """Stage A when the spill MAP phase already ran externally (the fused
-    sharded build writes every shard's ``spill/g=*/item=*.parquet`` in one
-    corpus pass — see sharded._fused_corpus_spill): run only the per-group
-    reduce, honoring the prestaged meta's group count and optional
-    cross-shard loser exclusion (``spill/_exclude.parquet``)."""
-    spill_dir = os.path.join(index_dir, "spill")
-    meta = json.load(open(os.path.join(spill_dir, PRESTAGED_META)))
-    exclude_ref = None
-    expath = os.path.join(spill_dir, "_exclude.parquet")
-    if os.path.exists(expath):
-        ex = pq.read_table(expath).column("doc_key").combine_chunks()
-        if len(ex):
-            exclude_ref = ray.put(ex)
-    return exchange.Exchange(
-        spill_dir, int(meta["n_groups"]),
-        reduce=_stage_a_reduce(staged_dir, exclude_ref)).run_reduce()
 
 
 def content_dup_losers(keys: pa.Table) -> pa.Table:
@@ -431,61 +458,56 @@ def content_dup_losers_distributed(keys_ds: "ray.data.Dataset") -> list:
                 batch_format="pyarrow").take_all())
 
 
-def _rewrite_one_loser_bucket(staged_dir: str, bucket: int, losers) -> int:
-    path = os.path.join(staged_dir, f"bucket={bucket:08d}.parquet")
-    with pq.ParquetFile(path) as pf:
-        tbl = pf.read()
-    keys = tbl.column("doc_key")
-    tbl = tbl.filter(pc.invert(pc.is_in(
-        keys, value_set=pa.array(list(losers), keys.type))))
-    _write_staged(tbl, path)
-    return tbl.num_rows
-
-
-def _rewrite_loser_buckets(staged_dir: str, counts: Dict[int, int],
-                           losers_by_bucket: Dict[int, set]) -> Dict[int, int]:
-    items = sorted(losers_by_bucket.items())
-    if len(items) > 8:  # parallel rewrite (one Ray task per affected bucket)
-        def fn(item: dict) -> dict:
-            n = _rewrite_one_loser_bucket(staged_dir, int(item["bucket"]),
-                                          set(item["losers"]))
-            return {"bucket": item["bucket"], "n_docs": n}
-
-        rows = ray.data.from_items(
-            [{"bucket": b, "losers": sorted(l)} for b, l in items]).map(fn).take_all()
-        for r in rows:
-            counts[int(r["bucket"])] = int(r["n_docs"])
-    else:
-        for bucket, losers in items:
-            counts[bucket] = _rewrite_one_loser_bucket(staged_dir, bucket, losers)
-    return counts
-
-
-def _content_dedup_fixup(staged_dir: str, counts: Dict[int, int],
-                         driver_threshold: int = 2_000_000) -> Dict[int, int]:
-    """Exact content dedup across buckets: scan ONLY the staged key columns
-    (doc_key, sha_hex, bucket) of the ``counts`` buckets, apply
-    ``content_dup_losers``, and rewrite just the buckets that contain
-    losers.  Under ``driver_threshold`` docs the scan runs on the driver
-    via pyarrow; above it, ``content_dup_losers_distributed`` runs it and
-    only the (tiny) loser rows come back to the driver."""
+def content_dup_loser_keys(key_src,
+                           driver_threshold: int = 2_000_000) -> list:
+    """Sorted doc_keys whose upsert-surviving version loses content dedup:
+    ``content_dup_losers`` over the ``_canonicalize_bucket`` survivors of
+    key rows (doc_key, sha_hex, commit).  ``key_src`` is a hive-partitioned
+    directory or a list of parquet files (stage A's key sidecars).  Under
+    ``driver_threshold`` rows the rule runs on the driver via pyarrow;
+    above it, upsert resolution is a bounded-group distributed pass
+    (per-batch winner combiner — one row per key per batch — then one
+    resolution per doc_key bucket) feeding
+    ``content_dup_losers_distributed``."""
     import pyarrow.dataset as pads
 
-    paths = [os.path.join(staged_dir, f"bucket={b:08d}.parquet")
-             for b in sorted(counts)]
-    if not paths:
-        return counts
-    columns = ["doc_key", "sha_hex", "bucket"]
-    if sum(counts.values()) <= driver_threshold:
-        rows = content_dup_losers(
-            pads.dataset(paths).to_table(columns=columns)).to_pylist()
+    if isinstance(key_src, str):
+        ds = pads.dataset(key_src, partitioning="hive")
     else:
-        rows = content_dup_losers_distributed(
-            ray.data.read_parquet(paths, columns=columns))
-    losers_by_bucket: Dict[int, set] = {}
-    for r in rows:
-        losers_by_bucket.setdefault(int(r["bucket"]), set()).add(r["doc_key"])
-    return _rewrite_loser_buckets(staged_dir, counts, losers_by_bucket)
+        if not key_src:
+            return []
+        ds = pads.dataset(list(key_src))
+    n_rows = ds.count_rows()
+    if n_rows == 0:
+        return []
+    if n_rows <= driver_threshold:
+        return sorted(content_dup_losers(_canonicalize_bucket(
+            ds.to_table(columns=KEY_COLUMNS))).column("doc_key").to_pylist())
+
+    # BOUNDED-bucket exchanges, never per-key groups: a
+    # groupby(doc_key).map_groups would invoke the UDF once per key —
+    # millions of Python calls at corpus scale (measured ~200 s at 3.9M
+    # docs).  Bucket count keeps each group ~corpus/nb rows and the
+    # within-bucket resolution fully vectorized.
+    nb = 512
+
+    def batch_winners(t: pa.Table) -> pa.Table:
+        # map-side combiner: at most one candidate row per key per batch
+        t = _canonicalize_bucket(t)
+        return t.append_column(
+            "bkt", pa.array(docid.buckets_of(
+                t.column("doc_key").to_pylist(), nb), pa.int64()))
+
+    def bucket_key_winners(g: pa.Table) -> pa.Table:
+        # all rows of a doc_key share its bucket
+        return _canonicalize_bucket(g).select(["doc_key", "sha_hex"])
+
+    survivors = (ray.data.read_parquet(key_src, columns=KEY_COLUMNS)
+                 .map_batches(batch_winners, batch_format="pyarrow")
+                 .groupby("bkt").map_groups(
+                     bucket_key_winners, batch_format="pyarrow"))
+    return sorted({r["doc_key"]
+                   for r in content_dup_losers_distributed(survivors)})
 
 
 def _build_bucket(index_dir: str):
@@ -610,7 +632,6 @@ def _run_merge(index_dir: str, num_parts: int, merge_fp: str) -> list:
         for f in os.listdir(os.path.join(index_dir, sub)):
             if f.endswith(".parquet") and f not in live:
                 os.remove(os.path.join(index_dir, sub, f))
-    import shutil
     shutil.rmtree(ex.spill_dir, ignore_errors=True)
     return rows
 
@@ -629,9 +650,8 @@ def build_index(
     """Build (or resume) the inverted index at ``index_dir``. Returns a build
     report. ``source`` is a corpus parquet path/dir or a Dataset with columns
     (repo, path, commit, lang, content).  ``exclude_doc_keys`` drops those
-    keys during stage A (path sources only — a broadcast map-side filter,
-    used by the sharded build for cross-shard dedup losers; Dataset callers
-    filter their dataset instead).  ``prestaged_spill`` skips the stage-A
+    keys during stage A (a broadcast map-side filter, used by the sharded
+    build for cross-shard dedup losers).  ``prestaged_spill`` skips the stage-A
     map phase entirely: the spill files were already written by an external
     exchange (the fused sharded build's single corpus pass) and carry a
     ``spill/_prestaged.json`` with the bucket/group sizing; ``source`` is
@@ -649,9 +669,10 @@ def build_index(
     staged_dir = os.path.join(index_dir, "staged")
     offsets_path = os.path.join(staged_dir, "_offsets.json")
 
+    spill_dir = os.path.join(index_dir, "spill")
+    items = None
     if prestaged_spill:
-        ds_raw = None
-        meta_path = os.path.join(index_dir, "spill", PRESTAGED_META)
+        meta_path = os.path.join(spill_dir, PRESTAGED_META)
         if os.path.exists(meta_path):
             _m = json.load(open(meta_path))
             n_est = int(_m["n_rows_estimate"])
@@ -666,12 +687,14 @@ def build_index(
                 f"spill/{PRESTAGED_META} nor durable staged offsets")
     else:
         if isinstance(source, str):
-            ds_raw = ray.data.read_parquet(
-                source, columns=CORPUS_COLUMNS,
-                override_num_blocks=max(2 * exchange.cluster_cpus(), 8))
+            items = _plan_stage_a(source)
+        if n_input_estimate is not None:
+            n_est = n_input_estimate
+        elif items is not None:
+            # the plan read every footer: its row total is the input size
+            n_est = sum(it["n_rows"] for it in items)
         else:
-            ds_raw = source
-        n_est = n_input_estimate if n_input_estimate is not None else ds_raw.count()
+            n_est = source.count()
         num_buckets = docid.num_buckets_for(n_est, docs_per_bucket)
 
     if resume and os.path.exists(offsets_path):
@@ -679,39 +702,35 @@ def build_index(
         assert off["num_buckets"] == num_buckets, "resume with different bucketing"
         counts = {int(k): v for k, v in off["counts"].items()}
         staged_fresh = False
-        if prestaged_spill:  # a fused re-spill may have re-created spill
-            # data this build no longer needs (offsets are durable)
-            import shutil
-            shutil.rmtree(os.path.join(index_dir, "spill"),
-                          ignore_errors=True)
+        # a fused re-spill may have re-created spill data this build no
+        # longer needs (offsets are durable)
+        shutil.rmtree(spill_dir, ignore_errors=True)
     else:
         # ----- stage A: normalize + the ONE content exchange + in-bucket
-        # upsert.  Parquet-path sources use the resumable SPILL-FILE exchange
-        # (deterministic map/reduce work items with done-markers — a kill
-        # mid-stage-A skips finished input spans on resume); Dataset sources
-        # have no stable work plan and use the in-memory groupby shuffle.
+        # upsert.  The map spills rows and key sidecars (a path source's
+        # planned items resume from their done-markers; a Dataset's blocks
+        # rerun from a fresh spill dir); the loser step writes the content
+        # dedup losers; the reduce drops them and writes each staged bucket
+        # once.  A fused sharded build ran the map and wrote the global
+        # loser set already.
         t0 = time.perf_counter()
         if prestaged_spill:
-            rows = _stage_a_from_prestaged(index_dir, staged_dir)
-        elif isinstance(source, str):
-            rows = _stage_a_exchange(source, staged_dir, langs, num_buckets,
-                                     exclude_doc_keys=exclude_doc_keys).run()
-        elif exclude_doc_keys:
-            raise ValueError(
-                "exclude_doc_keys requires a parquet-path source; filter the "
-                "Dataset before calling build_index instead")
+            ex = exchange.Exchange(spill_dir, int(_m["n_groups"]))
+            t_losers = 0.0
         else:
-            norm = ds_raw.map_batches(_normalize_batch(langs, num_buckets),
-                                      batch_format="pyarrow", zero_copy_batch=True)
-            rows = norm.groupby("bucket").map_groups(
-                _stage_a_writer(staged_dir), batch_format="pyarrow").take_all()
+            ex = _stage_a_exchange(staged_dir, langs, num_buckets, items,
+                                   exclude_doc_keys=exclude_doc_keys)
+            ex.prepare(fresh=items is None)
+            ex.run_map(source if items is None else None)
+            t1 = time.perf_counter()
+            _stage_a_losers(spill_dir)
+            t_losers = time.perf_counter() - t1
+            # the report's content-dedup key, which perfbench maps
+            phase_t["content_dedup_fixup"] = round(t_losers, 3)
+        rows = _run_stage_a_reduce(ex, staged_dir)
         counts = {int(r["bucket"]): int(r["n_docs"]) for r in rows}
-        _mark("stage_a_bucketed_docs", t0)
-
-        # ----- content dedup fixup: key columns only, rewrite losers only
-        t0 = time.perf_counter()
-        counts = _content_dedup_fixup(staged_dir, counts)
-        _mark("content_dedup_fixup", t0)
+        phase_t["stage_a_bucketed_docs"] = round(
+            time.perf_counter() - t0 - t_losers, 3)
 
         _atomic_write_json(
             {"num_buckets": num_buckets,
@@ -720,9 +739,7 @@ def build_index(
             offsets_path)
         staged_fresh = True
         # offsets are durable -> the spill exchange is no longer needed
-        if isinstance(source, str) or prestaged_spill:
-            import shutil
-            shutil.rmtree(os.path.join(index_dir, "spill"), ignore_errors=True)
+        shutil.rmtree(spill_dir, ignore_errors=True)
 
     offsets = docid.bucket_offsets(counts)
     n_docs = int(sum(counts.values()))

@@ -2,15 +2,16 @@
 deterministic map/reduce over parquet spill files instead of Ray's
 in-memory sort shuffle.
 
-Map tasks (one per planned work item) turn their input into a table plus
-an integer key per row and write one spill file per key under
-``g=KKKK/item=NNNNNN.parquet``; reduce tasks (one per key group) read
-their group's spill and write the stage's outputs.  Both sides leave
-done-markers under ``_done/``, and ``_config.json`` pins the plan: a
-killed stage resumes at item/group granularity, and a run with a
-different plan starts from an empty spill dir.
+Map tasks (one per planned work item, or one per block of a Dataset)
+turn their input into a table plus an integer key per row and write one
+spill file per key under ``g=KKKK/item=NNNNNN.parquet``; reduce tasks
+(one per key group) read their group's spill and write the stage's
+outputs.  Both sides leave done-markers under ``_done/``, and
+``_config.json`` pins the plan: a killed stage resumes at item/group
+granularity, and a run with a different plan starts from an empty spill
+dir.  A Dataset map has no plan to pin and leaves no map markers.
 
-Callers: stage A of a path-source build and its fused sharded variant
+Callers: stage A of a build and its fused sharded variant
 (build.py, sharded.py), the term-partitioned merge (build.py) and
 the distributed global-dictionary merge (sharded.py).
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import uuid
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Tuple
 
@@ -102,14 +104,16 @@ class Exchange:
         marker = os.path.join(self.spill_dir, "_done", f"item={item:06d}.json")
         if (_load_json(marker) or {}).get("fp") == it["fp"]:
             return {"item": item, "skipped": True}
+        self._spill(item, *self.produce(it))
+        build._atomic_write_json({"fp": it["fp"]}, marker)
+        return {"item": item, "skipped": False}
+
+    def _spill(self, item: int, tbl: pa.Table, keys: np.ndarray) -> None:
         dir_of = self.dir_of or (lambda k: group_dir(self.spill_dir, k))
-        tbl, keys = self.produce(it)
         for key, rows in key_slices(tbl, keys):
             d = dir_of(key)
             os.makedirs(d, exist_ok=True)
             build._atomic_write_table(rows, os.path.join(d, f"item={item:06d}.parquet"))
-        build._atomic_write_json({"fp": it["fp"]}, marker)
-        return {"item": item, "skipped": False}
 
     def reduce_task(self, it: dict) -> list:
         g = int(it["g"])
@@ -126,8 +130,22 @@ class Exchange:
         build._atomic_write_json({"rows": rows}, marker)
         return rows
 
-    def run_map(self) -> None:
-        ray.data.from_items(self.items).map(self.map_task).materialize()
+    def run_map(self, ds: Optional["ray.data.Dataset"] = None) -> None:
+        """Map every planned item; or, given a Dataset ``ds`` (no stable
+        work plan, so no done-markers: a killed map reruns from a fresh
+        spill dir), each of its blocks as the item ``{"item": <random id>,
+        "rows": block}``."""
+        if ds is None:
+            ray.data.from_items(self.items).map(self.map_task).materialize()
+            return
+
+        def map_block(rows: pa.Table) -> pa.Table:
+            item = uuid.uuid4().int >> 65  # 63 bits: an int64
+            self._spill(item, *self.produce({"item": item, "rows": rows}))
+            return pa.table({"item": pa.array([item], pa.int64())})
+
+        ds.map_batches(map_block, batch_size=None, batch_format="pyarrow",
+                       zero_copy_batch=True).materialize()
 
     def run_reduce(self) -> list:
         os.makedirs(os.path.join(self.spill_dir, "_done"), exist_ok=True)

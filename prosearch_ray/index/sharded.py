@@ -9,9 +9,10 @@ so shard scores are bit-identical to an unsharded build:
 - ``shard = md5(doc_key) % S``: all versions of a key co-locate, so the
   in-bucket last-write-wins upsert keeps its semantics per shard;
 - cross-shard exact-content dedup runs on KEY COLUMNS ONLY before the
-  shard builds (upsert-resolve per key, then min-doc_key winner per sha —
-  the same deterministic rule as build.py's in-index fixup), so the final
-  global doc set equals the unsharded build's;
+  shard builds (build.content_dup_loser_keys: upsert-resolve per key, then
+  min-doc_key winner per sha — the rule an unsharded build applies between
+  its stage-A map and reduce), so the final global doc set equals the
+  unsharded build's;
 - ``global_stats.json`` (N, avgdl) and ``global_dict/`` (per-term
   corpus-wide df, hash-partitioned by ``layout.term_part`` with each part
   term-sorted for point reads) are derived from the shard outputs; shard
@@ -49,7 +50,8 @@ import ray.data as rd
 
 from prosearch_ray.index import docid
 from prosearch_ray.index.build import (CORPUS_COLUMNS, DEFAULT_LANGS,
-                                       _sha256_hex_arrow, build_index)
+                                       _sha256_hex_arrow, build_index,
+                                       content_dup_loser_keys)
 from prosearch_ray.index.delta import fold_deltas, segment_dict_rows
 from prosearch_ray.sinks import write_partitioned
 
@@ -117,67 +119,12 @@ def _tag_batch(langs: FrozenSet[str], num_shards: int):
     return fn
 
 
-def _cross_shard_losers(corpus_src,
-                        driver_threshold: int = 2_000_000) -> set:
-    """doc_keys whose upsert-surviving version loses global content dedup
-    (build.content_dup_losers applied across shards to the
-    _canonicalize_bucket survivors).  Key columns only.  ``corpus_src`` is
-    a hive-partitioned corpus directory or an explicit list of parquet
-    files (the fused build passes the per-item key sidecars).  Under
-    ``driver_threshold`` rows the scan runs on the driver via pyarrow;
-    above it, upsert resolution happens as a bounded-group distributed pass
-    (per-batch winner combiner — one row per key per batch — then one
-    resolution per doc_key bucket) feeding build.content_dup_losers_distributed
-    — the same threshold pattern as _content_dedup_fixup."""
-    from prosearch_ray.index.build import (_canonicalize_bucket,
-                                           content_dup_losers,
-                                           content_dup_losers_distributed)
-
-    if isinstance(corpus_src, str):
-        ds = pads.dataset(corpus_src, partitioning="hive")
-    else:
-        if not corpus_src:
-            return set()
-        ds = pads.dataset(list(corpus_src))
-    n_rows = ds.count_rows()
-    if n_rows == 0:
-        return set()
-    columns = ["doc_key", "sha_hex", "commit"]
-    if n_rows <= driver_threshold:
-        return set(content_dup_losers(_canonicalize_bucket(
-            ds.to_table(columns=columns))).column("doc_key").to_pylist())
-
-    # BOUNDED-bucket exchanges, never per-key groups: a
-    # groupby(doc_key).map_groups would invoke the UDF once per key —
-    # millions of Python calls at corpus scale (measured ~200 s at 3.9M
-    # docs).  Bucket count keeps each group ~corpus/nb rows and the
-    # within-bucket resolution fully vectorized.
-    nb = 512
-
-    def batch_winners(t: pa.Table) -> pa.Table:
-        # map-side combiner: at most one candidate row per key per batch
-        t = _canonicalize_bucket(t)
-        return t.append_column(
-            "bkt", pa.array(docid.buckets_of(
-                t.column("doc_key").to_pylist(), nb), pa.int64()))
-
-    def bucket_key_winners(g: pa.Table) -> pa.Table:
-        # all rows of a doc_key share its bucket
-        return _canonicalize_bucket(g).select(["doc_key", "sha_hex"])
-
-    survivors = (rd.read_parquet(corpus_src, columns=columns)
-                 .map_batches(batch_winners, batch_format="pyarrow")
-                 .groupby("bkt").map_groups(
-                     bucket_key_winners, batch_format="pyarrow"))
-    return {r["doc_key"] for r in content_dup_losers_distributed(survivors)}
-
-
 # global-dict merge sizing: partitions target this many rows each, and the
 # merge runs driver-side below the row threshold (same threshold pattern as
-# _cross_shard_losers / build.py's _content_dedup_fixup).  Both layouts are
-# identical on disk — a directory of term-sorted ``part=K.parquet`` files
-# routed by ``layout.term_part`` — so point reads never care which path
-# produced them.
+# build.content_dup_loser_keys).  Both layouts are identical on disk — a
+# directory of term-sorted ``part=K.parquet`` files routed by
+# ``layout.term_part`` — so point reads never care which path produced
+# them.
 DICT_ROWS_PER_PART = 2_000_000
 DICT_DRIVER_ROWS = 2_000_000
 
@@ -693,10 +640,10 @@ def _fused_corpus_spill(source: str, root: str, num_shards: int,
     import time as _time
 
     from prosearch_ray.index import exchange
-    from prosearch_ray.index.build import (_atomic_write_json,
-                                           _atomic_write_table,
-                                           _normalize_batch,
-                                           _plan_spill_items, _read_spans)
+    from prosearch_ray.index.build import (EXCLUDE_FILE, _atomic_write_json,
+                                           _key_files, _normalize_batch,
+                                           _plan_spill_items, _read_spans,
+                                           _write_doc_keys, _write_key_sidecar)
 
     t0 = _time.perf_counter()
     ncpu = exchange.cluster_cpus()
@@ -717,9 +664,7 @@ def _fused_corpus_spill(source: str, root: str, num_shards: int,
         # keys sidecar (one file per item): the cross-shard loser scan reads
         # these few files instead of re-opening every (shard, group) spill
         # file — per-file open cost dominated that scan
-        os.makedirs(kdir, exist_ok=True)
-        _atomic_write_table(norm.select(["doc_key", "sha_hex", "commit"]),
-                            os.path.join(kdir, f"item={int(it['item']):06d}.parquet"))
+        _write_key_sidecar(kdir, it["item"], norm)
         shards = docid.buckets_of(norm.column("doc_key").to_pylist(),
                                   num_shards)
         return norm, shards * n_groups + norm.column("bucket").to_numpy() % n_groups
@@ -752,12 +697,8 @@ def _fused_corpus_spill(source: str, root: str, num_shards: int,
     if os.path.exists(losers_path):
         losers = sorted(pq.read_table(losers_path).column("doc_key").to_pylist())
     else:
-        key_files = ([os.path.join(kdir, f) for f in sorted(os.listdir(kdir))
-                      if f.endswith(".parquet")]
-                     if os.path.isdir(kdir) else [])
-        losers = sorted(_cross_shard_losers(key_files))
-        _atomic_write_table(
-            pa.table({"doc_key": pa.array(losers, pa.string())}), losers_path)
+        losers = content_dup_loser_keys(_key_files(kdir))
+        _write_doc_keys(losers, losers_path)
         # keys sidecars exist only to derive the loser set; once it is
         # durable they are dead weight (~2 GB at 16M docs) — a stale
         # config rebuilds fdir wholesale, regenerating them
@@ -777,13 +718,7 @@ def _fused_corpus_spill(source: str, root: str, num_shards: int,
                 pass
         if fresh:  # sizing or loser set changed -> reduce markers invalid
             shutil.rmtree(os.path.join(sdir, "_done"), ignore_errors=True)
-            expath = os.path.join(sdir, "_exclude.parquet")
-            if losers:
-                _atomic_write_table(
-                    pa.table({"doc_key": pa.array(losers, pa.string())}),
-                    expath)
-            elif os.path.exists(expath):
-                os.remove(expath)
+            _write_doc_keys(losers, os.path.join(sdir, EXCLUDE_FILE))
             _atomic_write_json(meta, mpath)
     t_end = _time.perf_counter()
     return {"spill_sec": round(t_map - t0, 3),
@@ -869,7 +804,7 @@ def build_sharded_index(
             corpus_root, "shard")
         t_part = _time.perf_counter()
 
-        losers = _cross_shard_losers(corpus_root)
+        losers = content_dup_loser_keys(corpus_root)
         t_dedup = _time.perf_counter()
 
         def build_one(s: int):

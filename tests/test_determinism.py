@@ -1,7 +1,8 @@
 """North-rule determinism: the index must be byte-identical when built at
 different parallelism levels (the num_cpus stand-in for cluster sizes).
-Dataset sources run the groupby stage A; parquet-path sources run the
-spill exchanges, whose item and group counts follow the CPU count."""
+Both source kinds run stage A as a spill exchange: a Dataset source maps
+its blocks, a parquet-path source its planned row-group spans, and the
+item and group counts follow the CPU count."""
 
 import json
 import os

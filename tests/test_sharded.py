@@ -523,8 +523,9 @@ def test_cross_shard_losers_distributed_matches_driver(both_indexes,
     import ray.data as rd
 
     from prosearch_ray.fixtures import write_corpus
-    from prosearch_ray.index.build import CORPUS_COLUMNS, DEFAULT_LANGS
-    from prosearch_ray.index.sharded import _cross_shard_losers, _tag_batch
+    from prosearch_ray.index.build import (CORPUS_COLUMNS, DEFAULT_LANGS,
+                                           content_dup_loser_keys)
+    from prosearch_ray.index.sharded import _tag_batch
     from prosearch_ray.sinks import write_partitioned
 
     d = write_corpus(str(tmp_path / "c"), n_docs=1500)
@@ -534,8 +535,8 @@ def test_cross_shard_losers_distributed_matches_driver(both_indexes,
             _tag_batch(DEFAULT_LANGS, 3), batch_format="pyarrow"),
         corpus_root, "shard")
     assert os.path.isdir(corpus_root)
-    drv = _cross_shard_losers(corpus_root)
-    dist = _cross_shard_losers(corpus_root, driver_threshold=1)
+    drv = content_dup_loser_keys(corpus_root)
+    dist = content_dup_loser_keys(corpus_root, driver_threshold=1)
     assert dist == drv
     assert len(drv) > 0  # the fixture corpus contains cross-shard dups
 

@@ -1,13 +1,15 @@
-"""Stage-A spill-file exchange: parquet-path sources run a deterministic,
-resumable map/reduce over spill files instead of Ray's in-memory shuffle.
-Pins (a) byte-equivalence with the groupby path, (b) mid-stage-A and
-mid-merge resume skipping finished map items and (c) the distributed
+"""Stage-A spill-file exchange: every source runs a map/reduce over spill
+files instead of Ray's in-memory shuffle, with the content-dedup loser set
+decided between the map and the reduce.  Pins (a) byte-equivalence of
+path and Dataset sources, (b) one staged write per bucket, (c) mid-stage-A
+and mid-merge resume skipping finished work and (d) the distributed
 content-dedup branch against the driver branch."""
 
 import json
 import os
 
 import pyarrow.parquet as pq
+import pytest
 
 
 def _postings_bytes(index_dir):
@@ -20,7 +22,7 @@ def _postings_bytes(index_dir):
     return out
 
 
-def test_spill_path_matches_groupby_path(ray_session, tmp_path):
+def test_spill_path_matches_dataset_path(ray_session, tmp_path):
     import ray.data as rd
 
     from prosearch_ray.fixtures.gen import generate_corpus
@@ -58,6 +60,37 @@ def _write_src(corpus, src, n_files=3, row_group_size=40):
     return src
 
 
+N_COPIES = 40
+
+
+def _corpus_with_copies():
+    """The 300-doc fixture corpus plus ``N_COPIES`` of its rows under new
+    paths: content copies whose doc_keys hash to other buckets."""
+    import pyarrow as pa
+
+    from prosearch_ray.fixtures.gen import generate_corpus
+
+    corpus = generate_corpus(300)
+    copies = corpus.slice(0, N_COPIES)
+    copies = copies.set_column(
+        copies.schema.get_field_index("path"), "path",
+        pa.array([p + ".copy" for p in copies.column("path").to_pylist()]))
+    return pa.concat_tables([corpus, copies])
+
+
+def _index_files(index_dir):
+    """Every file of a finished index as bytes; the staged offsets parsed
+    (their key order follows reduce completion)."""
+    out = {}
+    for root, _, files in os.walk(index_dir):
+        for f in files:
+            p = os.path.join(root, f)
+            rel = os.path.relpath(p, index_dir)
+            out[rel] = (json.load(open(p)) if f == "_offsets.json"
+                        else open(p, "rb").read())
+    return out
+
+
 def _markers_at_reduce(monkeypatch, spill_name):
     """Record, at the moment the named exchange starts its reduce (its map
     is done, its spill still on disk), the mtime of every map done-marker."""
@@ -92,8 +125,8 @@ def test_spill_resume_skips_finished_items(ray_session, tmp_path,
                                            monkeypatch):
     from prosearch_ray.fixtures.gen import generate_corpus
     from prosearch_ray.index import docid
-    from prosearch_ray.index.build import (DEFAULT_LANGS, _stage_a_exchange,
-                                           build_index)
+    from prosearch_ray.index.build import (DEFAULT_LANGS, _plan_stage_a,
+                                           _stage_a_exchange, build_index)
 
     corpus = generate_corpus(300)
     src = _write_src(corpus, str(tmp_path / "src"))
@@ -105,7 +138,8 @@ def test_spill_resume_skips_finished_items(ray_session, tmp_path,
 
     # simulate a build killed mid-stage-A: the exchange build_index will
     # plan, with the map run for HALF its items
-    ex = _stage_a_exchange(src, staged, DEFAULT_LANGS, num_buckets)
+    ex = _stage_a_exchange(staged, DEFAULT_LANGS, num_buckets,
+                           _plan_stage_a(src))
     assert len(ex.items) >= 4
     before = _finish_half(ex)
 
@@ -124,14 +158,15 @@ def test_spill_resume_skips_finished_items(ray_session, tmp_path,
 def test_spill_map_item_skip_marker(ray_session, tmp_path):
     """A completed item's marker short-circuits its rerun."""
     from prosearch_ray.fixtures.gen import generate_corpus
-    from prosearch_ray.index.build import DEFAULT_LANGS, _stage_a_exchange
+    from prosearch_ray.index.build import (DEFAULT_LANGS, _plan_stage_a,
+                                           _stage_a_exchange)
 
     corpus = generate_corpus(100)
     src = _write_src(corpus, str(tmp_path / "src"), n_files=1,
                      row_group_size=25)
     staged = str(tmp_path / "idx" / "staged")
     os.makedirs(staged)
-    ex = _stage_a_exchange(src, staged, DEFAULT_LANGS, 8)
+    ex = _stage_a_exchange(staged, DEFAULT_LANGS, 8, _plan_stage_a(src))
     ex.prepare()
     assert ex.map_task(ex.items[0])["skipped"] is False
     assert ex.map_task(ex.items[0])["skipped"] is True
@@ -214,23 +249,15 @@ def test_add_part_column_matches_per_row_term_part():
 
 def test_content_dedup_distributed_matches_driver(ray_session, tmp_path,
                                                   monkeypatch):
-    """The distributed branch of the content-dedup fixup (above its row
+    """The distributed branch of stage A's loser step (above its row
     threshold) stages the same bucket files and counts as the driver
     branch, on a corpus with cross-bucket content duplicates."""
     import functools
     import json
 
-    import pyarrow as pa
-
-    from prosearch_ray.fixtures.gen import generate_corpus
     from prosearch_ray.index import build
 
-    corpus = generate_corpus(300)
-    copies = corpus.slice(0, 40)
-    copies = copies.set_column(
-        copies.schema.get_field_index("path"), "path",
-        pa.array([p + ".copy" for p in copies.column("path").to_pylist()]))
-    corpus = pa.concat_tables([corpus, copies])
+    corpus = _corpus_with_copies()
     src = _write_src(corpus, str(tmp_path / "src"))
     n_keys = len(set(zip(corpus.column("repo").to_pylist(),
                          corpus.column("path").to_pylist())))
@@ -242,13 +269,134 @@ def test_content_dedup_distributed_matches_driver(ray_session, tmp_path,
 
     drv = str(tmp_path / "drv")
     rep_drv = build.build_index(src, drv, docs_per_bucket=64)
-    monkeypatch.setattr(build, "_content_dedup_fixup", functools.partial(
-        build._content_dedup_fixup, driver_threshold=0))
+    monkeypatch.setattr(build, "content_dup_loser_keys", functools.partial(
+        build.content_dup_loser_keys, driver_threshold=0))
     dist = str(tmp_path / "dist")
     rep_dist = build.build_index(src, dist, docs_per_bucket=64)
 
-    assert rep_drv["n_docs"] == rep_dist["n_docs"] <= n_keys - len(copies)
+    assert rep_drv["n_docs"] == rep_dist["n_docs"] <= n_keys - N_COPIES
     assert staged(drv) == staged(dist)
     counts = [json.load(open(os.path.join(i, "staged", "_offsets.json")))
               ["counts"] for i in (drv, dist)]
     assert counts[0] == counts[1]
+
+
+def test_each_staged_bucket_written_once(ray_session, tmp_path, monkeypatch):
+    """Stage A writes every staged bucket file exactly once: content-dedup
+    losers are dropped in the reduce, never by a rewrite.  Checked for a
+    path source, a Dataset source and a fused sharded build on a corpus
+    whose content copies land in other buckets; the staged doc set equals
+    the loop-based dedup reference."""
+    from collections import Counter
+
+    import ray.data as rd
+
+    from prosearch_ray.index import build, docid
+    from prosearch_ray.index.sharded import build_sharded_index
+    from prosearch_ray.oracle.bm25_oracle import canonicalize
+
+    corpus = _corpus_with_copies()
+    src = _write_src(corpus, str(tmp_path / "src"))
+    log = str(tmp_path / "writes.log")
+    orig = build._write_staged
+
+    def counted(table, path):  # runs in Ray workers: log to a file
+        with open(log, "a") as f:
+            f.write(path + "\n")
+        return orig(table, path)
+
+    monkeypatch.setattr(build, "_write_staged", counted)
+    idx_path, idx_ds = str(tmp_path / "path"), str(tmp_path / "ds")
+    root = str(tmp_path / "sharded")
+    build.build_index(src, idx_path, docs_per_bucket=64)
+    build.build_index(rd.from_arrow(corpus), idx_ds, docs_per_bucket=64)
+    build_sharded_index(src, root, 2, docs_per_bucket=64)
+
+    writes = Counter(open(log).read().split())
+    expect = {d["doc_key"]: d["sha256"] for d in canonicalize(
+        corpus, docid.num_buckets_for(corpus.num_rows, 64))}
+    n_files = 0
+    for dirs in ([idx_path], [idx_ds],
+                 [os.path.join(root, "shard=000"),
+                  os.path.join(root, "shard=001")]):
+        files = [os.path.join(d, "staged", f) for d in dirs
+                 for f in sorted(os.listdir(os.path.join(d, "staged")))
+                 if f.endswith(".parquet")]
+        assert files and {f: writes[f] for f in files} == {f: 1 for f in files}
+        n_files += len(files)
+        got = {}
+        for f in files:
+            t = pq.read_table(f, columns=["doc_key", "sha256"])
+            got.update(zip(t.column("doc_key").to_pylist(),
+                           t.column("sha256").to_pylist()))
+        assert got == expect
+    assert sum(writes.values()) == n_files
+
+
+@pytest.mark.parametrize("drop_exclude", [False, True],
+                         ids=["exclude_kept", "exclude_missing"])
+def test_stage_a_resumes_after_loser_step(ray_session, tmp_path, monkeypatch,
+                                          drop_exclude):
+    """A build killed after stage A's map and loser step, with about half
+    the reduce groups done, resumes to the clean build's bytes: no map item
+    and no finished reduce group runs again, and a missing
+    ``spill/_exclude.parquet`` is rebuilt, identical, from the map's key
+    sidecars."""
+    import pyarrow as pa
+    import ray
+
+    from prosearch_ray.index import build, docid, exchange
+
+    corpus = _corpus_with_copies()
+    src = _write_src(corpus, str(tmp_path / "src"))
+    ref = str(tmp_path / "ref")
+    build.build_index(src, ref, docs_per_bucket=64)
+
+    # the kill state: map done, loser set written, half the groups reduced
+    idx = str(tmp_path / "idx")
+    staged = os.path.join(idx, "staged")
+    os.makedirs(staged)
+    ex = build._stage_a_exchange(
+        staged, build.DEFAULT_LANGS,
+        docid.num_buckets_for(corpus.num_rows, 64), build._plan_stage_a(src))
+    ex.prepare()
+    ex.run_map()
+    build._stage_a_losers(ex.spill_dir)
+    expath = os.path.join(ex.spill_dir, build.EXCLUDE_FILE)
+    losers = pq.read_table(expath).column("doc_key").to_pylist()
+    assert len(losers) >= N_COPIES // 2
+    ex.reduce = build._stage_a_reduce(
+        staged, ray.put(pa.array(losers, pa.string())))
+    assert ex.n_groups >= 2
+    for g in range(ex.n_groups // 2):
+        assert ex.reduce_task({"g": g})
+    done = os.path.join(ex.spill_dir, "_done")
+    before = {f: os.stat(os.path.join(done, f)).st_mtime_ns
+              for f in os.listdir(done)}
+    staged_before = {f: os.stat(os.path.join(staged, f)).st_mtime_ns
+                     for f in os.listdir(staged)}
+    assert staged_before and sum(f.startswith("group=") for f in before) \
+        == ex.n_groups // 2
+    if drop_exclude:
+        os.remove(expath)
+
+    seen = {}
+    orig = exchange.Exchange.run_reduce
+
+    def run_reduce(self):
+        if self.spill_dir == ex.spill_dir:
+            seen["losers"] = pq.read_table(os.path.join(
+                self.spill_dir, build.EXCLUDE_FILE)).column(
+                "doc_key").to_pylist()
+            seen["done"] = {f: os.stat(os.path.join(done, f)).st_mtime_ns
+                            for f in os.listdir(done)}
+        return orig(self)
+
+    monkeypatch.setattr(exchange.Exchange, "run_reduce", run_reduce)
+    rep = build.build_index(src, idx, docs_per_bucket=64)
+    assert rep["staged_fresh"] and seen["losers"] == losers
+    assert seen["done"] == before
+    assert {f: os.stat(os.path.join(staged, f)).st_mtime_ns
+            for f in staged_before} == staged_before
+    assert not os.path.exists(ex.spill_dir)
+    assert _index_files(idx) == _index_files(ref)
