@@ -24,9 +24,11 @@ Replaces the reference's crawl→commit→tantivy-segment path
          postings part and its dict shard (forcemerge analog).
 
 Scale notes (explicitly designed for the 100 TB case):
-- exactly ONE pass over content and ONE content shuffle (the bucket
-  exchange); upsert dedup is in-bucket (doc_key ⇒ bucket), content dedup
-  reads key columns only, and every staged bucket is written once;
+- ONE content shuffle (the bucket exchange) and two passes over content:
+  stage A reads the source and writes each staged bucket once, and stage
+  B reads and decompresses each staged file again to tokenize it
+  (``_build_bucket``); upsert dedup is in-bucket (doc_key ⇒ bucket) and
+  content dedup reads key columns only;
 - skew: the shuffle key is ``bucket`` — uniformly distributed by md5 and
   bounded at ``docs_per_bucket`` docs, so no Zipf-heavy term or repo can
   create a straggler group (the bucket is the salt; see segment.py);
@@ -86,6 +88,14 @@ def _atomic_write_table(table: pa.Table, path: str,
                    compression=_PQ_COMPRESSION)
     os.replace(tmp, path)
     return os.path.getsize(path)
+
+
+def _by_int_key(d: dict) -> dict:
+    """``d`` keyed by the strings of its integer keys, in numeric order:
+    ``_offsets.json`` counts and ``_merge.json`` parts are written through
+    this, so their bytes do not depend on the order reduce tasks return
+    their rows in."""
+    return {str(k): d[k] for k in sorted(d, key=int)}
 
 
 def _atomic_write_json(obj: dict, path: str) -> None:
@@ -734,7 +744,7 @@ def build_index(
 
         _atomic_write_json(
             {"num_buckets": num_buckets,
-             "counts": {str(k): v for k, v in counts.items()},
+             "counts": _by_int_key(counts),
              "n_docs": int(sum(counts.values()))},
             offsets_path)
         staged_fresh = True
@@ -817,8 +827,9 @@ def build_index(
                        "n_terms": n_terms,
                        # per-part term counts enable the delta path's
                        # INCREMENTAL merge (rewrite only affected parts)
-                       "parts": {str(int(r["part"])): int(r["n_terms"])
-                                 for r in part_rows},
+                       "parts": _by_int_key({
+                           int(r["part"]): int(r["n_terms"])
+                           for r in part_rows}),
                        "pos_fp": merge_fp}
         _atomic_write_json(merge_state, merge_path)
         merged = True

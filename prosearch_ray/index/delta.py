@@ -52,6 +52,7 @@ from prosearch_ray.index.build import (
     DEFAULT_LANGS,
     _atomic_write_json,
     _atomic_write_table,
+    _by_int_key,
     _canonicalize_bucket,
     _normalize_batch,
     _write_staged,
@@ -234,6 +235,7 @@ def add_documents(index_dir: str, source, *, langs=DEFAULT_LANGS,
         off["counts"][str(next_bucket + i2)] = n
         pos2 += n
         i2 += 1
+    off["counts"] = _by_int_key(off["counts"])
     off["n_docs"] = int(sum(off["counts"].values()))
     _atomic_write_json(off, os.path.join(index_dir, "staged", "_offsets.json"))
 
@@ -335,7 +337,7 @@ def _incremental_part_merge(index_dir: str, num_parts: int,
     parts_map = {str(k): int(v) for k, v in old_parts.items()}
     for r in rows:
         parts_map[str(int(r["part"]))] = int(r["n_terms"])
-    return parts_map
+    return _by_int_key(parts_map)
 
 
 def _commit_fold(index_dir: str) -> None:
@@ -401,8 +403,9 @@ def fold_deltas(index_dir: str) -> dict:
             os.path.join(index_dir, FOLD_DIR, FOLD_MARKER))
         _commit_fold(index_dir)
     else:
-        parts_map = {str(int(r["part"])): int(r["n_terms"])
-                     for r in _run_merge(index_dir, num_parts, merge_fp)}
+        parts_map = _by_int_key({int(r["part"]): int(r["n_terms"])
+                                 for r in _run_merge(index_dir, num_parts,
+                                                     merge_fp)})
         _atomic_write_json({"fingerprint": merge_fp, "num_parts": num_parts,
                             "n_terms": int(sum(parts_map.values())),
                             "parts": parts_map, "pos_fp": merge_fp},

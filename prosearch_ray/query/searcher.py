@@ -28,6 +28,16 @@ files are a block-addressed docstore (row i of bucket B is doc
 ``bucket_bounds[B] + i``; row groups are ~32 KiB zstd content blocks),
 so a SERP decompresses only its hits' blocks, like tantivy's
 ``searcher.doc`` over lz4 docstore blocks.
+
+Every row-group read of the query path — docstore blocks, and the
+postings, positions and global-dictionary part row groups of term point
+reads — goes through one per-searcher LRU of decompressed row groups
+keyed by (file path, row group) and bounded at ``_BLOCK_CACHE_BYTES`` of
+Arrow ``nbytes`` (tantivy's ``doc_store_cache_num_blocks`` LRU plus the
+page cache over its mmapped postings): a hot block is decompressed once
+per searcher.  A block lives exactly as long as its file's handle:
+``refresh`` drops both when a write replaced the file, and a reopen
+starts empty.
 """
 
 from __future__ import annotations
@@ -142,9 +152,17 @@ def _decode_postings(tbl: pa.Table, rows: Sequence[int]
     return out
 
 
+def _one_chunk(col) -> pa.Array:
+    """``col`` as one array: its only chunk as is (combine_chunks copies
+    even one chunk), else the concatenation."""
+    if not isinstance(col, pa.ChunkedArray):
+        return col
+    return col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
+
+
 def _list_row_np(col, i: int) -> np.ndarray:
     """Numpy view of list-column row ``i`` (zero-copy over the child)."""
-    arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+    arr = _one_chunk(col)
     offs = np.frombuffer(arr.buffers()[1], dtype=np.int32,
                          count=len(arr) + 1, offset=arr.offset * 4)
     return arr.values.slice(int(offs[i]),
@@ -153,7 +171,7 @@ def _list_row_np(col, i: int) -> np.ndarray:
 
 def _large_binary_row(col, i: int) -> memoryview:
     """Zero-copy memoryview of large_binary row ``i``."""
-    arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+    arr = _one_chunk(col)
     offs = np.frombuffer(arr.buffers()[1], dtype=np.int64,
                          count=len(arr) + 1, offset=arr.offset * 8)
     return memoryview(arr.buffers()[2])[offs[i]:offs[i + 1]]
@@ -195,16 +213,62 @@ def _open_docstore(path: str):
     return pf, starts
 
 
-def _point_rows(handle, terms: Sequence[str], columns: List[str]):
-    """Point read of ``terms`` from a term-sorted parquet: each term is
-    located by ``searchsorted`` over its row group's term array, kept per
-    handle once the group has been read, and only row groups that may hold
-    a requested term are read (a filter() would gather-copy the fat binary
-    columns of the row group — measured 25x slower).  Returns
-    ``(table, {term: row})`` for the terms present."""
+# bound of a searcher's decompressed-block cache, in cached Arrow nbytes:
+# the whole perfbench index fits; at the envelope it holds 64 of the 1 MiB
+# part row groups (``layout.PART_ROW_GROUP_BYTES``)
+_BLOCK_CACHE_BYTES = 64 << 20
+
+
+class _BlockCache:
+    """Byte-bounded LRU of decompressed row groups keyed by (file path,
+    row group).  Each block is a table of single-chunk columns, so a hit
+    is served without a copy."""
+
+    def __init__(self):
+        self._blocks: "OrderedDict[Tuple[str, int], pa.Table]" = OrderedDict()
+        self.nbytes = 0
+
+    def read(self, path: str, pf: "pq.ParquetFile", groups: List[int],
+             columns: List[str]) -> List[pa.Table]:
+        """Row groups ``groups`` of ``pf`` (the open file at ``path``), one
+        table each.  Only the missing groups are read, one at a time: a
+        multi-group read returns one buffer for all of them, which would
+        keep an evicted block's bytes alive under its neighbours."""
+        out = []
+        for g in groups:
+            blk = self._blocks.get((path, g))
+            if blk is None:
+                # a few blocks of a few columns: the thread pool costs more
+                # than it overlaps
+                blk = pf.read_row_groups([g], columns=columns,
+                                         use_threads=False).combine_chunks()
+                self._blocks[(path, g)] = blk
+                self.nbytes += blk.nbytes
+                while self.nbytes > _BLOCK_CACHE_BYTES:
+                    self.nbytes -= self._blocks.popitem(last=False)[1].nbytes
+            else:
+                self._blocks.move_to_end((path, g))
+            out.append(blk)
+        return out
+
+    def drop(self, paths) -> None:
+        """Forget every block of ``paths``."""
+        for key in [k for k in self._blocks if k[0] in paths]:
+            self.nbytes -= self._blocks.pop(key).nbytes
+
+
+def _point_rows(handle, path: str, terms: Sequence[str], columns: List[str],
+                blocks: _BlockCache) -> List[Tuple[pa.Table, Dict[str, int]]]:
+    """Point read of ``terms`` from the term-sorted parquet at ``path``:
+    each term is located by ``searchsorted`` over its row group's term
+    array, kept per handle once the group has been read, and only row
+    groups that may hold a requested term are fetched through ``blocks``
+    (a filter() would gather-copy the fat binary columns of the row group
+    — measured 25x slower).  Returns ``(block, {term: row})`` per row
+    group holding a requested term."""
     pf, ranges, term_cols = handle
     if pf is None:
-        return None, {}
+        return []
     by_rg: Dict[int, List[str]] = {}
     for t in terms:
         for rg, (mn, mx) in enumerate(ranges):
@@ -222,22 +286,16 @@ def _point_rows(handle, terms: Sequence[str], columns: List[str]):
     # a group whose term array is known is read only if it holds a term
     rgs = sorted(rg for rg, ts in by_rg.items()
                  if rg not in term_cols or (find(term_cols[rg], ts) >= 0).any())
-    if not rgs:
-        return None, {}
-    tbl = pf.read_row_groups(rgs, columns=columns).combine_chunks()
-    rows = {}
-    start = 0
-    for rg in rgs:
-        n = pf.metadata.row_group(rg).num_rows
+    out = []
+    for rg, blk in zip(rgs, blocks.read(path, pf, rgs, columns)):
         if rg not in term_cols:
-            term_cols[rg] = tbl.column("term").slice(start, n).to_numpy(
-                zero_copy_only=False)
+            term_cols[rg] = blk.column("term").to_numpy(zero_copy_only=False)
         ts = by_rg[rg]
-        for t, i in zip(ts, find(term_cols[rg], ts)):
-            if i >= 0:
-                rows[t] = start + int(i)
-        start += n
-    return tbl, rows
+        rows = {t: int(i) for t, i in zip(ts, find(term_cols[rg], ts))
+                if i >= 0}
+        if rows:
+            out.append((blk, rows))
+    return out
 
 
 # doc-id spaces up to this size find conjunctive candidates with one dense
@@ -301,6 +359,8 @@ class IndexSearcher:
         # unchanged files
         self._handles: Dict[str, tuple] = {}
         self._handle_stats: Dict[str, Optional[Tuple[int, int, int]]] = {}
+        # decompressed row groups read through those handles
+        self._blocks = _BlockCache()
         self._global_dict_path = None  # set = sharded mode
         self._global_dict_parts = 0  # 0 = no merged dictionary (no terms)
         self._global_overlay_files: List[str] = []
@@ -493,7 +553,9 @@ class IndexSearcher:
         valid (the ``ReloadPolicy::OnCommitWithDelay`` reload of a live
         tantivy searcher).  Reads only the new buckets' docmeta and
         segments, the tombstones and stats.json.  Keeps every handle whose
-        file's path, inode, size and mtime are unchanged, the position
+        file's path, inode, size and mtime are unchanged, with the cached
+        blocks read through it (a changed file — a fold replaces part files
+        by rename — loses both its handle and its blocks), the position
         cumsums of every term no new bucket touches, and every decoded
         postings list: a resident term the new buckets hold gets their
         postings appended.  Score tables are cleared when N or avgdl moved.
@@ -549,9 +611,11 @@ class IndexSearcher:
         for t in terms:
             c = self._pos_gaps_lru.pop(t, None)
             self._pos_gaps_bytes -= c.nbytes if c is not None else 0
-        for path, stat in list(self._handle_stats.items()):
-            if _file_stat(path) != stat:
-                del self._handles[path], self._handle_stats[path]
+        stale = {path for path, stat in self._handle_stats.items()
+                 if _file_stat(path) != stat}
+        for path in stale:
+            del self._handles[path], self._handle_stats[path]
+        self._blocks.drop(stale)
 
     def prewarm(self, n_top_terms: int = 64, n_pos_terms: int = 0,
                 budget_bytes: Optional[int] = None,
@@ -653,15 +717,14 @@ class IndexSearcher:
                    columns: List[str], num_parts: int):
         """Point reads of ``terms`` from ``part_dir/part=K.parquet``, grouped
         by the part each term hashes to (``layout.term_part``); yields
-        ``(table, {term: row})`` per part holding any of them."""
+        ``(block, {term: row})`` per cached row group holding any of them."""
         by_part: Dict[int, List[str]] = {}
         for t in terms:
             by_part.setdefault(layout.term_part(t, num_parts), []).append(t)
         for part, part_terms in by_part.items():
             path = os.path.join(part_dir, f"part={part:05d}.parquet")
-            tbl, rows = _point_rows(self._handle(path), part_terms, columns)
-            if rows:
-                yield tbl, rows
+            yield from _point_rows(self._handle(path), path, part_terms,
+                                   columns, self._blocks)
 
     def _term_rows(self, terms: Sequence[str], positions: bool
                    ) -> List[Tuple[pa.Table, Dict[str, int]]]:
@@ -1965,7 +2028,10 @@ class IndexSearcher:
         ``bucket_bounds[B] + i``, and its row groups are content blocks of
         ~``layout.STAGED_ROW_GROUP_BYTES``, so a fetch decompresses only
         the blocks that hold the requested docs — each hit gets its own
-        version's body, never a same-key neighbour's."""
+        version's body, never a same-key neighbour's.  Blocks come through
+        the searcher's block cache: a block is decompressed once per
+        searcher, not once per fetch, and a fetch whose blocks are all
+        resident reads nothing."""
         ids = np.unique(np.asarray(doc_ids, dtype=np.int64))
         # empty buckets repeat a bound; side="right" skips past them
         buckets = np.searchsorted(self.bucket_bounds, ids, side="right") - 1
@@ -1973,21 +2039,20 @@ class IndexSearcher:
         for b in np.unique(buckets):
             bids = ids[buckets == b]
             rows = bids - self.bucket_bounds[b]
-            pf, starts = self._handle(
-                os.path.join(self.index_dir, "staged",
-                             f"bucket={int(b):08d}.parquet"), _open_docstore)
+            path = os.path.join(self.index_dir, "staged",
+                                f"bucket={int(b):08d}.parquet")
+            pf, starts = self._handle(path, _open_docstore)
             rg = np.searchsorted(starts, rows, side="right") - 1
-            groups = np.unique(rg)
-            # first row of each read group inside the concatenated read
+            groups, nth = np.unique(rg, return_inverse=True)
+            blocks = self._blocks.read(path, pf, groups.tolist(), ["content"])
+            # one take over the file's blocks: each row's offset is its
+            # block's start in the chain plus its row in the block
             sizes = starts[groups + 1] - starts[groups]
-            read_at = np.cumsum(sizes) - sizes
-            local = read_at[np.searchsorted(groups, rg)] + rows - starts[rg]
-            # a few blocks of one column: the thread pool costs more than
-            # it overlaps
-            tbl = pf.read_row_groups(groups.tolist(), columns=["content"],
-                                     use_threads=False)
-            out.update(zip(bids.tolist(), tbl.column("content").take(
-                pa.array(local)).to_pylist()))
+            local = (np.cumsum(sizes) - sizes)[nth] + rows - starts[rg]
+            content = pa.chunked_array(
+                [blk.column("content").chunk(0) for blk in blocks])
+            out.update(zip(bids.tolist(),
+                           content.take(pa.array(local)).to_pylist()))
         return {int(d): out[int(d)] for d in doc_ids}
 
     def _typed_candidates(self, query: str, filter=None):

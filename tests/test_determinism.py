@@ -83,3 +83,30 @@ def test_index_identical_at_2_and_8_cpus(tmp_path):
     for name in a:
         assert a[name] == b[name] if name.endswith(".json") else \
             a[name].equals(b[name]), f"{name} differs between cpu levels"
+
+
+def test_offsets_and_merge_json_ignore_reduce_order(ray_session, tiny_corpus,
+                                                    tmp_path, monkeypatch):
+    """``staged/_offsets.json`` counts and ``_merge.json`` parts are keyed
+    in numeric order, so both files are byte-identical whatever order the
+    exchange reduces (stage A's and the merge's) return their rows in."""
+    import ray.data as rd
+
+    from prosearch_ray.index import exchange
+    from prosearch_ray.index.build import build_index
+
+    def build(name):
+        idx = str(tmp_path / name)
+        build_index(rd.from_arrow(tiny_corpus), idx, docs_per_bucket=64)
+        return [open(os.path.join(idx, f), "rb").read()
+                for f in ("staged/_offsets.json", "_merge.json")]
+
+    plain = build("plain")
+    orig = exchange.Exchange.run_reduce
+    monkeypatch.setattr(exchange.Exchange, "run_reduce",
+                        lambda self: orig(self)[::-1])
+    reversed_ = build("reversed")
+    counts, parts = (json.loads(b) for b in plain)
+    # the build really has several buckets and parts to misorder
+    assert len(counts["counts"]) > 1 and len(parts["parts"]) > 1
+    assert reversed_ == plain

@@ -129,20 +129,24 @@ def test_fetch_contents_matches_brute_force(docstore_index, monkeypatch):
     rng = np.random.default_rng(11)
     for size in (1, 2, 5, 9, 30, s.n_docs):
         ids = rng.choice(s.n_docs, size=size, replace=False)
+        resident = set(s._blocks._blocks)
         reads.clear()
         got = s.fetch_contents(ids)
         assert got == {int(d): brute[int(d)][2] for d in ids}
         wanted = {}
         for d in ids:
             path, row, _ = brute[int(d)]
-            wanted.setdefault(path, set()).add(_group_of(path, row))
+            g = _group_of(path, row)
+            if (path, g) not in resident:
+                wanted.setdefault(path, set()).add(g)
         path_of = {id(h[0]): p for p, h in s._handles.items()}
         read = {}
         for pf, groups in reads:
             read.setdefault(path_of[id(pf)], set()).update(groups)
-        # exactly the groups that hold a requested row: none skipped,
-        # none read in vain
+        # exactly the groups that hold a requested row and were not in
+        # the block cache: none skipped, none read in vain or twice
         assert read == wanted
+        assert sum(len(g) for _, g in reads) == sum(map(len, wanted.values()))
     assert s.fetch_contents(np.empty(0, np.int64)) == {}
 
 
