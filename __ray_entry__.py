@@ -32,10 +32,10 @@ def _documents_as_corpus(sf_dir: str):
     (repo, path, commit, lang, content)."""
     import pyarrow as pa
 
-    import ray.data as rd
+    from prosearch_ray.pipelines.common import read
 
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "text", "lang", "source"])
+    docs = read(sf_dir, "documents",
+                columns=["doc_id", "text", "lang", "source"])
 
     def fn(t: pa.Table) -> pa.Table:
         ids = t.column("doc_id").to_pylist()
@@ -285,10 +285,10 @@ def _docs_fastfields_source(sf_dir: str):
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    import ray.data as rd
+    from prosearch_ray.pipelines.common import read
 
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "lang", "n_chars", "source"])
+    docs = read(sf_dir, "documents",
+                columns=["doc_id", "lang", "n_chars", "source"])
 
     def fn(t: pa.Table) -> pa.Table:
         ids = t.column("doc_id").to_pylist()

@@ -5,13 +5,22 @@ from __future__ import annotations
 import os
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.parquet as pq
 
 import ray.data as rd
 
 
 def read(sf_dir: str, table: str, columns=None) -> "rd.Dataset":
-    """Column-pruned parquet read of one testdata table."""
-    return rd.read_parquet(os.path.join(sf_dir, f"{table}.parquet"), columns=columns)
+    """Column-pruned parquet read of one testdata table.  The files carry
+    pandas schema metadata, a dict that makes ``hash(schema)`` raise, so
+    Ray's block-schema unification logs "Failed to hash the schemas" on
+    every union; the read schema drops it."""
+    path = os.path.join(sf_dir, f"{table}.parquet")
+    schema = pq.read_schema(path).remove_metadata()
+    if columns is not None:
+        schema = pa.schema([schema.field(c) for c in columns])
+    return rd.read_parquet(path, columns=columns, schema=schema)
 
 
 def sql_round(x, ndigits: int = 4) -> np.ndarray:

@@ -3,15 +3,19 @@ Jaccard, MinHash+LSH, SimHash, embedding-cosine.  These extend the
 reference's checksum dedup (CrawlerRunner.java:134 ``setDocumentDeduplicate``)
 to the near-duplicate families a large-scale training-data pipeline needs.
 
-Shingling uses ``simple_tokenize`` + word bigrams so the exact-Jaccard variant
-has a bit-for-bit DuckDB oracle; the MinHash/SimHash variants are the scale
-paths (no O(n^2) stage) and are checked by pytest against the exact variant.
+Shingles are word bigrams over ``simple_tokenize`` tokens (the shared
+``trainprep.doc_ngrams`` kernel) so the exact-Jaccard variant has a
+bit-for-bit DuckDB oracle; the MinHash/SimHash variants are the scale paths
+(no O(n^2) stage) and are checked by pytest against the exact variant.  The
+Jaccard, MinHash and SimHash joins find their candidate pairs with one
+collision-run kernel (``run_pairs``), and the driver pair tables come out
+of one collector (``_collect_pairs``).
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Set
+from typing import Dict
 
 import numpy as np
 import pyarrow as pa
@@ -22,7 +26,6 @@ from ray.data.aggregate import Count
 
 from prosearch_ray.pipelines.common import read, sql_round
 from prosearch_ray.state.broadcast import bget, bput
-from prosearch_ray.text.tokenizer import simple_tokenize
 
 JACCARD_THRESHOLD = 0.6
 COSINE_DUP_THRESHOLD = 0.3  # testdata embeddings are near-orthogonal; 0.3
@@ -61,13 +64,6 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def shingles_of(text: str) -> Set[str]:
-    """Distinct word-bigram shingles (matches the SQL
-    ``list_transform(generate_series(1, len(t)-1), i -> t[i] || ' ' || t[i+1])``)."""
-    toks = simple_tokenize(text)
-    return {toks[i] + " " + toks[i + 1] for i in range(len(toks) - 1)}
-
-
 def _stable_h64(s: str) -> int:
     return int.from_bytes(hashlib.blake2b(s.encode(), digest_size=8).digest(), "big")
 
@@ -83,12 +79,16 @@ def _doc_shingles(col) -> tuple:
     return doc_ngrams(col, 2)
 
 
+def _dict_encode(col) -> pa.DictionaryArray:
+    """Dictionary encoding of an Array or ChunkedArray as one array."""
+    denc = col.dictionary_encode()
+    return denc.combine_chunks() if isinstance(denc, pa.ChunkedArray) else denc
+
+
 def _hash_shingles(grams) -> np.ndarray:
     """blake2b-64 of each shingle, each DISTINCT string hashed once
     (dictionary-encode)."""
-    denc = grams.dictionary_encode()
-    if isinstance(denc, pa.ChunkedArray):
-        denc = denc.combine_chunks()
+    denc = _dict_encode(grams)
     nd = len(denc.dictionary)
     if nd == 0:
         return np.array([], np.uint64)
@@ -97,69 +97,132 @@ def _hash_shingles(grams) -> np.ndarray:
     return hd[denc.indices.to_numpy()]
 
 
+# ---------------------------------------------------------------- pair kernel
+def run_pairs(keys, ids: np.ndarray):
+    """THE collision-run pair kernel of the dedup joins: sorts the rows by
+    (keys..., id), drops repeated (key, id) rows and returns the row-index
+    pairs ``(i, j)`` with ``ids[i] < ids[j]`` inside every run of equal
+    keys.  Each kept row repeats once per later row of its run (the
+    ``np.triu_indices`` order, run by run), so the cost is the pair count
+    with no per-run or per-pair Python loop.  Callers gather their own
+    columns with the indices."""
+    order = np.lexsort((ids,) + tuple(reversed(keys)))
+    new_run = np.zeros(len(order), bool)
+    new_run[:1] = True
+    for k in keys:
+        k = k[order]
+        new_run[1:] |= k[1:] != k[:-1]
+    ids_s = ids[order]
+    keep = new_run.copy()
+    keep[1:] |= ids_s[1:] != ids_s[:-1]
+    order, new_run = order[keep], new_run[keep]
+    n = len(order)
+    starts = np.flatnonzero(new_run)
+    run_len = np.diff(np.append(starts, n))
+    later = np.repeat(starts + run_len, run_len) - np.arange(n) - 1
+    i = np.repeat(np.arange(n), later)
+    j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(later) - later, later)
+    return order[i], order[j]
+
+
+def _pair_bucket(ia: np.ndarray, ib: np.ndarray, nb: np.uint64) -> np.ndarray:
+    """Exchange bucket of each (ida, idb) pair."""
+    with np.errstate(over="ignore"):
+        return ((_mix64(ia) * np.uint64(0x9E3779B97F4A7C15) ^ _mix64(ib))
+                % nb).astype(np.int64)
+
+
+def _collect_pairs(ds: "rd.Dataset", value: str) -> pa.Table:
+    """THE driver collector of the pair tables: the (ida, idb, ``value``)
+    rows of ``ds`` as one table sorted by (ida, idb), with ``value``
+    rounded like SQL ``ROUND(·, 4)``.  The schema is fixed (int64 ids,
+    float64 value), so an empty result keeps it."""
+    schema = pa.schema([("ida", pa.int64()), ("idb", pa.int64()),
+                        (value, pa.float64())])
+    blocks = [b.select(schema.names).cast(schema)
+              for b in ds.iter_batches(batch_format="pyarrow",
+                                       batch_size=None)]
+    t = pa.concat_tables(blocks) if blocks else schema.empty_table()
+    t = t.sort_by([("ida", "ascending"), ("idb", "ascending")])
+    return t.set_column(2, value, pa.array(
+        sql_round(t.column(value).to_numpy(), 4), pa.float64()))
+
+
 # --------------------------------------------------------------------- exact
 def jaccard_pairs(sf_dir: str, threshold: float = JACCARD_THRESHOLD) -> pa.Table:
-    """EXACT n-gram-Jaccard duplicate pairs via a sparse similarity join:
-    explode (shingle, doc_id) → per-shingle pair generation →
-    groupby(pair).sum = intersection size → |A∪B| from broadcast set sizes.
+    """EXACT word-bigram Jaccard duplicate pairs by overlap counting, the
+    token-partitioned shape of set-similarity joins.  Each doc's distinct
+    shingles, tagged with its set size, route to ``VERIFY_BUCKETS`` groups
+    by shingle hash.  Inside a group the shingle STRINGS are
+    dictionary-encoded (the hash only routes, so equality is exact) and
+    ``run_pairs`` emits the doc pairs that share a shingle, counted per
+    group; a second bounded exchange on the pair sums the counts into
+    ``|A∩B|``.  Pairs whose set sizes alone bound Jaccard below
+    ``threshold`` (``min/max < threshold``) never reach the exchange; float
+    division is monotone, so no kept answer changes.
 
-    Scale caveat (documented, by design): per-shingle pair generation is
-    quadratic in a shingle's df — at 100 TB this operator is the VERIFIER
-    for candidates from minhash_dup_pairs, not a standalone all-pairs scan.
+    Scale caveat (documented, by design): pair emission is quadratic in a
+    shingle's df — at 100 TB this operator is the VERIFIER for candidates
+    from minhash_dup_pairs, not a standalone all-pairs scan.
     """
     docs = read(sf_dir, "documents", columns=["doc_id", "text"])
+    nb = np.uint64(VERIFY_BUCKETS)
 
-    def explode(t: pa.Table) -> pa.Table:
-        ids, shs = [], []
-        for doc_id, text in zip(t.column("doc_id").to_pylist(),
-                                t.column("text").to_pylist()):
-            for sh in shingles_of(text):
-                ids.append(doc_id)
-                shs.append(sh)
-        return pa.table({"shingle": pa.array(shs, pa.string()),
-                         "doc_id": pa.array(ids, pa.int64())})
+    def shingle_rows(t: pa.Table) -> pa.Table:
+        """Each doc's distinct shingles with its set size ``sz``."""
+        grams, doc_of = _doc_shingles(t.column("text"))
+        denc = _dict_encode(grams)
+        _, rows = np.unique(doc_of * len(denc.dictionary)
+                            + denc.indices.to_numpy(), return_index=True)
+        doc = doc_of[rows]
+        grams = grams.take(pa.array(rows, pa.int64()))
+        return pa.table({
+            "bkt": pa.array((_mix64(_hash_shingles(grams)) % nb).astype(
+                np.int64), pa.int64()),
+            "shingle": grams,
+            "doc_id": pa.array(t.column("doc_id").to_numpy()[doc], pa.int64()),
+            "sz": pa.array(np.bincount(doc, minlength=t.num_rows)[doc],
+                           pa.int64())})
 
-    exploded = docs.map_batches(explode, batch_format="pyarrow")
+    def pair_counts(g: pa.Table) -> pa.Table:
+        """Shared-shingle counts of the doc pairs in one shingle group."""
+        ids = g.column("doc_id").to_numpy()
+        sz = g.column("sz").to_numpy()
+        i, j = run_pairs(
+            [_dict_encode(g.column("shingle")).indices.to_numpy()], ids)
+        ok = np.minimum(sz[i], sz[j]) / np.maximum(sz[i], sz[j]) >= threshold
+        # dense doc ranks pack each pair into one int64 key; ranks keep
+        # id order, so the first of a pair stays the smaller id
+        uid, first, rank = np.unique(ids, return_index=True,
+                                     return_inverse=True)
+        m = len(uid)
+        key, n = np.unique(rank[i[ok]] * m + rank[j[ok]], return_counts=True)
+        ra, rb = key // m, key % m
+        ia, ib = uid[ra], uid[rb]
+        # these rows are the exchange's whole volume (23M at sf0.1); int32
+        # counts made that join about 20% faster on one core, and pa.array
+        # raises rather than wraps past int32
+        return pa.table({
+            "pbkt": pa.array(_pair_bucket(ia, ib, nb), pa.int32()),
+            "ida": pa.array(ia, pa.int64()),
+            "idb": pa.array(ib, pa.int64()),
+            "n": pa.array(n, pa.int32()),
+            "ssum": pa.array(sz[first][ra] + sz[first][rb], pa.int32())})
 
-    # doc -> shingle-set size (small table, broadcast)
-    sizes_rows = exploded.groupby("doc_id").aggregate(
-        Count(alias_name="sz")).take_all()
-    sizes = {r["doc_id"]: r["sz"] for r in sizes_rows}
-    sizes_ref = bput(sizes)
+    def jaccard(g: pa.Table) -> pa.Table:
+        """Sum each pair's counts into |A∩B| and keep jac >= threshold."""
+        t = g.group_by(["ida", "idb"]).aggregate(
+            [("n", "sum"), ("ssum", "min")])
+        inter = t.column("n_sum").to_numpy()
+        jac = inter / (t.column("ssum_min").to_numpy() - inter)
+        return t.select(["ida", "idb"]).append_column(
+            "jac", pa.array(jac, pa.float64())).filter(
+            pa.array(jac >= threshold))
 
-    def pairs_of_group(g: pa.Table) -> pa.Table:
-        ids = sorted(g.column("doc_id").to_pylist())
-        a, b = [], []
-        for i in range(len(ids)):
-            for j in range(i + 1, len(ids)):
-                a.append(ids[i])
-                b.append(ids[j])
-        return pa.table({"ida": pa.array(a, pa.int64()),
-                         "idb": pa.array(b, pa.int64())})
-
-    inter = exploded.groupby("shingle").map_groups(
-        pairs_of_group, batch_format="pyarrow").groupby(
-        ["ida", "idb"]).aggregate(Count(alias_name="inter"))
-
-    def jaccard(t: pa.Table) -> pa.Table:
-        sz = bget(sizes_ref)
-        ia = t.column("ida").to_numpy()
-        ib = t.column("idb").to_numpy()
-        inter_n = t.column("inter").to_numpy().astype(np.float64)
-        union_n = np.array([sz[x] + sz[y] for x, y in zip(ia, ib)]) - inter_n
-        jac = inter_n / union_n
-        m = jac >= threshold
-        return pa.table({"ida": pa.array(ia[m], pa.int64()),
-                         "idb": pa.array(ib[m], pa.int64()),
-                         "jac": pa.array(sql_round(jac[m], 4), pa.float64())})
-
-    rows = inter.map_batches(jaccard, batch_format="pyarrow").take_all()
-    rows.sort(key=lambda r: (r["ida"], r["idb"]))
-    return pa.table({
-        "ida": pa.array([r["ida"] for r in rows], pa.int64()),
-        "idb": pa.array([r["idb"] for r in rows], pa.int64()),
-        "jac": pa.array([r["jac"] for r in rows], pa.float64()),
-    })
+    return _collect_pairs(
+        docs.map_batches(shingle_rows, batch_format="pyarrow").groupby(
+            "bkt").map_groups(pair_counts, batch_format="pyarrow").groupby(
+            "pbkt").map_groups(jaccard, batch_format="pyarrow"), "jac")
 
 
 # ------------------------------------------------------------------- minhash
@@ -244,16 +307,9 @@ def minhash_dup_pairs(sf_dir: str, num_perm: int = 64, bands: int = 16,
     verified pair Dataset into the sorted, rounded driver table.  Pipelines
     that keep processing pairs distributed (``dedup_clusters``) consume the
     Dataset directly instead."""
-    rows = minhash_pairs_ds(sf_dir, num_perm=num_perm, bands=bands,
-                            threshold=threshold, n_buckets=n_buckets,
-                            cand_broadcast_limit=cand_broadcast_limit
-                            ).take_all()
-    rows.sort(key=lambda r: (r["ida"], r["idb"]))
-    return pa.table({
-        "ida": pa.array([r["ida"] for r in rows], pa.int64()),
-        "idb": pa.array([r["idb"] for r in rows], pa.int64()),
-        "jac": pa.array(sql_round([r["jac"] for r in rows], 4), pa.float64()),
-    })
+    return _collect_pairs(minhash_pairs_ds(
+        sf_dir, num_perm=num_perm, bands=bands, threshold=threshold,
+        n_buckets=n_buckets, cand_broadcast_limit=cand_broadcast_limit), "jac")
 
 
 def minhash_pairs_ds(sf_dir: str, num_perm: int = 64, bands: int = 16,
@@ -328,28 +384,11 @@ def minhash_pairs_ds(sf_dir: str, num_perm: int = 64, bands: int = 16,
             "bkt", pa.array((key % nbk).astype(np.int64), pa.int64()))
 
     def bucket_pairs(g: pa.Table) -> pa.Table:
-        bi = g.column("band_id").to_numpy()
-        bh = g.column("band_hash").to_numpy()
         did = g.column("doc_id").to_numpy()
-        order = np.lexsort((did, bh, bi))
-        bi, bh, did = bi[order], bh[order], did[order]
-        new = np.concatenate(
-            ([True], (bi[1:] != bi[:-1]) | (bh[1:] != bh[:-1])))
-        starts = np.flatnonzero(new)
-        sizes = np.diff(np.append(starts, len(did)))
-        a_out, b_out = [], []
-        for s, sz in zip(starts[sizes > 1], sizes[sizes > 1]):
-            ids = np.unique(did[s:s + sz])
-            if len(ids) > 1:
-                ia, ib = np.triu_indices(len(ids), k=1)
-                a_out.append(ids[ia])
-                b_out.append(ids[ib])
-        if not a_out:
-            return pa.table({"ida": pa.array([], pa.int64()),
-                             "idb": pa.array([], pa.int64())})
-        return pa.table({
-            "ida": pa.array(np.concatenate(a_out), pa.int64()),
-            "idb": pa.array(np.concatenate(b_out), pa.int64())})
+        i, j = run_pairs([g.column("band_id").to_numpy(),
+                          g.column("band_hash").to_numpy()], did)
+        return pa.table({"ida": pa.array(did[i], pa.int64()),
+                         "idb": pa.array(did[j], pa.int64())})
 
     cand = sig_ds.map_batches(tag_band_rows, batch_format="pyarrow").groupby(
         "bkt").map_groups(
@@ -453,11 +492,8 @@ def minhash_pairs_ds(sf_dir: str, num_perm: int = 64, bands: int = 16,
                                 for k in mkeys])
                 if lens.sum() else np.array([], np.uint64))
         offs = np.concatenate([[0], np.cumsum(lens)]).astype(np.int64)
-        with np.errstate(over="ignore"):
-            pb = ((_mix64(ia) * np.uint64(0x9E3779B97F4A7C15)
-                   ^ _mix64(ib)) % nb).astype(np.int64)
         return pa.table({
-            "pbkt": pa.array(pb, pa.int64()),
+            "pbkt": pa.array(_pair_bucket(ia, ib, nb), pa.int64()),
             "ida": pa.array(ia, pa.int64()),
             "idb": pa.array(ib, pa.int64()),
             "hashes": pa.LargeListArray.from_arrays(
@@ -523,9 +559,7 @@ def simhash_batch(texts) -> np.ndarray:
     fps = np.zeros(n_docs, dtype=np.uint64)
     if len(flat) == 0:
         return fps
-    denc = flat.dictionary_encode()
-    if isinstance(denc, pa.ChunkedArray):
-        denc = denc.combine_chunks()
+    denc = _dict_encode(flat)
     h = np.array([_simhash_h64(s) for s in denc.dictionary.to_pylist()],
                  dtype=np.uint64)
     sign = (((h[:, None] >> _BIT_IDX[None, :]) & np.uint64(1))
@@ -585,45 +619,18 @@ def simhash_dup_pairs(sf_dir: str, max_hamming: int = 3) -> "rd.Dataset":
             "fp": pa.array(fps, pa.uint64())})
 
     def seg_pairs(g: pa.Table) -> pa.Table:
-        """Per bucket: find (seg, segv) collision runs vectorized; only
-        runs with >= 2 docs (candidate cells) pair up, with the hamming
-        check vectorized per run."""
-        seg = g.column("seg").to_numpy()
-        segv = g.column("segv").to_numpy()
+        """Per bucket: the (seg, segv) collision runs pair up (candidate
+        cells), then one vectorized hamming check over all pairs."""
         did = g.column("doc_id").to_numpy()
         fp = g.column("fp").to_numpy()
-        order = np.lexsort((did, segv, seg))
-        seg, segv, did, fp = seg[order], segv[order], did[order], fp[order]
-        new = np.concatenate(
-            ([True], (seg[1:] != seg[:-1]) | (segv[1:] != segv[:-1])))
-        starts = np.flatnonzero(new)
-        sizes = np.diff(np.append(starts, len(did)))
-        a_out, b_out, h_out = [], [], []
-        for s, sz in zip(starts[sizes > 1], sizes[sizes > 1]):
-            ids_r, fp_r = did[s:s + sz], fp[s:s + sz]
-            ia, ib = np.triu_indices(int(sz), k=1)
-            keep = ids_r[ia] != ids_r[ib]
-            ia, ib = ia[keep], ib[keep]
-            if not len(ia):
-                continue
-            x = fp_r[ia] ^ fp_r[ib]
-            ham = np.zeros(len(x), np.int64)
-            while x.any():
-                ham += (x & np.uint64(1)).astype(np.int64)
-                x = x >> np.uint64(1)
-            m = ham <= max_hamming
-            if m.any():
-                a_out.append(ids_r[ia[m]])
-                b_out.append(ids_r[ib[m]])
-                h_out.append(ham[m])
-        if not a_out:
-            return pa.table({"ida": pa.array([], pa.int64()),
-                             "idb": pa.array([], pa.int64()),
-                             "hamming": pa.array([], pa.int64())})
-        return pa.table({
-            "ida": pa.array(np.concatenate(a_out), pa.int64()),
-            "idb": pa.array(np.concatenate(b_out), pa.int64()),
-            "hamming": pa.array(np.concatenate(h_out), pa.int64())})
+        i, j = run_pairs([g.column("seg").to_numpy(),
+                          g.column("segv").to_numpy()], did)
+        ham = np.unpackbits((fp[i] ^ fp[j]).view(np.uint8).reshape(-1, 8),
+                            axis=1).sum(axis=1).astype(np.int64)
+        m = ham <= max_hamming
+        return pa.table({"ida": pa.array(did[i[m]], pa.int64()),
+                         "idb": pa.array(did[j[m]], pa.int64()),
+                         "hamming": pa.array(ham[m], pa.int64())})
 
     pairs = fp_ds.map_batches(seg_rows, batch_format="pyarrow").groupby(
         "bkt").map_groups(seg_pairs, batch_format="pyarrow")
@@ -717,14 +724,8 @@ def embedding_dup_pairs(sf_dir: str,
                          "idb": pa.array(ib, pa.int64()),
                          "cos": pa.array(cc, pa.float64())})
 
-    out = rd.from_items(pairs).map_batches(
-        compare, batch_format="pyarrow", batch_size=1).take_all()
-    out.sort(key=lambda r: (r["ida"], r["idb"]))
-    return pa.table({
-        "ida": pa.array([r["ida"] for r in out], pa.int64()),
-        "idb": pa.array([r["idb"] for r in out], pa.int64()),
-        "cos": pa.array(sql_round([r["cos"] for r in out], 4), pa.float64()),
-    })
+    return _collect_pairs(rd.from_items(pairs).map_batches(
+        compare, batch_format="pyarrow", batch_size=1), "cos")
 
 
 def _ann_dup_pairs(emb: "rd.Dataset", threshold: float, n_clusters: int,
@@ -789,15 +790,10 @@ def _ann_dup_pairs(emb: "rd.Dataset", threshold: float, n_clusters: int,
                          "idb": pa.array(ib, pa.int64()),
                          "cos": pa.array(cc, pa.float64())})
 
-    out = emb.map_batches(assign_rows, batch_format="pyarrow").groupby(
-        "cluster").map_groups(cell_pairs, batch_format="pyarrow").groupby(
-        ["ida", "idb"]).aggregate(Max("cos", alias_name="cos")).take_all()
-    out.sort(key=lambda r: (r["ida"], r["idb"]))
-    return pa.table({
-        "ida": pa.array([r["ida"] for r in out], pa.int64()),
-        "idb": pa.array([r["idb"] for r in out], pa.int64()),
-        "cos": pa.array(sql_round([r["cos"] for r in out], 4), pa.float64()),
-    })
+    return _collect_pairs(emb.map_batches(
+        assign_rows, batch_format="pyarrow").groupby("cluster").map_groups(
+        cell_pairs, batch_format="pyarrow").groupby(["ida", "idb"]).aggregate(
+        Max("cos", alias_name="cos")), "cos")
 
 
 # ------------------------------------------------------------------ clusters
@@ -1219,10 +1215,7 @@ def span_dedup(sf_dir: str, k: int = SPAN_K,
         })
 
     def losers(g: pa.Table) -> pa.Table:
-        denc = g.column("span").dictionary_encode()
-        if isinstance(denc, pa.ChunkedArray):
-            denc = denc.combine_chunks()
-        codes = denc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+        codes = _dict_encode(g.column("span")).indices.to_numpy(zero_copy_only=False).astype(np.int64)
         ids = g.column("doc_id").to_numpy()
         sidx = g.column("span_idx").to_numpy()
         order = np.lexsort((sidx, ids, codes))
@@ -1432,9 +1425,7 @@ def exact_substr_spans(sf_dir: str, L: int = EXACT_SUBSTR_L,
 
     def dup_positions(g: pa.Table) -> pa.Table:
         if key == "gram":
-            denc = g.column("k").dictionary_encode()
-            if isinstance(denc, pa.ChunkedArray):
-                denc = denc.combine_chunks()
+            denc = _dict_encode(g.column("k"))
             codes = denc.indices.to_numpy(zero_copy_only=False)
             cnt = np.bincount(codes, minlength=len(denc.dictionary))
         else:

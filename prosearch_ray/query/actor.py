@@ -24,7 +24,7 @@ _WARMUP_QUERIES = ("the", "merge hash", "zzznothing")
 class QueryStage:
     def __init__(self, index_dir: str,
                  boost_terms: frozenset = scoring.DEFAULT_BOOST_TERMS,
-                 with_snippets: bool = False, prewarm_terms: int = 0):
+                 with_snippets: bool = False):
         self.searcher = IndexSearcher(index_dir, boost_terms=boost_terms)
         self.with_snippets = with_snippets
         # always warm the part HANDLES (parquet footer + row-group term
@@ -34,11 +34,6 @@ class QueryStage:
         for part in range(self.searcher.num_parts):
             self.searcher._handle(
                 os.path.join(postings, f"part={part:05d}.parquet"))
-        if prewarm_terms:
-            # opt-in: on corpora with a small Zipfian vocabulary the top-df
-            # postings are near-full doc lists and bulk-decoding them per
-            # actor costs more than the cold misses it avoids
-            self.searcher.prewarm(prewarm_terms)
         for q in _WARMUP_QUERIES:
             self.searcher.search(q, 3)
 

@@ -519,11 +519,6 @@ class IndexSearcher:
         merge = layout.load_merge_state(self.index_dir)
         unfolded = layout.unfolded_buckets(
             layout.load_manifests(self.index_dir), merge) or []
-        # keys the cross-actor position cache: the merged parts' identity
-        # plus the overlay generation (a rebuilt index or a new delta must
-        # never serve another state's arrays)
-        self._cache_gen = (merge or {}).get("fingerprint", "") + "".join(
-            f"+{b}" for b in unfolded)
         if set(unfolded) == set(self._ov_segs):
             return
         self._ov_segs = {b: self._ov_segs[b] if b in self._ov_segs
@@ -630,9 +625,6 @@ class IndexSearcher:
         phrase query on a stopword-grade term is the one-time decode +
         cumsum over its ~10^7-occurrence gap blob (minutes at envelope
         scale), and this moves it from the first user query to warmup.
-        An unsharded searcher under Ray publishes the decoded cumsums to
-        the object store (``state/poscache.py``), so ONE warming actor pays
-        the decode and every pool peer maps it zero-copy.
 
         ``budget_bytes`` caps the HEAP the warm set may occupy (decoded
         ids+tfs+flags+score cache; top-df bundles are near-full doc lists,
@@ -1213,29 +1205,6 @@ class IndexSearcher:
             else:
                 missing.append(t)
         if missing:
-            from prosearch_ray.state import poscache
-
-            # per-shard searchers (global_stats_dir set) skip the shared
-            # cache entirely: cumsum keys carry the shard's merge
-            # fingerprint, no OTHER actor ever serves this shard, so a
-            # publish is a pure plasma copy nobody reads (80 co-located
-            # shards × 8 hot cumsums measured +13 GB of dead object store)
-            shared_on = (poscache.enabled()
-                         and self._global_dict_path is None)
-            if shared_on:
-                # another actor may have decoded these already — shared
-                # plasma arrays are zero-copy read-only views, so a hit
-                # costs no heap and no decode
-                hit = poscache.fetch(
-                    [f"{self._cache_gen}:{t}" for t in missing])
-                for t in list(missing):
-                    c = hit.get(f"{self._cache_gen}:{t}")
-                    if c is not None:
-                        out[t] = c
-                        self._pos_gaps_lru[t] = c
-                        self._pos_gaps_bytes += c.nbytes
-                        missing.remove(t)
-        if missing:
             fresh = self._pos_gaps(missing, postings)
             for t in missing:
                 g = fresh.get(t)
@@ -1244,8 +1213,6 @@ class IndexSearcher:
                 out[t] = c
                 self._pos_gaps_lru[t] = c
                 self._pos_gaps_bytes += c.nbytes if c is not None else 0
-                if c is not None and shared_on:
-                    poscache.publish(f"{self._cache_gen}:{t}", c)
         while (self._pos_gaps_bytes > self._pos_gaps_budget
                and len(self._pos_gaps_lru) > len(terms)):
             _, old = self._pos_gaps_lru.popitem(last=False)

@@ -124,30 +124,6 @@ def test_positions_parts_follow_delta(ray_session, tmp_path):
     assert len(ids) == 1 and len(scores) == 1
 
 
-def test_position_cumsums_shared_across_searchers(phrase_setup, tiny_index):
-    """Two searcher instances (stand-ins for two pool actors) must share
-    decoded position cumsums through the object-store registry: the second
-    searcher's array is plasma-backed (read-only view), not a re-decode."""
-    import ray
-
-    from prosearch_ray.query.searcher import IndexSearcher
-    from prosearch_ray.state import poscache
-
-    assert poscache.enabled()
-    s1 = IndexSearcher(tiny_index[0])
-    s2 = IndexSearcher(tiny_index[0])
-    r1 = s1.search_phrase("merge hash", 5)
-    # registry now holds the terms; a fresh searcher should FETCH, and the
-    # fetched array is the read-only shared-memory view
-    r2 = s2.search_phrase("merge hash", 5)
-    assert [int(x) for x in r1[0]] == [int(x) for x in r2[0]]
-    shared = [c for c in s2._pos_gaps_lru.values()
-              if c is not None and not c.flags.writeable]
-    assert shared, "second searcher did not use the shared cache"
-    reg_size = ray.get(poscache._registry().size.remote())
-    assert reg_size >= 1
-
-
 def test_probe_path_matches_oracle_randomized(ray_session, tiny_index,
                                              tiny_oracle):
     """The cumsum-probe evaluation (single-binary-search run-overlap test)

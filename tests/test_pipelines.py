@@ -32,6 +32,101 @@ def test_minhash_finds_exact_jaccard_pairs():
     assert full == lsh
 
 
+def shingles_of(text: str) -> set:
+    """Distinct word-bigram shingles of one doc (the SQL oracle's
+    ``list_transform(generate_series(1, len(t)-1), i -> t[i] || ' ' ||
+    t[i+1])``): the brute-force reference for ``jaccard_pairs``."""
+    from prosearch_ray.text.tokenizer import simple_tokenize
+
+    toks = simple_tokenize(text)
+    return {toks[i] + " " + toks[i + 1] for i in range(len(toks) - 1)}
+
+
+def test_jaccard_pairs_matches_bruteforce_all_pairs():
+    """The overlap-counting join returns exactly the pairs, and the rounded
+    Jaccard values, of an all-pairs Python set comparison."""
+    import pyarrow.parquet as pq
+
+    from prosearch_ray.pipelines.common import sql_round
+    from prosearch_ray.pipelines.dedup import JACCARD_THRESHOLD, jaccard_pairs
+
+    docs = pq.read_table(f"{SF}/documents.parquet",
+                         columns=["doc_id", "text"]).to_pydict()
+    sets = sorted((d, shingles_of(t))
+                  for d, t in zip(docs["doc_id"], docs["text"]))
+    want = []
+    for x, (da, sa) in enumerate(sets):
+        for db, sb in sets[x + 1:]:
+            inter = len(sa & sb)
+            if inter and inter / len(sa | sb) >= JACCARD_THRESHOLD:
+                want.append((da, db, float(sql_round(inter / len(sa | sb)))))
+    got = jaccard_pairs(SF)
+    assert want, "fixture has no near-duplicate pairs"
+    assert list(zip(*(got.column(c).to_pylist()
+                      for c in ("ida", "idb", "jac")))) == want
+
+
+def test_run_pairs_matches_bruteforce():
+    """The collision-run kernel returns, for every run of equal keys, each
+    pair of DISTINCT ids once with the smaller id first: singleton runs
+    emit nothing and repeated (key, id) rows collapse."""
+    from itertools import combinations
+
+    from prosearch_ray.pipelines.dedup import run_pairs
+
+    rng = np.random.default_rng(11)
+    for n in (0, 1, 2, 50, 400):
+        k1 = rng.integers(0, 4, n)
+        k2 = rng.integers(0, 30, n).astype(np.uint64)
+        ids = rng.integers(0, 40, n)
+        i, j = run_pairs([k1, k2], ids)
+        assert (ids[i] < ids[j]).all()
+        assert (k1[i] == k1[j]).all() and (k2[i] == k2[j]).all()
+        runs = {}
+        for a, b, d in zip(k1.tolist(), k2.tolist(), ids.tolist()):
+            runs.setdefault((a, b), set()).add(d)
+        want = sorted((key, p) for key, ds in runs.items()
+                      for p in combinations(sorted(ds), 2))
+        got = sorted(((a, b), (c, d)) for a, b, c, d in zip(
+            k1[i].tolist(), k2[i].tolist(), ids[i].tolist(), ids[j].tolist()))
+        assert got == want
+
+
+def test_empty_pair_tables_keep_their_schema():
+    """An empty result (threshold above 1) keeps the int64 ids and the
+    float64 similarity column through the shared pair collector."""
+    import pyarrow as pa
+
+    from prosearch_ray.pipelines.dedup import (embedding_dup_pairs,
+                                               jaccard_pairs,
+                                               minhash_dup_pairs)
+
+    def schema(value):
+        return pa.schema([("ida", pa.int64()), ("idb", pa.int64()),
+                          (value, pa.float64())])
+
+    for t in (jaccard_pairs(SF, threshold=1.5),
+              minhash_dup_pairs(SF, threshold=1.5)):
+        assert t.num_rows == 0 and t.schema.equals(schema("jac"))
+    for method in ("exact", "ann"):
+        t = embedding_dup_pairs(SF, threshold=1.5, method=method)
+        assert t.num_rows == 0 and t.schema.equals(schema("cos"))
+
+
+def test_testdata_read_schemas_hash():
+    """Blocks of the testdata reader carry no pandas schema metadata, so
+    Ray can hash (deduplicate) their schemas instead of logging "Failed to
+    hash the schemas" on every union."""
+    import ray
+
+    from prosearch_ray.pipelines.common import read
+
+    refs = read(SF, "documents").to_arrow_refs()
+    assert refs
+    for ref in refs:
+        hash(ray.get(ref).schema)
+
+
 def test_list_offsets_past_the_int32_limit_raise(monkeypatch):
     """The dedup list builders raise instead of wrapping a list offset
     past the int32 limit (pinned with a tiny limit)."""

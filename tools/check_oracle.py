@@ -1,6 +1,7 @@
 """Driver-style correctness harness: run every __ray_entry__.queries() entry
 and compare row count + schema + order-insensitive values against its
-oracle_sql() via DuckDB.  Usage:
+oracle_sql() via DuckDB.  Before the failure count it prints the total wall
+time and the five slowest entries.  Usage:
 
     python tools/check_oracle.py [sf_dir] [name ...]
 """
@@ -45,6 +46,7 @@ def main() -> int:
 
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     only = set(sys.argv[2:])
+    t_start = time.perf_counter()
 
     ray.init(address="local", num_cpus=8, include_dashboard=False,
              logging_level="ERROR")
@@ -60,6 +62,7 @@ def main() -> int:
     qs = entrymod.queries()
     oracles = entrymod.oracle_sql()
     failures = 0
+    took = {}
     for name, fn in qs.items():
         if only and name not in only:
             continue
@@ -67,10 +70,11 @@ def main() -> int:
         try:
             got = canon(to_pandas(fn(sf_dir)))
         except Exception as e:
+            took[name] = time.perf_counter() - t0
             print(f"FAIL {name}: engine raised {type(e).__name__}: {e}")
             failures += 1
             continue
-        dt = time.perf_counter() - t0
+        dt = took[name] = time.perf_counter() - t0
         if name not in oracles:
             print(f"ok   {name}: rows-only, {len(got)} rows ({dt:.1f}s)")
             continue
@@ -91,6 +95,10 @@ def main() -> int:
             print(f"FAIL {name}: value mismatch: {str(e).splitlines()[-1][:200]}")
             failures += 1
     ray.shutdown()
+    print(f"TOTAL: {time.perf_counter() - t_start:.1f}s wall, "
+          f"{len(took)} entries")
+    for name, dt in sorted(took.items(), key=lambda kv: -kv[1])[:5]:
+        print(f"  slowest {name}: {dt:.1f}s")
     print("FAILURES:", failures)
     return 1 if failures else 0
 
