@@ -9,7 +9,8 @@ Replaces the reference's crawl→commit→tantivy-segment path
          (sha256, lang filter, bucket), spill rows by bucket group and write
          a key sidecar (doc_key, sha_hex, commit).  Path sources map their
          planned row-group spans and resume per item; Dataset sources map
-         their blocks and rerun on a kill.
+         their blocks and rerun on a kill.  The same map feeds the S shard
+         dirs of a sharded build (sharded.py), one corpus pass for all.
       ── loser step: the content-dedup rule over the sidecars' key columns
          (upsert survivors, then min doc_key per sha) → spill/_exclude.parquet
       ── reduce: one writer per bucket group drops the losers, runs the
@@ -245,13 +246,16 @@ def _canonicalize_bucket(group: pa.Table) -> pa.Table:
 
 
 # --------------------------------------------------------------------------
-# Stage A runs as a spill exchange (exchange.py): map tasks normalize their
-# rows, spill them by bucket GROUP (bucket % n_groups) and write a key
-# sidecar; the loser step turns the sidecars into ``spill/_exclude.parquet``;
-# reduce tasks (one per group) drop those keys, canonicalize each bucket and
-# write its staged file.  A path source's map items are planned row-group
-# spans, so a killed build resumes mid-stage-A without re-normalizing
-# finished spans; a Dataset has no stable work plan and maps its blocks.
+# Stage A runs as ONE spill exchange (exchange.py) for every build, over one
+# index dir (build_index) or S shard dirs (build_sharded_index): map tasks
+# normalize their rows, spill them into their dir's ``spill/g=GGGG/``
+# (group = bucket % n_groups) and write a key sidecar; the loser step turns
+# the sidecars into each dir's ``spill/_exclude.parquet``; each dir's
+# reduce (one task per group) drops those keys, canonicalizes each bucket
+# and writes its staged file.  A path source's map items are planned
+# row-group spans, so a killed build resumes mid-map without
+# re-normalizing finished spans; a Dataset has no stable work plan, maps
+# its blocks and reruns from a fresh spill.
 # --------------------------------------------------------------------------
 
 KEY_COLUMNS = ["doc_key", "sha_hex", "commit"]
@@ -265,9 +269,15 @@ def _plan_spill_items(source: str, target_items: int) -> list:
     produces hundreds of sub-MB files; one task per file would drown the
     stage in per-task and per-spill-write fixed costs).  ``fp`` names the
     item's input for its done-marker."""
-    files = ([os.path.join(source, f) for f in sorted(os.listdir(source))
-              if f.endswith(".parquet")]
-             if os.path.isdir(source) else [source])
+    files = [source]
+    if os.path.isdir(source):
+        # nested (hive-partitioned) dirs too, as read_parquet reads them;
+        # "_" and "." dirs hold markers and temp output
+        files = []
+        for d, subdirs, names in os.walk(source):
+            subdirs[:] = [s for s in subdirs if not s.startswith(("_", "."))]
+            files += [os.path.join(d, f) for f in names if f.endswith(".parquet")]
+        files.sort()
     metas = [(p, pq.read_metadata(p)) for p in files]
     total_rows = sum(m.num_rows for _, m in metas)
     rows_per_item = max(1, total_rows // max(1, target_items))
@@ -304,10 +314,6 @@ def _plan_spill_items(source: str, target_items: int) -> list:
     return items
 
 
-def _plan_stage_a(source: str) -> list:
-    return _plan_spill_items(source, target_items=4 * exchange.cluster_cpus())
-
-
 def _read_spans(it: dict) -> pa.Table:
     """The corpus rows of one planned spill item."""
     return pa.concat_tables(
@@ -315,14 +321,6 @@ def _read_spans(it: dict) -> pa.Table:
             list(range(int(s["rg0"]), int(s["rg1"]) + 1)),
             columns=CORPUS_COLUMNS) for s in it["spans"]],
         promote_options="default")
-
-
-def _drop_keys(tbl: pa.Table, keys_ref) -> pa.Table:
-    """Rows whose doc_key is not in the broadcast key array ``keys_ref``."""
-    if keys_ref is None:
-        return tbl
-    return tbl.filter(pc.invert(pc.is_in(tbl.column("doc_key"),
-                                         value_set=ray.get(keys_ref))))
 
 
 def _write_key_sidecar(key_dir: str, item: int, norm: pa.Table) -> None:
@@ -367,66 +365,105 @@ def _stage_a_reduce(staged_dir: str, exclude_ref=None):
     return reduce
 
 
-def _stage_a_exchange(staged_dir: str, langs: FrozenSet[str],
-                      num_buckets: int, items: Optional[list] = None,
-                      exclude_doc_keys=None) -> exchange.Exchange:
-    """Stage A's map side as a spill exchange under ``spill/`` of the index
-    dir: a path source maps its planned ``items`` (``_plan_stage_a``), a
-    Dataset source (``items`` None) its blocks (``Exchange.run_map(ds)``).
-    ``exclude_doc_keys`` (sorted iterable) drops those keys after
-    normalize — the broadcast-filter hook for cross-shard dedup losers.
-    The reduce body is attached once the loser set is known
-    (``_run_stage_a_reduce``)."""
-    n_groups = int(max(1, min(num_buckets, 4 * exchange.cluster_cpus())))
-    spill_dir = os.path.join(os.path.dirname(os.path.normpath(staged_dir)),
-                             "spill")
-    key_dir = os.path.join(spill_dir, "keys")
-    exclude_ref = exclude_digest = None
-    if exclude_doc_keys:
-        ex_sorted = sorted(exclude_doc_keys)
-        exclude_digest = hashlib.md5(
-            "\x00".join(ex_sorted).encode()).hexdigest()
-        exclude_ref = ray.put(pa.array(ex_sorted, pa.string()))
+def _has_offsets(index_dir: str) -> bool:
+    return os.path.exists(os.path.join(index_dir, "staged", "_offsets.json"))
+
+
+def _stage_a_map(source: SourceT, index_dirs: list, ctl_dir: str, *,
+                 langs: FrozenSet[str], docs_per_bucket: int,
+                 resume: bool = True,
+                 n_input_estimate: Optional[int] = None) -> dict:
+    """Stage A's map for every build: one pass over ``source`` (a corpus
+    parquet path/dir or a Dataset) normalizes each row and spills it into
+    the ``spill/`` of its index dir, ``md5(doc_key) % len(index_dirs)``
+    (no hash with one dir); then the loser step.  ``ctl_dir`` holds the
+    map's config, item done-markers and key sidecars (with one dir it is
+    that dir's ``spill/``).  Each dir is sized for
+    ``ceil(n / len(index_dirs))`` input rows, ``n`` being
+    ``n_input_estimate`` or the source's row count.
+
+    The map is skipped when every dir has durable staged offsets (and
+    ``resume``).  A dir that lost both its offsets and its spill, a
+    Dataset source or ``resume=False`` starts from an empty spill.
+    Returns the sizing (``num_buckets``, ``n_groups``) and, when the map
+    ran, its ``phases`` (map and loser-step seconds, under the build
+    report's keys)."""
+    ncpu = exchange.cluster_cpus()
+    items = (_plan_spill_items(source, target_items=4 * ncpu)
+             if isinstance(source, str) else None)
+    if n_input_estimate is None:
+        # a plan read every footer: its row total is the input size
+        n_input_estimate = (source.count() if items is None
+                            else sum(it["n_rows"] for it in items))
+    n_dirs = len(index_dirs)
+    num_buckets = docid.num_buckets_for(-(-int(n_input_estimate) // n_dirs),
+                                        docs_per_bucket)
+    n_groups = int(max(1, min(num_buckets, -(-4 * ncpu // n_dirs))))
+    out = {"num_buckets": num_buckets, "n_groups": n_groups, "phases": {}}
+    if resume and all(map(_has_offsets, index_dirs)):
+        return out
+
+    t0 = time.perf_counter()
+    spill_dirs = [os.path.join(d, "spill") for d in index_dirs]
+    key_dir = os.path.join(ctl_dir, "keys")
     normalize = _normalize_batch(langs, num_buckets)
 
     def produce(it: dict):
-        rows = it["rows"] if "rows" in it else _read_spans(it)
-        norm = _drop_keys(normalize(rows), exclude_ref)
+        norm = normalize(it["rows"] if "rows" in it else _read_spans(it))
         _write_key_sidecar(key_dir, it["item"], norm)
-        return norm, norm.column("bucket").to_numpy() % n_groups
+        keys = norm.column("bucket").to_numpy() % n_groups
+        if n_dirs > 1:
+            keys = keys + n_groups * docid.buckets_of(
+                norm.column("doc_key").to_pylist(), n_dirs)
+        return norm, keys
 
-    return exchange.Exchange(
-        spill_dir, n_groups, produce=produce, items=items or [],
-        config={"num_buckets": num_buckets, "n_groups": n_groups,
-                "langs": sorted(langs), "exclude": exclude_digest,
+    ex = exchange.Exchange(
+        ctl_dir, n_groups, produce=produce, items=items or [],
+        wipe=tuple(spill_dirs),
+        dir_of=lambda k: exchange.group_dir(spill_dirs[k // n_groups],
+                                            k % n_groups),
+        config={"num_dirs": n_dirs, "num_buckets": num_buckets,
+                "n_groups": n_groups, "langs": sorted(langs),
                 "plan": None if items is None else [it["fp"] for it in items]})
+    # a dir that lost BOTH its staged offsets and its spill (an operator
+    # deleted it) cannot be rebuilt from skipped map items
+    lost = any(not _has_offsets(d) and not (
+        os.path.isdir(sp) and any(g.startswith("g=") for g in os.listdir(sp)))
+        for d, sp in zip(index_dirs, spill_dirs))
+    ex.prepare(fresh=not resume or items is None or lost)
+    ex.run_map(source if items is None else None)
+    t_map = time.perf_counter()
+
+    # the loser step: every dir still to be staged gets the loser set as
+    # its spill/_exclude.parquet.  The key sidecars stay until the build
+    # ends, so a missing file is recomputed, identical, from them
+    missing = [os.path.join(sp, EXCLUDE_FILE)
+               for d, sp in zip(index_dirs, spill_dirs)
+               if not (resume and _has_offsets(d))
+               and not os.path.exists(os.path.join(sp, EXCLUDE_FILE))]
+    if missing:
+        losers = content_dup_loser_keys(_key_files(key_dir))
+        for path in missing:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            _write_doc_keys(losers, path)
+    t_end = time.perf_counter()
+    # the report's stage-A keys, which perfbench maps
+    out["phases"] = {"stage_a_bucketed_docs": round(t_map - t0, 3),
+                     "content_dedup_fixup": round(t_end - t_map, 3)}
+    return out
 
 
-def _stage_a_losers(spill_dir: str) -> None:
-    """The loser step between stage A's map and reduce: write the content
-    dedup losers of the map's key sidecars to ``spill/_exclude.parquet``.
-    A resume keeps an existing file — the sidecars stay until the staged
-    offsets are durable, so a missing one is recomputed identically."""
-    path = os.path.join(spill_dir, EXCLUDE_FILE)
-    if not os.path.exists(path):
-        _write_doc_keys(content_dup_loser_keys(
-            _key_files(os.path.join(spill_dir, "keys"))), path)
-
-
-def _run_stage_a_reduce(ex: exchange.Exchange, staged_dir: str) -> list:
-    """Reduce every group of stage A's exchange, dropping the doc_keys of
-    ``spill/_exclude.parquet`` (when present) before the in-bucket upsert."""
-    exclude_ref = None
-    expath = os.path.join(ex.spill_dir, EXCLUDE_FILE)
-    if os.path.exists(expath):
-        keys = pq.read_table(expath).column("doc_key").combine_chunks()
-        if len(keys):
-            exclude_ref = ray.put(keys)
-    ex.reduce = _stage_a_reduce(staged_dir, exclude_ref)
-    return ex.run_reduce()
-
-
-PRESTAGED_META = "_prestaged.json"
+def _reduce_stage_a(index_dir: str, n_groups: int) -> dict:
+    """Stage A's reduce for one index dir: every group of its
+    ``spill/``, dropping the doc_keys of ``spill/_exclude.parquet`` before
+    the in-bucket upsert.  Returns {bucket: n_docs}."""
+    spill_dir = os.path.join(index_dir, "spill")
+    keys = pq.read_table(os.path.join(spill_dir, EXCLUDE_FILE)).column(
+        "doc_key").combine_chunks()
+    ex = exchange.Exchange(spill_dir, n_groups, reduce=_stage_a_reduce(
+        os.path.join(index_dir, "staged"),
+        ray.put(keys) if len(keys) else None))
+    return {int(r["bucket"]): int(r["n_docs"]) for r in ex.run_reduce()}
 
 
 def content_dup_losers(keys: pa.Table) -> pa.Table:
@@ -468,12 +505,12 @@ def content_dup_losers_distributed(keys_ds: "ray.data.Dataset") -> list:
                 batch_format="pyarrow").take_all())
 
 
-def content_dup_loser_keys(key_src,
+def content_dup_loser_keys(key_files: list,
                            driver_threshold: int = 2_000_000) -> list:
     """Sorted doc_keys whose upsert-surviving version loses content dedup:
     ``content_dup_losers`` over the ``_canonicalize_bucket`` survivors of
-    key rows (doc_key, sha_hex, commit).  ``key_src`` is a hive-partitioned
-    directory or a list of parquet files (stage A's key sidecars).  Under
+    key rows (doc_key, sha_hex, commit) read from ``key_files`` (stage A's
+    key sidecars).  Under
     ``driver_threshold`` rows the rule runs on the driver via pyarrow;
     above it, upsert resolution is a bounded-group distributed pass
     (per-batch winner combiner — one row per key per batch — then one
@@ -481,12 +518,9 @@ def content_dup_loser_keys(key_src,
     ``content_dup_losers_distributed``."""
     import pyarrow.dataset as pads
 
-    if isinstance(key_src, str):
-        ds = pads.dataset(key_src, partitioning="hive")
-    else:
-        if not key_src:
-            return []
-        ds = pads.dataset(list(key_src))
+    if not key_files:
+        return []
+    ds = pads.dataset(list(key_files))
     n_rows = ds.count_rows()
     if n_rows == 0:
         return []
@@ -512,7 +546,7 @@ def content_dup_loser_keys(key_src,
         # all rows of a doc_key share its bucket
         return _canonicalize_bucket(g).select(["doc_key", "sha_hex"])
 
-    survivors = (ray.data.read_parquet(key_src, columns=KEY_COLUMNS)
+    survivors = (ray.data.read_parquet(list(key_files), columns=KEY_COLUMNS)
                  .map_batches(batch_winners, batch_format="pyarrow")
                  .groupby("bkt").map_groups(
                      bucket_key_winners, batch_format="pyarrow"))
@@ -654,20 +688,29 @@ def build_index(
     langs: FrozenSet[str] = DEFAULT_LANGS,
     resume: bool = True,
     n_input_estimate: Optional[int] = None,
-    exclude_doc_keys=None,
-    prestaged_spill: bool = False,
 ) -> dict:
     """Build (or resume) the inverted index at ``index_dir``. Returns a build
     report. ``source`` is a corpus parquet path/dir or a Dataset with columns
-    (repo, path, commit, lang, content).  ``exclude_doc_keys`` drops those
-    keys during stage A (a broadcast map-side filter, used by the sharded
-    build for cross-shard dedup losers).  ``prestaged_spill`` skips the stage-A
-    map phase entirely: the spill files were already written by an external
-    exchange (the fused sharded build's single corpus pass) and carry a
-    ``spill/_prestaged.json`` with the bucket/group sizing; ``source`` is
-    ignored."""
+    (repo, path, commit, lang, content): stage A's map over this one dir,
+    then ``_build_from_spill``."""
     t_start = time.perf_counter()
-    phase_t: Dict[str, float] = {}
+    stage_a = _stage_a_map(source, [index_dir],
+                           os.path.join(index_dir, "spill"), langs=langs,
+                           docs_per_bucket=docs_per_bucket, resume=resume,
+                           n_input_estimate=n_input_estimate)
+    return _build_from_spill(index_dir, stage_a, docs_per_bucket=docs_per_bucket,
+                             langs=langs, resume=resume, t_start=t_start)
+
+
+def _build_from_spill(index_dir: str, stage_a: dict, *, docs_per_bucket: int,
+                      langs: FrozenSet[str], resume: bool = True,
+                      t_start: Optional[float] = None) -> dict:
+    """Everything of a build after stage A's map (``_stage_a_map``, whose
+    result is ``stage_a``), for one index dir: the stage-A reduce (skipped
+    on a resume with durable staged offsets), stage B and the merge.
+    Returns the build report."""
+    t_start = time.perf_counter() if t_start is None else t_start
+    phase_t: Dict[str, float] = dict(stage_a["phases"])
 
     def _mark(name: str, t0: float) -> None:
         phase_t[name] = round(time.perf_counter() - t0, 3)
@@ -678,70 +721,25 @@ def build_index(
 
     staged_dir = os.path.join(index_dir, "staged")
     offsets_path = os.path.join(staged_dir, "_offsets.json")
-
     spill_dir = os.path.join(index_dir, "spill")
-    items = None
-    if prestaged_spill:
-        meta_path = os.path.join(spill_dir, PRESTAGED_META)
-        if os.path.exists(meta_path):
-            _m = json.load(open(meta_path))
-            n_est = int(_m["n_rows_estimate"])
-            num_buckets = int(_m["num_buckets"])
-        elif resume and os.path.exists(offsets_path):
-            # finished stage A swept its spill — sizing lives in offsets
-            _o = json.load(open(offsets_path))
-            n_est, num_buckets = int(_o["n_docs"]), int(_o["num_buckets"])
-        else:
-            raise FileNotFoundError(
-                f"prestaged_spill build at {index_dir} has neither "
-                f"spill/{PRESTAGED_META} nor durable staged offsets")
-    else:
-        if isinstance(source, str):
-            items = _plan_stage_a(source)
-        if n_input_estimate is not None:
-            n_est = n_input_estimate
-        elif items is not None:
-            # the plan read every footer: its row total is the input size
-            n_est = sum(it["n_rows"] for it in items)
-        else:
-            n_est = source.count()
-        num_buckets = docid.num_buckets_for(n_est, docs_per_bucket)
+    num_buckets = stage_a["num_buckets"]
 
     if resume and os.path.exists(offsets_path):
         off = json.load(open(offsets_path))
         assert off["num_buckets"] == num_buckets, "resume with different bucketing"
         counts = {int(k): v for k, v in off["counts"].items()}
         staged_fresh = False
-        # a fused re-spill may have re-created spill data this build no
-        # longer needs (offsets are durable)
+        # a sharded map may have re-created spill data this dir no longer
+        # needs (its offsets are durable)
         shutil.rmtree(spill_dir, ignore_errors=True)
     else:
-        # ----- stage A: normalize + the ONE content exchange + in-bucket
-        # upsert.  The map spills rows and key sidecars (a path source's
-        # planned items resume from their done-markers; a Dataset's blocks
-        # rerun from a fresh spill dir); the loser step writes the content
-        # dedup losers; the reduce drops them and writes each staged bucket
-        # once.  A fused sharded build ran the map and wrote the global
-        # loser set already.
+        # ----- stage A's reduce: drop the content-dedup losers, run the
+        # in-bucket upsert and write each staged bucket once
         t0 = time.perf_counter()
-        if prestaged_spill:
-            ex = exchange.Exchange(spill_dir, int(_m["n_groups"]))
-            t_losers = 0.0
-        else:
-            ex = _stage_a_exchange(staged_dir, langs, num_buckets, items,
-                                   exclude_doc_keys=exclude_doc_keys)
-            ex.prepare(fresh=items is None)
-            ex.run_map(source if items is None else None)
-            t1 = time.perf_counter()
-            _stage_a_losers(spill_dir)
-            t_losers = time.perf_counter() - t1
-            # the report's content-dedup key, which perfbench maps
-            phase_t["content_dedup_fixup"] = round(t_losers, 3)
-        rows = _run_stage_a_reduce(ex, staged_dir)
-        counts = {int(r["bucket"]): int(r["n_docs"]) for r in rows}
+        counts = _reduce_stage_a(index_dir, stage_a["n_groups"])
         phase_t["stage_a_bucketed_docs"] = round(
-            time.perf_counter() - t0 - t_losers, 3)
-
+            phase_t.get("stage_a_bucketed_docs", 0.0)
+            + time.perf_counter() - t0, 3)
         _atomic_write_json(
             {"num_buckets": num_buckets,
              "counts": _by_int_key(counts),

@@ -11,9 +11,9 @@ outputs.  Both sides leave done-markers under ``_done/``, and
 granularity, and a run with a different plan starts from an empty spill
 dir.  A Dataset map has no plan to pin and leaves no map markers.
 
-Callers: stage A of a build and its fused sharded variant
-(build.py, sharded.py), the term-partitioned merge (build.py) and
-the distributed global-dictionary merge (sharded.py).
+Callers: stage A of every build, unsharded or sharded (build.py), the
+term-partitioned merge (build.py) and the distributed global-dictionary
+merge (sharded.py).
 """
 
 from __future__ import annotations

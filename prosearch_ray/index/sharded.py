@@ -2,17 +2,20 @@
 
 At 100 TB one index directory per cluster is the wrong shape: a single
 query would decode postings over the whole corpus on one node.  The scale
-design is S doc shards — each an ordinary index built by ``build_index`` —
-queried scatter-gather (query/sharded.py) with CORPUS-WIDE BM25 statistics
-so shard scores are bit-identical to an unsharded build:
+design is S doc shards — each an ordinary index — queried scatter-gather
+(query/sharded.py) with CORPUS-WIDE BM25 statistics so shard scores are
+bit-identical to an unsharded build:
 
+- one stage-A map for all shards (build._stage_a_map, the map every build
+  runs): one pass over the source, path or Dataset, spills each row into
+  its shard's ``spill/``; each shard then runs the rest of an ordinary
+  build (build._build_from_spill);
 - ``shard = md5(doc_key) % S``: all versions of a key co-locate, so the
   in-bucket last-write-wins upsert keeps its semantics per shard;
-- cross-shard exact-content dedup runs on KEY COLUMNS ONLY before the
-  shard builds (build.content_dup_loser_keys: upsert-resolve per key, then
-  min-doc_key winner per sha — the rule an unsharded build applies between
-  its stage-A map and reduce), so the final global doc set equals the
-  unsharded build's;
+- cross-shard exact-content dedup runs on KEY COLUMNS ONLY between the
+  map and the shard reduces (build.content_dup_loser_keys: upsert-resolve
+  per key, then min-doc_key winner per sha — the rule an unsharded build
+  applies), so the final global doc set equals the unsharded build's;
 - ``global_stats.json`` (N, avgdl) and ``global_dict/`` (per-term
   corpus-wide df, hash-partitioned by ``layout.term_part`` with each part
   term-sorted for point reads) are derived from the shard outputs; shard
@@ -23,11 +26,8 @@ so shard scores are bit-identical to an unsharded build:
 
 Layout under ``root``::
 
-    fused_spill/      fused stage-A exchange state (config, item done
-                      markers, durable cross-shard loser set) — path sources
-    corpus/shard=K/   hive-partitioned corpus split (Dataset sources only;
-                      path sources spill straight into each shard's stage-A
-                      exchange, skipping this corpus-sized copy)
+    fused_spill/      stage-A map state (config, item done markers; key
+                      sidecars until every shard is staged)
     shard=000/ ...    one ordinary index per shard
     global_stats.json
     global_dict/part=K.parquet (+ _meta.json)
@@ -41,7 +41,6 @@ from typing import FrozenSet
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
@@ -49,9 +48,8 @@ import ray
 import ray.data as rd
 
 from prosearch_ray.index import docid
-from prosearch_ray.index.build import (CORPUS_COLUMNS, DEFAULT_LANGS,
-                                       _sha256_hex_arrow, build_index,
-                                       content_dup_loser_keys)
+from prosearch_ray.index.build import (DEFAULT_LANGS, _build_from_spill,
+                                       _stage_a_map)
 from prosearch_ray.index.delta import fold_deltas, segment_dict_rows
 from prosearch_ray.sinks import write_partitioned
 
@@ -95,28 +93,6 @@ def shard_dirs(root: str):
     names = [d for d in os.listdir(root) if d.startswith("shard=")]
     names.sort(key=lambda d: int(d.split("=", 1)[1]))
     return [os.path.join(root, d) for d in names]
-
-
-def _tag_batch(langs: FrozenSet[str], num_shards: int):
-    """Lang filter (mirrors the build's content-type gate so loser
-    detection sees the same row set) + doc_key/sha/shard columns."""
-    accepted = pa.array(sorted(langs))
-
-    def fn(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.is_in(t.column("lang"), value_set=accepted))
-        keys = [docid.doc_key(r, p)
-                for r, p in zip(t.column("repo").to_pylist(),
-                                t.column("path").to_pylist())]
-        shards = np.fromiter((docid.bucket_of(k, num_shards) for k in keys),
-                             dtype=np.int64, count=len(keys))
-        return pa.table({
-            **{c: t.column(c) for c in CORPUS_COLUMNS},
-            "doc_key": pa.array(keys, pa.string()),
-            "sha_hex": pa.array(_sha256_hex_arrow(t.column("content")),
-                                pa.string()),
-            "shard": pa.array(shards, pa.int64()),
-        })
-    return fn
 
 
 # global-dict merge sizing: partitions target this many rows each, and the
@@ -560,8 +536,8 @@ def reshard(root: str, out_root: str, new_num_shards: int, *,
     directory as an independent resumable job (marker per source shard —
     a 40-dataset ``union`` fed to one partitioned write planned so poorly
     at 16M docs that it made no progress in 12 minutes), then an ordinary
-    path-source sharded build runs under the new modulus — the FUSED
-    one-pass exchange, not the Dataset fallback path."""
+    path-source sharded build runs under the new modulus, whose stage-A
+    map resumes per planned item."""
     import shutil
 
     from prosearch_ray.index.build import _atomic_write_json
@@ -620,111 +596,6 @@ def delete_docs_sharded(root: str, doc_keys) -> int:
     return sum(delete_docs(dirs[s], ks) for s, ks in by_shard.items())
 
 
-def _fused_corpus_spill(source: str, root: str, num_shards: int,
-                        langs: FrozenSet[str], docs_per_bucket: int,
-                        resume: bool = True) -> dict:
-    """One corpus pass for every shard: a spill exchange whose map
-    normalizes (lang gate, doc_key, sha256, per-shard bucket) and spills
-    each row straight into its shard's stage-A exchange layout
-    ``shard=NNN/spill/g=GGGG/item=*.parquet`` — the per-shard builds then
-    start at the reduce.  Replaces [partition write of the whole corpus] +
-    [per-shard stage-A map re-read], i.e. removes one full corpus-sized
-    write+read from the flagship path.  Then derive the cross-shard
-    content-dedup loser set from the map's key sidecars (persisted
-    durably, so a resume after some shards finished — and swept their
-    spill — still excludes globally), and write each shard's
-    ``spill/_prestaged.json`` + ``spill/_exclude.parquet``.  Returns phase
-    timings."""
-    import hashlib
-    import shutil
-    import time as _time
-
-    from prosearch_ray.index import exchange
-    from prosearch_ray.index.build import (EXCLUDE_FILE, _atomic_write_json,
-                                           _key_files, _normalize_batch,
-                                           _plan_spill_items, _read_spans,
-                                           _write_doc_keys, _write_key_sidecar)
-
-    t0 = _time.perf_counter()
-    ncpu = exchange.cluster_cpus()
-    items = _plan_spill_items(source, target_items=4 * ncpu)
-    total_rows = sum(it["n_rows"] for it in items)
-    per_shard_est = max(1, -(-total_rows // num_shards))
-    num_buckets = docid.num_buckets_for(per_shard_est, docs_per_bucket)
-    n_groups = int(max(1, min(num_buckets, -(-4 * ncpu // num_shards))))
-
-    fdir = os.path.join(root, "fused_spill")
-    kdir = os.path.join(fdir, "keys")
-    spill_dirs = [os.path.join(root, f"shard={s:03d}", "spill")
-                  for s in range(num_shards)]
-    normalize = _normalize_batch(langs, num_buckets)
-
-    def produce(it: dict):
-        norm = normalize(_read_spans(it))
-        # keys sidecar (one file per item): the cross-shard loser scan reads
-        # these few files instead of re-opening every (shard, group) spill
-        # file — per-file open cost dominated that scan
-        _write_key_sidecar(kdir, it["item"], norm)
-        shards = docid.buckets_of(norm.column("doc_key").to_pylist(),
-                                  num_shards)
-        return norm, shards * n_groups + norm.column("bucket").to_numpy() % n_groups
-
-    fused = exchange.Exchange(
-        fdir, n_groups, produce=produce, items=items, wipe=tuple(spill_dirs),
-        dir_of=lambda k: exchange.group_dir(spill_dirs[k // n_groups],
-                                            k % n_groups),
-        config={"num_shards": num_shards, "num_buckets": num_buckets,
-                "n_groups": n_groups, "langs": sorted(langs),
-                "plan": [it["fp"] for it in items]})
-    # a shard that lost BOTH its built state (staged offsets) and its spill
-    # data (e.g. an operator deleted the shard dir) cannot be rebuilt from
-    # skipped map items — force the map to re-run.  An empty shard keeps
-    # durable offsets, so it never triggers this.
-    lost = any(
-        not os.path.exists(os.path.join(os.path.dirname(sp), "staged",
-                                        "_offsets.json"))
-        and not (os.path.isdir(sp)
-                 and any(g.startswith("g=") for g in os.listdir(sp)))
-        for sp in spill_dirs)
-    fused.prepare(fresh=not resume or lost)
-    fused.run_map()
-    t_map = _time.perf_counter()
-
-    # cross-shard loser set, PERSISTED before any shard build runs: a
-    # finished shard build sweeps its spill, so a resumed run could no
-    # longer re-derive the global set from the surviving spill files alone
-    losers_path = os.path.join(fdir, "losers.parquet")
-    if os.path.exists(losers_path):
-        losers = sorted(pq.read_table(losers_path).column("doc_key").to_pylist())
-    else:
-        losers = content_dup_loser_keys(_key_files(kdir))
-        _write_doc_keys(losers, losers_path)
-        # keys sidecars exist only to derive the loser set; once it is
-        # durable they are dead weight (~2 GB at 16M docs) — a stale
-        # config rebuilds fdir wholesale, regenerating them
-        shutil.rmtree(kdir, ignore_errors=True)
-    digest = hashlib.md5("\x00".join(losers).encode()).hexdigest()
-
-    meta = {"num_buckets": num_buckets, "n_groups": n_groups,
-            "n_rows_estimate": per_shard_est, "exclude_digest": digest}
-    for sdir in spill_dirs:
-        os.makedirs(sdir, exist_ok=True)
-        mpath = os.path.join(sdir, "_prestaged.json")
-        fresh = True
-        if os.path.exists(mpath):
-            try:
-                fresh = json.load(open(mpath)) != meta
-            except (ValueError, OSError):
-                pass
-        if fresh:  # sizing or loser set changed -> reduce markers invalid
-            shutil.rmtree(os.path.join(sdir, "_done"), ignore_errors=True)
-            _write_doc_keys(losers, os.path.join(sdir, EXCLUDE_FILE))
-            _atomic_write_json(meta, mpath)
-    t_end = _time.perf_counter()
-    return {"spill_sec": round(t_map - t0, 3),
-            "dedup_sec": round(t_end - t_map, 3)}
-
-
 _CPUS_PER_BUILD = 8  # the measured knee: a build pipeline below ~8 cores
 #                      pays more in stage barriers than co-scheduling buys
 
@@ -755,10 +626,10 @@ def build_sharded_index(
     shard_parallelism: "int | None" = None,
 ) -> dict:
     """Build ``num_shards`` doc-shard indexes + corpus-wide stats and
-    merged dictionary.  Returns a report.  Path sources run ONE fused
-    corpus pass that spills rows straight into every shard's stage-A
-    exchange (no intermediate corpus copy); Dataset sources fall back to a
-    resumable partitioned corpus sink + per-shard builds.
+    merged dictionary.  Returns a report.  ``source`` is a corpus parquet
+    path/dir or a Dataset; stage A's one map (``build._stage_a_map``)
+    spills it in one corpus pass into every shard's ``spill/``, then each
+    shard runs the rest of an ordinary build (``build._build_from_spill``).
 
     ``shard_parallelism`` co-schedules that many shard builds as concurrent
     Ray Data pipelines (driver threads; each build is independently
@@ -772,56 +643,31 @@ def build_sharded_index(
     better than 4 at 2 cores (more oversubscribe a small node); on an
     N-node cluster one pipeline per node keeps every node's barrier
     overlapped with another node's compute without oversubscribing any."""
+    import shutil
     import time as _time
     from concurrent.futures import ThreadPoolExecutor
 
     _stabilize_lazy_imports()
-    t_start = _time.perf_counter()
     os.makedirs(root, exist_ok=True)
     _shard_manifest_check(root, num_shards)  # refuse a mismatched resume
 
-    if isinstance(source, str):
-        # FUSED stage A: one corpus pass spills straight into every shard's
-        # stage-A exchange (no intermediate partitioned corpus copy — at
-        # 100 TB the old shape wrote and re-read the whole corpus once more)
-        fuse = _fused_corpus_spill(source, root, num_shards, langs,
-                                   docs_per_bucket, resume=resume)
-        t_part = t_start + fuse["spill_sec"]
-        t_dedup = t_part + fuse["dedup_sec"]
+    # ONE corpus pass spills straight into every shard's stage-A exchange
+    # (no intermediate corpus copy — at 100 TB that would write and re-read
+    # the whole corpus once more)
+    dirs = [os.path.join(root, f"shard={s:03d}") for s in range(num_shards)]
+    ctl_dir = os.path.join(root, "fused_spill")
+    stage_a = _stage_a_map(source, dirs, ctl_dir, langs=langs,
+                           docs_per_bucket=docs_per_bucket, resume=resume)
+    # a shard's report times its own reduce; the map is the root's
+    # corpus_partition and cross_shard_dedup phases
+    sizing = {**stage_a, "phases": {}}
 
-        def build_one(s: int):
-            return build_index(
-                None, os.path.join(root, f"shard={s:03d}"),
-                docs_per_bucket=docs_per_bucket, langs=langs,
-                resume=resume, prestaged_spill=True)
-    else:
-        # Dataset sources have no stable work plan for the fused exchange:
-        # keep the resumable partitioned-corpus sink + per-shard builds
-        corpus_root = os.path.join(root, "corpus")
-        write_partitioned(
-            source.map_batches(_tag_batch(langs, num_shards),
-                               batch_format="pyarrow"),
-            corpus_root, "shard")
-        t_part = _time.perf_counter()
+    def build_one(s: int):
+        return _build_from_spill(dirs[s], sizing,
+                                 docs_per_bucket=docs_per_bucket,
+                                 langs=langs, resume=resume)
 
-        losers = content_dup_loser_keys(corpus_root)
-        t_dedup = _time.perf_counter()
-
-        def build_one(s: int):
-            sdir = os.path.join(corpus_root, f"shard={s}")
-            idx_dir = os.path.join(root, f"shard={s:03d}")
-            if not os.path.isdir(sdir):
-                # a shard that received zero docs still gets a (searchable)
-                # empty index so the scatter-gather pool stays uniform
-                empty = pa.table({c: pa.array([], pa.string())
-                                  for c in CORPUS_COLUMNS})
-                return build_index(rd.from_arrow(empty), idx_dir,
-                                   docs_per_bucket=docs_per_bucket,
-                                   langs=langs, n_input_estimate=0)
-            return build_index(
-                sdir, idx_dir, docs_per_bucket=docs_per_bucket, langs=langs,
-                resume=resume, exclude_doc_keys=losers or None)
-
+    t_map = _time.perf_counter()
     if shard_parallelism is None:
         shard_parallelism = _auto_shard_parallelism()
     workers = max(1, min(int(shard_parallelism), num_shards))
@@ -830,6 +676,8 @@ def build_sharded_index(
     else:
         with ThreadPoolExecutor(max_workers=workers) as ex:
             reports = list(ex.map(build_one, range(num_shards)))
+    # every shard is staged: the map's key sidecars have no further reader
+    shutil.rmtree(os.path.join(ctl_dir, "keys"), ignore_errors=True)
     t_builds = _time.perf_counter()
 
     # corpus-wide stats + merged dictionary: term-partitioned part files
@@ -840,8 +688,10 @@ def build_sharded_index(
             "num_shards": num_shards, "shards": reports,
             "avgdl_title": g["avgdl_title"], "avgdl_body": g["avgdl_body"],
             "phases": {
-                "corpus_partition": round(t_part - t_start, 3),
-                "cross_shard_dedup": round(t_dedup - t_part, 3),
-                "shard_builds": round(t_builds - t_dedup, 3),
+                "corpus_partition": stage_a["phases"].get(
+                    "stage_a_bucketed_docs", 0.0),
+                "cross_shard_dedup": stage_a["phases"].get(
+                    "content_dedup_fixup", 0.0),
+                "shard_builds": round(t_builds - t_map, 3),
                 "refresh_global": round(t_end - t_builds, 3),
             }}

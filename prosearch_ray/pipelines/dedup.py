@@ -1064,8 +1064,11 @@ def dedup_clusters_ds(sf_dir: str, threshold: float = JACCARD_THRESHOLD,
     docs = read(sf_dir, "documents", columns=["doc_id"])
 
     if labels.count() <= bcast_max:
-        lbl_tbl = pa.concat_tables(
-            list(labels.iter_batches(batch_format="pyarrow")))
+        # typed empty table: an empty pair set yields no label batches
+        schema = pa.schema([("v", pa.int64()), ("lbl", pa.int64())])
+        blocks = [b.select(schema.names).cast(schema)
+                  for b in labels.iter_batches(batch_format="pyarrow")]
+        lbl_tbl = pa.concat_tables(blocks) if blocks else schema.empty_table()
         v = lbl_tbl.column("v").to_numpy()
         l = lbl_tbl.column("lbl").to_numpy()
         order = np.argsort(v)

@@ -39,29 +39,24 @@ def main() -> None:
     from ray.data import DataContext
     DataContext.get_current().enable_progress_bars = False
 
+    from prosearch_ray.sources.corpus import detect_format, read_corpus
+
+    # a parquet corpus goes in as a path, so its stage-A map resumes per
+    # planned item; jsonl (or any non-parquet) goes in as a Dataset
+    source = (args.corpus
+              if detect_format(args.corpus, args.format) == "parquet"
+              else read_corpus(args.corpus, args.format))
     if args.num_shards > 1:
         from prosearch_ray.index.sharded import build_sharded_index
-        from prosearch_ray.sources.corpus import detect_format
 
-        # parquet path sources take the fused one-pass corpus spill;
-        # jsonl (or any non-parquet) sources go in as a Dataset and take
-        # the partitioned-sink fallback inside the builder
-        if detect_format(args.corpus, args.format) == "parquet":
-            source = args.corpus
-        else:
-            from prosearch_ray.sources import read_corpus
-
-            source = read_corpus(args.corpus, args.format)
         report = build_sharded_index(source, args.index,
                                      num_shards=args.num_shards,
                                      docs_per_bucket=args.docs_per_bucket,
                                      resume=not args.no_resume)
     else:
         from prosearch_ray.index.build import build_index
-        from prosearch_ray.sources import read_corpus
 
-        report = build_index(read_corpus(args.corpus, args.format),
-                             args.index,
+        report = build_index(source, args.index,
                              docs_per_bucket=args.docs_per_bucket,
                              resume=not args.no_resume)
     print(json.dumps(report))

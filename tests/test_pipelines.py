@@ -385,6 +385,19 @@ def test_dedup_clusters_invariants():
         assert keep[c]
 
 
+def test_dedup_clusters_empty_pair_set():
+    """A threshold no pair can reach leaves every doc its own cluster."""
+    import pyarrow.parquet as pq
+
+    from prosearch_ray.pipelines.dedup import dedup_clusters
+
+    t = dedup_clusters(SF, threshold=1.5)
+    n = pq.read_metadata(f"{SF}/documents.parquet").num_rows
+    assert t.num_rows == n
+    assert t.column("cluster").to_pylist() == t.column("doc_id").to_pylist()
+    assert all(t.column("is_keeper").to_pylist())
+
+
 def test_doc_vectors_invariants():
     """Hashed TF-IDF long-form vectors: per-doc tf sums equal the doc's
     token count, buckets lie in [0, dim), and weights equal tf * the

@@ -512,33 +512,37 @@ def test_sharded_rebuild_resumes(both_indexes, tmp_path_factory):
     assert g["n_docs"] == rep2["n_docs"]
 
 
-def test_cross_shard_losers_distributed_matches_driver(both_indexes,
-                                                       tmp_path):
+def test_cross_shard_losers_distributed_matches_driver(ray_session,
+                                                       tmp_path,
+                                                       monkeypatch):
     """The distributed loser-detection path (bounded-group winner
     resolution + per-sha loser groups) must produce exactly the driver
-    path's loser set.  The fused path-source build no longer materializes
-    a tagged corpus copy, so tag one here via the Dataset-source sink."""
+    path's loser set, over the key-sidecar files of a sharded stage-A
+    map."""
     import os
 
-    import ray.data as rd
-
     from prosearch_ray.fixtures import write_corpus
-    from prosearch_ray.index.build import (CORPUS_COLUMNS, DEFAULT_LANGS,
-                                           content_dup_loser_keys)
-    from prosearch_ray.index.sharded import _tag_batch
-    from prosearch_ray.sinks import write_partitioned
+    from prosearch_ray.index import build
 
     d = write_corpus(str(tmp_path / "c"), n_docs=1500)
-    corpus_root = str(tmp_path / "tagged")
-    write_partitioned(
-        rd.read_parquet(d + "/corpus", columns=CORPUS_COLUMNS).map_batches(
-            _tag_batch(DEFAULT_LANGS, 3), batch_format="pyarrow"),
-        corpus_root, "shard")
-    assert os.path.isdir(corpus_root)
-    drv = content_dup_loser_keys(corpus_root)
-    dist = content_dup_loser_keys(corpus_root, driver_threshold=1)
-    assert dist == drv
-    assert len(drv) > 0  # the fixture corpus contains cross-shard dups
+    root = str(tmp_path / "shards")
+    seen = {}
+    orig = build.content_dup_loser_keys
+
+    def both_paths(key_files):
+        seen["files"] = list(key_files)
+        seen["drv"] = orig(key_files)
+        seen["dist"] = orig(key_files, driver_threshold=1)
+        return seen["drv"]
+
+    monkeypatch.setattr(build, "content_dup_loser_keys", both_paths)
+    build._stage_a_map(
+        d + "/corpus", [os.path.join(root, f"shard={s:03d}") for s in range(3)],
+        os.path.join(root, "fused_spill"), langs=build.DEFAULT_LANGS,
+        docs_per_bucket=128)
+    assert seen["files"]
+    assert seen["dist"] == seen["drv"]
+    assert len(seen["drv"]) > 0  # the fixture corpus contains cross-shard dups
 
 
 def test_global_dict_distributed_merge_matches_driver(both_indexes,

@@ -31,11 +31,14 @@ def test_spill_path_matches_dataset_path(ray_session, tmp_path):
     corpus = generate_corpus(300)
     src = str(tmp_path / "src")
     os.makedirs(src)
-    # several files + small row groups so the plan has multiple items
+    # several files + small row groups so the plan has multiple items; one
+    # file in a hive-style subdir, which the plan reads like read_parquet
     per = -(-corpus.num_rows // 3)
-    for i in range(3):
+    os.makedirs(os.path.join(src, "p=2"))
+    for i, name in enumerate(["part0.parquet", "part1.parquet",
+                              "p=2/part2.parquet"]):
         pq.write_table(corpus.slice(i * per, per),
-                       os.path.join(src, f"part{i}.parquet"), row_group_size=40)
+                       os.path.join(src, name), row_group_size=40)
 
     idx_a = str(tmp_path / "idx_path")
     idx_b = str(tmp_path / "idx_ds")
@@ -121,33 +124,39 @@ def _finish_half(ex):
         done, f"item={int(it['item']):06d}.json")).st_mtime_ns for it in half}
 
 
+class _Killed(Exception):
+    """Stands in for a kill at a chosen point of a build."""
+
+
 def test_spill_resume_skips_finished_items(ray_session, tmp_path,
                                            monkeypatch):
     from prosearch_ray.fixtures.gen import generate_corpus
-    from prosearch_ray.index import docid
-    from prosearch_ray.index.build import (DEFAULT_LANGS, _plan_stage_a,
-                                           _stage_a_exchange, build_index)
+    from prosearch_ray.index import exchange
+    from prosearch_ray.index.build import build_index
 
     corpus = generate_corpus(300)
     src = _write_src(corpus, str(tmp_path / "src"))
     idx = str(tmp_path / "idx")
-    staged = os.path.join(idx, "staged")
-    os.makedirs(staged)
-    # must match what build_index derives (n_est = real row count of src)
-    num_buckets = docid.num_buckets_for(corpus.num_rows, 64)
 
-    # simulate a build killed mid-stage-A: the exchange build_index will
-    # plan, with the map run for HALF its items
-    ex = _stage_a_exchange(staged, DEFAULT_LANGS, num_buckets,
-                           _plan_stage_a(src))
-    assert len(ex.items) >= 4
-    before = _finish_half(ex)
+    # a build killed mid-stage-A: the map runs HALF its planned items
+    before, n_items = {}, []
+
+    def half_map(self, ds=None):
+        n_items.append(len(self.items))
+        before.update(_finish_half(self))
+        raise _Killed
+
+    with monkeypatch.context() as m:
+        m.setattr(exchange.Exchange, "run_map", half_map)
+        with pytest.raises(_Killed):
+            build_index(src, idx, docs_per_bucket=64)
+    assert n_items[0] >= 4
 
     # resume: the full build must reuse the finished items' spill untouched
     seen = _markers_at_reduce(monkeypatch, "spill")
     rep = build_index(src, idx, docs_per_bucket=64)
     assert rep["n_docs"] > 0
-    assert len(seen) == len(ex.items)
+    assert len(seen) == n_items[0]
     assert {f: seen[f] for f in before} == before
     ref = str(tmp_path / "ref")
     rep2 = build_index(src, ref, docs_per_bucket=64)
@@ -155,21 +164,28 @@ def test_spill_resume_skips_finished_items(ray_session, tmp_path,
     assert _postings_bytes(idx) == _postings_bytes(ref)
 
 
-def test_spill_map_item_skip_marker(ray_session, tmp_path):
+def test_spill_map_item_skip_marker(ray_session, tmp_path, monkeypatch):
     """A completed item's marker short-circuits its rerun."""
     from prosearch_ray.fixtures.gen import generate_corpus
-    from prosearch_ray.index.build import (DEFAULT_LANGS, _plan_stage_a,
-                                           _stage_a_exchange)
+    from prosearch_ray.index import exchange
+    from prosearch_ray.index.build import build_index
 
     corpus = generate_corpus(100)
     src = _write_src(corpus, str(tmp_path / "src"), n_files=1,
                      row_group_size=25)
-    staged = str(tmp_path / "idx" / "staged")
-    os.makedirs(staged)
-    ex = _stage_a_exchange(staged, DEFAULT_LANGS, 8, _plan_stage_a(src))
-    ex.prepare()
-    assert ex.map_task(ex.items[0])["skipped"] is False
-    assert ex.map_task(ex.items[0])["skipped"] is True
+    skipped = []
+    orig = exchange.Exchange.run_map
+
+    def run_map(self, ds=None):
+        if not skipped:  # stage A's map is the build's first
+            skipped.extend(self.map_task(self.items[0])["skipped"]
+                           for _ in range(2))
+        return orig(self, ds)
+
+    monkeypatch.setattr(exchange.Exchange, "run_map", run_map)
+    rep = build_index(src, str(tmp_path / "idx"), docs_per_bucket=64)
+    assert skipped == [False, True]
+    assert rep["n_docs"] > 0
 
 
 def test_merge_resumes_mid_scoring_map(ray_session, tmp_path, monkeypatch):
@@ -284,7 +300,7 @@ def test_content_dedup_distributed_matches_driver(ray_session, tmp_path,
 def test_each_staged_bucket_written_once(ray_session, tmp_path, monkeypatch):
     """Stage A writes every staged bucket file exactly once: content-dedup
     losers are dropped in the reduce, never by a rewrite.  Checked for a
-    path source, a Dataset source and a fused sharded build on a corpus
+    path source, a Dataset source and sharded builds from both on a corpus
     whose content copies land in other buckets; the staged doc set equals
     the loop-based dedup reference."""
     from collections import Counter
@@ -307,10 +323,11 @@ def test_each_staged_bucket_written_once(ray_session, tmp_path, monkeypatch):
 
     monkeypatch.setattr(build, "_write_staged", counted)
     idx_path, idx_ds = str(tmp_path / "path"), str(tmp_path / "ds")
-    root = str(tmp_path / "sharded")
+    root, root_ds = str(tmp_path / "sharded"), str(tmp_path / "sharded_ds")
     build.build_index(src, idx_path, docs_per_bucket=64)
     build.build_index(rd.from_arrow(corpus), idx_ds, docs_per_bucket=64)
     build_sharded_index(src, root, 2, docs_per_bucket=64)
+    build_sharded_index(rd.from_arrow(corpus), root_ds, 2, docs_per_bucket=64)
 
     writes = Counter(open(log).read().split())
     expect = {d["doc_key"]: d["sha256"] for d in canonicalize(
@@ -318,7 +335,9 @@ def test_each_staged_bucket_written_once(ray_session, tmp_path, monkeypatch):
     n_files = 0
     for dirs in ([idx_path], [idx_ds],
                  [os.path.join(root, "shard=000"),
-                  os.path.join(root, "shard=001")]):
+                  os.path.join(root, "shard=001")],
+                 [os.path.join(root_ds, "shard=000"),
+                  os.path.join(root_ds, "shard=001")]):
         files = [os.path.join(d, "staged", f) for d in dirs
                  for f in sorted(os.listdir(os.path.join(d, "staged")))
                  if f.endswith(".parquet")]
@@ -333,6 +352,38 @@ def test_each_staged_bucket_written_once(ray_session, tmp_path, monkeypatch):
     assert sum(writes.values()) == n_files
 
 
+def test_dataset_sharded_rerun_runs_no_map(ray_session, tmp_path,
+                                           monkeypatch):
+    """Rerunning a finished Dataset-source sharded build over the same
+    Dataset runs no map (a Dataset map has no done-markers, so only the
+    skip on durable offsets keeps it from re-spilling the corpus) and
+    builds no bucket; no partitioned corpus copy is ever written."""
+    import ray.data as rd
+
+    from prosearch_ray.fixtures.gen import generate_corpus
+    from prosearch_ray.index import exchange
+    from prosearch_ray.index.sharded import build_sharded_index
+
+    ds = rd.from_arrow(generate_corpus(300))
+    root = str(tmp_path / "sharded")
+    rep = build_sharded_index(ds, root, 2, docs_per_bucket=64)
+    assert all(s["built_buckets"] > 0 for s in rep["shards"])
+
+    maps = []
+    orig = exchange.Exchange.run_map
+
+    def run_map(self, ds=None):
+        maps.append(self.spill_dir)
+        return orig(self, ds)
+
+    monkeypatch.setattr(exchange.Exchange, "run_map", run_map)
+    rerun = build_sharded_index(ds, root, 2, docs_per_bucket=64)
+    assert maps == []
+    assert [s["built_buckets"] for s in rerun["shards"]] == [0, 0]
+    assert rerun["n_docs"] == rep["n_docs"]
+    assert "corpus" not in os.listdir(root)
+
+
 @pytest.mark.parametrize("drop_exclude", [False, True],
                          ids=["exclude_kept", "exclude_missing"])
 def test_stage_a_resumes_after_loser_step(ray_session, tmp_path, monkeypatch,
@@ -342,10 +393,7 @@ def test_stage_a_resumes_after_loser_step(ray_session, tmp_path, monkeypatch,
     and no finished reduce group runs again, and a missing
     ``spill/_exclude.parquet`` is rebuilt, identical, from the map's key
     sidecars."""
-    import pyarrow as pa
-    import ray
-
-    from prosearch_ray.index import build, docid, exchange
+    from prosearch_ray.index import build, exchange
 
     corpus = _corpus_with_copies()
     src = _write_src(corpus, str(tmp_path / "src"))
@@ -354,29 +402,31 @@ def test_stage_a_resumes_after_loser_step(ray_session, tmp_path, monkeypatch,
 
     # the kill state: map done, loser set written, half the groups reduced
     idx = str(tmp_path / "idx")
+    n_groups = []
+
+    def half_reduce(self):
+        n_groups.append(self.n_groups)
+        for g in range(self.n_groups // 2):
+            assert self.reduce_task({"g": g})
+        raise _Killed
+
+    with monkeypatch.context() as m:
+        m.setattr(exchange.Exchange, "run_reduce", half_reduce)
+        with pytest.raises(_Killed):
+            build.build_index(src, idx, docs_per_bucket=64)
+    spill = os.path.join(idx, "spill")
     staged = os.path.join(idx, "staged")
-    os.makedirs(staged)
-    ex = build._stage_a_exchange(
-        staged, build.DEFAULT_LANGS,
-        docid.num_buckets_for(corpus.num_rows, 64), build._plan_stage_a(src))
-    ex.prepare()
-    ex.run_map()
-    build._stage_a_losers(ex.spill_dir)
-    expath = os.path.join(ex.spill_dir, build.EXCLUDE_FILE)
+    expath = os.path.join(spill, build.EXCLUDE_FILE)
     losers = pq.read_table(expath).column("doc_key").to_pylist()
     assert len(losers) >= N_COPIES // 2
-    ex.reduce = build._stage_a_reduce(
-        staged, ray.put(pa.array(losers, pa.string())))
-    assert ex.n_groups >= 2
-    for g in range(ex.n_groups // 2):
-        assert ex.reduce_task({"g": g})
-    done = os.path.join(ex.spill_dir, "_done")
+    assert n_groups[0] >= 2
+    done = os.path.join(spill, "_done")
     before = {f: os.stat(os.path.join(done, f)).st_mtime_ns
               for f in os.listdir(done)}
     staged_before = {f: os.stat(os.path.join(staged, f)).st_mtime_ns
                      for f in os.listdir(staged)}
     assert staged_before and sum(f.startswith("group=") for f in before) \
-        == ex.n_groups // 2
+        == n_groups[0] // 2
     if drop_exclude:
         os.remove(expath)
 
@@ -384,7 +434,7 @@ def test_stage_a_resumes_after_loser_step(ray_session, tmp_path, monkeypatch,
     orig = exchange.Exchange.run_reduce
 
     def run_reduce(self):
-        if self.spill_dir == ex.spill_dir:
+        if self.spill_dir == spill:
             seen["losers"] = pq.read_table(os.path.join(
                 self.spill_dir, build.EXCLUDE_FILE)).column(
                 "doc_key").to_pylist()
@@ -398,5 +448,5 @@ def test_stage_a_resumes_after_loser_step(ray_session, tmp_path, monkeypatch,
     assert seen["done"] == before
     assert {f: os.stat(os.path.join(staged, f)).st_mtime_ns
             for f in staged_before} == staged_before
-    assert not os.path.exists(ex.spill_dir)
+    assert not os.path.exists(spill)
     assert _index_files(idx) == _index_files(ref)
