@@ -5,40 +5,42 @@ Replaces the reference's crawl→commit→tantivy-segment path
 /root/reference/tantivy-cli/src/commands/index.rs:20-148) with:
 
     read_parquet(corpus)
-      ── stage A: the ONE content exchange (exchange.py).  Map: normalize
-         (sha256, lang filter, bucket), spill rows by bucket group and write
-         a key sidecar (doc_key, sha_hex, commit).  Path sources map their
-         planned row-group spans and resume per item; Dataset sources map
-         their blocks and rerun on a kill.  The same map feeds the S shard
-         dirs of a sharded build (sharded.py), one corpus pass for all.
-      ── loser step: the content-dedup rule over the sidecars' key columns
-         (upsert survivors, then min doc_key per sha) → spill/_exclude.parquet
-      ── reduce: one writer per bucket group drops the losers, runs the
-         in-bucket last-write-wins upsert, sorts by doc_key and writes each
-         staged bucket file once, atomically
-      ── per-bucket offsets (tiny driver-side cumsum) → doc_ids
-      ── stage B: Dataset of bucket work-items → one task per bucket:
-         tokenize, build segment postings, write segments+docmeta+manifest
-         atomically (resume skips buckets with a valid manifest)
-      ── merge: ONE spill exchange keyed on hash(term) % P reads every
-         segment once and writes, per part, the positions part, the
-         postings part and its dict shard (forcemerge analog).
+      ── stage A map (execution 1): normalize (sha256, lang filter,
+         bucket), spill rows by bucket group into exchange.py's spill files
+         and write a key sidecar (doc_key, sha_hex, commit, bucket, dir).
+         Path sources map their planned row-group spans and resume per
+         item; Dataset sources map their blocks and rerun on a kill.  The
+         same map feeds the S shard dirs of a sharded build (sharded.py),
+         one corpus pass for all.
+      ── loser step (driver): the content-dedup rule over the sidecars'
+         key columns (upsert survivors, then min doc_key per sha) →
+         spill/_exclude.parquet, and the surviving doc count per bucket →
+         spill/_counts.json.  The counts fix every bucket's base doc_id
+         and the merge's part count before any bucket is built.
+      ── fused reduce (execution 2): one task per bucket group drops the
+         losers, runs the in-bucket last-write-wins upsert and, per bucket,
+         writes the staged file, builds the segment (tokenize, postings,
+         docmeta), spills its rows by term part into ``merge_spill/`` and
+         writes the bucket's manifest (its resume marker)
+      ── merge reduce (execution 3): per part, the positions part, the
+         postings part and its dict shard (forcemerge analog).  The merge
+         map reads segment files only for buckets with no spilled slice (a
+         resume that lost ``merge_spill/``, the delta fold's re-merge).
 
 Scale notes (explicitly designed for the 100 TB case):
-- ONE content shuffle (the bucket exchange) and two passes over content:
-  stage A reads the source and writes each staged bucket once, and stage
-  B reads and decompresses each staged file again to tokenize it
-  (``_build_bucket``); upsert dedup is in-bucket (doc_key ⇒ bucket) and
-  content dedup reads key columns only;
+- ONE content shuffle (the bucket exchange) and one pass over content:
+  stage A reads the source, and each bucket's canonical rows are written
+  as its staged file and tokenized in the same task; upsert dedup is
+  in-bucket (doc_key ⇒ bucket) and content dedup reads key columns only;
 - skew: the shuffle key is ``bucket`` — uniformly distributed by md5 and
   bounded at ``docs_per_bucket`` docs, so no Zipf-heavy term or repo can
   create a straggler group (the bucket is the salt; see segment.py);
 - resume: every bucket's outputs are written temp+rename with a manifest row
-  (attempt counter, fingerprint); a killed build re-runs only missing buckets
-  and never re-tokenizes finished ones;
-- determinism: bucket assignment, in-bucket order and offsets depend only on
-  the input rows, never on parallelism — the index is byte-identical at
-  num_cpus=8 and num_cpus=32.
+  (attempt counter, fingerprint) written last; a killed build re-runs only
+  missing buckets and never re-tokenizes finished ones;
+- determinism: bucket assignment, in-bucket order, offsets and part count
+  depend only on the input rows, never on parallelism — the index is
+  byte-identical at num_cpus=8 and num_cpus=32.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ import json
 import os
 import shutil
 import time
+from collections import Counter
 from typing import Dict, FrozenSet, Optional, Union
 
 import numpy as np
@@ -250,16 +253,17 @@ def _canonicalize_bucket(group: pa.Table) -> pa.Table:
 # index dir (build_index) or S shard dirs (build_sharded_index): map tasks
 # normalize their rows, spill them into their dir's ``spill/g=GGGG/``
 # (group = bucket % n_groups) and write a key sidecar; the loser step turns
-# the sidecars into each dir's ``spill/_exclude.parquet``; each dir's
-# reduce (one task per group) drops those keys, canonicalizes each bucket
-# and writes its staged file.  A path source's map items are planned
-# row-group spans, so a killed build resumes mid-map without
-# re-normalizing finished spans; a Dataset has no stable work plan, maps
-# its blocks and reruns from a fresh spill.
+# the sidecars into each dir's ``spill/_exclude.parquet`` and
+# ``spill/_counts.json``; each dir's reduce (one task per group) drops
+# those keys, canonicalizes each bucket and builds it (``_build_bucket``).
+# A path source's map items are planned row-group spans, so a killed build
+# resumes mid-map without re-normalizing finished spans; a Dataset has no
+# stable work plan, maps its blocks and reruns from a fresh spill.
 # --------------------------------------------------------------------------
 
-KEY_COLUMNS = ["doc_key", "sha_hex", "commit"]
+KEY_COLUMNS = ["doc_key", "sha_hex", "commit", "bucket", "dir"]
 EXCLUDE_FILE = "_exclude.parquet"
+COUNTS_FILE = "_counts.json"
 
 
 def _plan_spill_items(source: str, target_items: int) -> list:
@@ -323,11 +327,11 @@ def _read_spans(it: dict) -> pa.Table:
         promote_options="default")
 
 
-def _write_key_sidecar(key_dir: str, item: int, norm: pa.Table) -> None:
-    """The key columns of one map item's normalized rows — all the loser
-    step reads."""
+def _write_key_sidecar(key_dir: str, item: int, keys: pa.Table) -> None:
+    """The key columns of one map item's normalized rows, with each row's
+    bucket and index dir — all the loser step reads."""
     os.makedirs(key_dir, exist_ok=True)
-    _atomic_write_table(norm.select(KEY_COLUMNS),
+    _atomic_write_table(keys.select(KEY_COLUMNS),
                         os.path.join(key_dir, f"item={int(item):06d}.parquet"))
 
 
@@ -341,32 +345,12 @@ def _write_doc_keys(keys, path: str) -> None:
                         path)
 
 
-def _stage_a_reduce(staged_dir: str, exclude_ref=None):
-    """Stage-A reduce body: one canonical staged file per bucket of the
-    group.  ``exclude_ref`` (broadcast doc_key array, the loser set) drops
-    those keys before the in-bucket upsert — per bucket, so a bucket that
-    held only losers still gets its (empty) staged file."""
-    def reduce(g: int, tbl) -> list:
-        if tbl is None:
-            return []
-        lost = (pa.array(np.zeros(tbl.num_rows, dtype=bool))
-                if exclude_ref is None else
-                pc.is_in(tbl.column("doc_key"), value_set=ray.get(exclude_ref)))
-        out = []
-        for bucket, rows in exchange.key_slices(
-                tbl.append_column("_lost", lost),
-                tbl.column("bucket").to_numpy()):
-            docs = _canonicalize_bucket(rows.filter(
-                pc.invert(rows.column("_lost"))).drop_columns(["_lost"]))
-            _write_staged(
-                docs, os.path.join(staged_dir, f"bucket={bucket:08d}.parquet"))
-            out.append({"bucket": bucket, "n_docs": docs.num_rows})
-        return out
-    return reduce
+def _offsets_path(index_dir: str) -> str:
+    return os.path.join(index_dir, "staged", "_offsets.json")
 
 
 def _has_offsets(index_dir: str) -> bool:
-    return os.path.exists(os.path.join(index_dir, "staged", "_offsets.json"))
+    return os.path.exists(_offsets_path(index_dir))
 
 
 def _stage_a_map(source: SourceT, index_dirs: list, ctl_dir: str, *,
@@ -383,25 +367,38 @@ def _stage_a_map(source: SourceT, index_dirs: list, ctl_dir: str, *,
     ``n_input_estimate`` or the source's row count.
 
     The map is skipped when every dir has durable staged offsets (and
-    ``resume``).  A dir that lost both its offsets and its spill, a
-    Dataset source or ``resume=False`` starts from an empty spill.
-    Returns the sizing (``num_buckets``, ``n_groups``) and, when the map
-    ran, its ``phases`` (map and loser-step seconds, under the build
+    ``resume``); the sizing is then checked against the row count those
+    offsets recorded, with no pass over the source.  A dir that lost both
+    its offsets and its spill, a Dataset source or ``resume=False``
+    starts from an empty spill (and an empty ``merge_spill/``).  Returns
+    the sizing (``num_buckets``, ``n_groups``, ``n_input``) and, when the
+    map ran, its ``phases`` (map and loser-step seconds, under the build
     report's keys)."""
     ncpu = exchange.cluster_cpus()
+    n_dirs = len(index_dirs)
+
+    def sizing(n) -> dict:
+        nb = docid.num_buckets_for(-(-int(n) // n_dirs), docs_per_bucket)
+        return {"num_buckets": nb, "n_input": int(n), "phases": {},
+                "n_groups": int(max(1, min(nb, -(-4 * ncpu // n_dirs))))}
+
+    if resume and all(map(_has_offsets, index_dirs)):
+        # a finished stage A recorded its sizing input: a rerun checks its
+        # bucketing without a pass over the source (an index written
+        # before the record existed keeps its own bucket count)
+        off = json.load(open(_offsets_path(index_dirs[0])))
+        n = off.get("n_input") if n_input_estimate is None else n_input_estimate
+        return ({"num_buckets": off["num_buckets"], "phases": {}}
+                if n is None else sizing(n))
+
     items = (_plan_spill_items(source, target_items=4 * ncpu)
              if isinstance(source, str) else None)
     if n_input_estimate is None:
         # a plan read every footer: its row total is the input size
         n_input_estimate = (source.count() if items is None
                             else sum(it["n_rows"] for it in items))
-    n_dirs = len(index_dirs)
-    num_buckets = docid.num_buckets_for(-(-int(n_input_estimate) // n_dirs),
-                                        docs_per_bucket)
-    n_groups = int(max(1, min(num_buckets, -(-4 * ncpu // n_dirs))))
-    out = {"num_buckets": num_buckets, "n_groups": n_groups, "phases": {}}
-    if resume and all(map(_has_offsets, index_dirs)):
-        return out
+    out = sizing(n_input_estimate)
+    num_buckets, n_groups = out["num_buckets"], out["n_groups"]
 
     t0 = time.perf_counter()
     spill_dirs = [os.path.join(d, "spill") for d in index_dirs]
@@ -410,16 +407,17 @@ def _stage_a_map(source: SourceT, index_dirs: list, ctl_dir: str, *,
 
     def produce(it: dict):
         norm = normalize(it["rows"] if "rows" in it else _read_spans(it))
-        _write_key_sidecar(key_dir, it["item"], norm)
-        keys = norm.column("bucket").to_numpy() % n_groups
-        if n_dirs > 1:
-            keys = keys + n_groups * docid.buckets_of(
-                norm.column("doc_key").to_pylist(), n_dirs)
-        return norm, keys
+        dirs = (docid.buckets_of(norm.column("doc_key").to_pylist(), n_dirs)
+                if n_dirs > 1 else np.zeros(norm.num_rows, np.int64))
+        _write_key_sidecar(key_dir, it["item"], norm.append_column(
+            "dir", pa.array(dirs, pa.int32())))
+        return norm, norm.column("bucket").to_numpy() % n_groups \
+            + n_groups * dirs
 
     ex = exchange.Exchange(
         ctl_dir, n_groups, produce=produce, items=items or [],
-        wipe=tuple(spill_dirs),
+        wipe=tuple(spill_dirs) + tuple(
+            os.path.join(d, "merge_spill") for d in index_dirs),
         dir_of=lambda k: exchange.group_dir(spill_dirs[k // n_groups],
                                             k % n_groups),
         config={"num_dirs": n_dirs, "num_buckets": num_buckets,
@@ -435,17 +433,21 @@ def _stage_a_map(source: SourceT, index_dirs: list, ctl_dir: str, *,
     t_map = time.perf_counter()
 
     # the loser step: every dir still to be staged gets the loser set as
-    # its spill/_exclude.parquet.  The key sidecars stay until the build
-    # ends, so a missing file is recomputed, identical, from them
-    missing = [os.path.join(sp, EXCLUDE_FILE)
-               for d, sp in zip(index_dirs, spill_dirs)
-               if not (resume and _has_offsets(d))
-               and not os.path.exists(os.path.join(sp, EXCLUDE_FILE))]
-    if missing:
-        losers = content_dup_loser_keys(_key_files(key_dir))
-        for path in missing:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            _write_doc_keys(losers, path)
+    # its spill/_exclude.parquet and its buckets' surviving doc counts as
+    # spill/_counts.json.  The key sidecars stay until the build ends, so
+    # a missing file is recomputed, identical, from them
+    todo = [(k, sp) for k, (d, sp) in enumerate(zip(index_dirs, spill_dirs))
+            if not (resume and _has_offsets(d)) and not all(
+                os.path.exists(os.path.join(sp, f))
+                for f in (EXCLUDE_FILE, COUNTS_FILE))]
+    if todo:
+        losers, counts = content_dup_loser_keys(_key_files(key_dir))
+        for k, sp in todo:
+            os.makedirs(sp, exist_ok=True)
+            _write_doc_keys(losers, os.path.join(sp, EXCLUDE_FILE))
+            _atomic_write_json(_by_int_key(
+                {b: n for (d, b), n in counts.items() if d == k}),
+                os.path.join(sp, COUNTS_FILE))
     t_end = time.perf_counter()
     # the report's stage-A keys, which perfbench maps
     out["phases"] = {"stage_a_bucketed_docs": round(t_map - t0, 3),
@@ -453,17 +455,37 @@ def _stage_a_map(source: SourceT, index_dirs: list, ctl_dir: str, *,
     return out
 
 
-def _reduce_stage_a(index_dir: str, n_groups: int) -> dict:
-    """Stage A's reduce for one index dir: every group of its
-    ``spill/``, dropping the doc_keys of ``spill/_exclude.parquet`` before
-    the in-bucket upsert.  Returns {bucket: n_docs}."""
+def _stage_a_reduce(index_dir: str, n_groups: int, counts: dict,
+                    build_bucket) -> list:
+    """Stage A's reduce for one index dir, fused with the segment build:
+    one task per group of its ``spill/`` drops the doc_keys of
+    ``spill/_exclude.parquet``, canonicalizes each bucket (in-bucket
+    upsert) and builds it with ``build_bucket`` (``_build_bucket``) from
+    the planned ``counts``.  A bucket that held only losers still gets its
+    (empty) staged file.  Returns the ``build_bucket`` rows."""
     spill_dir = os.path.join(index_dir, "spill")
     keys = pq.read_table(os.path.join(spill_dir, EXCLUDE_FILE)).column(
         "doc_key").combine_chunks()
-    ex = exchange.Exchange(spill_dir, n_groups, reduce=_stage_a_reduce(
-        os.path.join(index_dir, "staged"),
-        ray.put(keys) if len(keys) else None))
-    return {int(r["bucket"]): int(r["n_docs"]) for r in ex.run_reduce()}
+    exclude_ref = ray.put(keys) if len(keys) else None
+    offsets = docid.bucket_offsets(counts)
+
+    def reduce(g: int, tbl) -> list:
+        if tbl is None:
+            return []
+        lost = (pa.array(np.zeros(tbl.num_rows, dtype=bool))
+                if exclude_ref is None else
+                pc.is_in(tbl.column("doc_key"), value_set=ray.get(exclude_ref)))
+        out = []
+        for bucket, rows in exchange.key_slices(
+                tbl.append_column("_lost", lost),
+                tbl.column("bucket").to_numpy()):
+            docs = _canonicalize_bucket(rows.filter(
+                pc.invert(rows.column("_lost"))).drop_columns(["_lost"]))
+            out.append(build_bucket(bucket, counts[bucket],
+                                    int(offsets[bucket]), docs))
+        return out
+
+    return exchange.Exchange(spill_dir, n_groups, reduce=reduce).run_reduce()
 
 
 def content_dup_losers(keys: pa.Table) -> pa.Table:
@@ -505,12 +527,22 @@ def content_dup_losers_distributed(keys_ds: "ray.data.Dataset") -> list:
                 batch_format="pyarrow").take_all())
 
 
+def _slot_counts(dirs, buckets) -> Counter:
+    """Rows per (dir, bucket)."""
+    slots, n = np.unique(np.stack([np.asarray(dirs, np.int64),
+                                   np.asarray(buckets, np.int64)], axis=1),
+                         axis=0, return_counts=True)
+    return Counter({(int(d), int(b)): int(c) for (d, b), c in zip(slots, n)})
+
+
 def content_dup_loser_keys(key_files: list,
-                           driver_threshold: int = 2_000_000) -> list:
-    """Sorted doc_keys whose upsert-surviving version loses content dedup:
-    ``content_dup_losers`` over the ``_canonicalize_bucket`` survivors of
-    key rows (doc_key, sha_hex, commit) read from ``key_files`` (stage A's
-    key sidecars).  Under
+                           driver_threshold: int = 2_000_000) -> tuple:
+    """(sorted doc_keys whose upsert-surviving version loses content dedup,
+    {(dir, bucket): surviving docs}): ``content_dup_losers`` over the
+    ``_canonicalize_bucket`` survivors of key rows (``KEY_COLUMNS``) read
+    from ``key_files`` (stage A's key sidecars), and per (index dir,
+    bucket) the survivors that are not losers — exactly the doc counts
+    the stage-A reduce writes, a bucket of losers only counting 0.  Under
     ``driver_threshold`` rows the rule runs on the driver via pyarrow;
     above it, upsert resolution is a bounded-group distributed pass
     (per-batch winner combiner — one row per key per batch — then one
@@ -519,14 +551,19 @@ def content_dup_loser_keys(key_files: list,
     import pyarrow.dataset as pads
 
     if not key_files:
-        return []
+        return [], {}
     ds = pads.dataset(list(key_files))
     n_rows = ds.count_rows()
     if n_rows == 0:
-        return []
+        return [], {}
     if n_rows <= driver_threshold:
-        return sorted(content_dup_losers(_canonicalize_bucket(
-            ds.to_table(columns=KEY_COLUMNS))).column("doc_key").to_pylist())
+        survivors = _canonicalize_bucket(ds.to_table(columns=KEY_COLUMNS))
+        losers = content_dup_losers(survivors)
+        counts = _slot_counts(survivors.column("dir"),
+                              survivors.column("bucket"))
+        counts.subtract(_slot_counts(losers.column("dir"),
+                                     losers.column("bucket")))
+        return sorted(losers.column("doc_key").to_pylist()), dict(counts)
 
     # BOUNDED-bucket exchanges, never per-key groups: a
     # groupby(doc_key).map_groups would invoke the UDF once per key —
@@ -544,47 +581,104 @@ def content_dup_loser_keys(key_files: list,
 
     def bucket_key_winners(g: pa.Table) -> pa.Table:
         # all rows of a doc_key share its bucket
-        return _canonicalize_bucket(g).select(["doc_key", "sha_hex"])
+        return _canonicalize_bucket(g).select(
+            ["doc_key", "sha_hex", "dir", "bucket"])
 
     survivors = (ray.data.read_parquet(list(key_files), columns=KEY_COLUMNS)
                  .map_batches(batch_winners, batch_format="pyarrow")
                  .groupby("bkt").map_groups(
-                     bucket_key_winners, batch_format="pyarrow"))
-    return sorted({r["doc_key"]
-                   for r in content_dup_losers_distributed(survivors)})
-
-
-def _build_bucket(index_dir: str):
-    """Stage-B task body: one bucket -> segment postings + docmeta + manifest."""
-    def fn(item: dict) -> dict:
-        bucket = int(item["bucket"])
-        # one file, read directly: the dataset reader behind read_table
-        # costs per staged block; build_segment needs only these columns
-        with pq.ParquetFile(item["staged_path"]) as pf:
-            docs = pf.read(columns=["doc_key", "title", "content", "sha256",
-                                    "n_chars"])
-        postings, docmeta = build_segment(bucket, docs, int(item["base_doc_id"]))
-        name = f"bucket={bucket:08d}.parquet"
-        pbytes = _atomic_write_table(postings, os.path.join(index_dir, "segments", name))
-        _atomic_write_table(docmeta, os.path.join(index_dir, "docmeta", name))
-        manifest = {
-            "bucket": bucket,
-            "n_docs": docs.num_rows,
-            "base_doc_id": int(item["base_doc_id"]),
-            "n_terms": postings.num_rows,
-            "sum_len_title": int(pc.sum(docmeta.column("len_title")).as_py() or 0),
-            "sum_len_body": int(pc.sum(docmeta.column("len_body")).as_py() or 0),
-            "postings_bytes": pbytes,
-            "attempt": int(item["attempt"]),
-            "fingerprint": item["fingerprint"],
-        }
-        _atomic_write_json(manifest, os.path.join(index_dir, "manifest", f"bucket={bucket:08d}.json"))
-        return manifest
-    return fn
+                     bucket_key_winners, batch_format="pyarrow")).materialize()
+    counts = Counter({(int(r["dir"]), int(r["bucket"])): int(r["count()"])
+                      for r in survivors.groupby(["dir", "bucket"])
+                      .count().take_all()})
+    losers = content_dup_losers_distributed(survivors)
+    counts.subtract(_slot_counts([r["dir"] for r in losers],
+                                 [r["bucket"] for r in losers]))
+    return sorted(r["doc_key"] for r in losers), dict(counts)
 
 
 def _fingerprint(staged_path: str, n_docs: int) -> str:
     return f"{n_docs}:{os.path.getsize(staged_path)}"
+
+
+def _bucket_state(index_dir: str, bucket: int, n_docs: int) -> tuple:
+    """(done, manifest) of one bucket: ``done`` when its manifest matches
+    its staged file and its segment and docmeta files exist — the
+    bucket's resume marker; ``manifest`` is the parsed manifest or None."""
+    name = f"bucket={bucket:08d}"
+    m = exchange._load_json(os.path.join(index_dir, "manifest", name + ".json"))
+    if m is None:
+        return False, None
+    staged = os.path.join(index_dir, "staged", name + ".parquet")
+    done = (os.path.exists(staged)
+            and m.get("fingerprint") == _fingerprint(staged, n_docs)
+            and all(os.path.exists(os.path.join(index_dir, sub,
+                                                name + ".parquet"))
+                    for sub in ("segments", "docmeta")))
+    return done, m
+
+
+def _build_bucket(index_dir: str, merge_ex: exchange.Exchange,
+                  resume: bool = True):
+    """The per-bucket body of the fused stage-A task and of the rebuild of
+    a bucket whose outputs are gone: ``fn(bucket, n_docs, base_doc_id,
+    docs=None) -> {bucket, n_docs, built}``.  Given ``docs`` (the bucket's
+    canonical rows) it writes them as the staged file; without, it reads
+    the staged file.  Then it writes the segment and docmeta files, spills
+    the segment rows into the merge exchange ``merge_ex`` (slice, then its
+    done-marker) and writes the manifest, the bucket's resume marker,
+    last.  With ``resume``, a bucket whose manifest is valid is left
+    alone."""
+    def fn(bucket: int, n_docs: int, base_doc_id: int,
+           docs: Optional[pa.Table] = None) -> dict:
+        if docs is not None and docs.num_rows != n_docs:
+            raise RuntimeError(f"bucket {bucket} of {index_dir} holds "
+                               f"{docs.num_rows} docs, the loser step "
+                               f"planned {n_docs}")
+        done, m = _bucket_state(index_dir, bucket, n_docs)
+        if resume and done:
+            return {"bucket": bucket, "n_docs": n_docs, "built": False}
+        name = f"bucket={bucket:08d}"
+        staged_path = os.path.join(index_dir, "staged", name + ".parquet")
+        if docs is None:
+            # one file, read directly: the dataset reader behind
+            # read_table costs per staged block; build_segment needs only
+            # these columns
+            with pq.ParquetFile(staged_path) as pf:
+                docs = pf.read(columns=["doc_key", "title", "content",
+                                        "sha256", "n_chars"])
+        else:
+            _write_staged(docs, staged_path)
+        if n_docs == 0:
+            return {"bucket": bucket, "n_docs": 0, "built": False}
+        postings, docmeta = build_segment(bucket, docs, base_doc_id)
+        pbytes = _atomic_write_table(postings, os.path.join(
+            index_dir, "segments", name + ".parquet"))
+        _atomic_write_table(docmeta, os.path.join(index_dir, "docmeta",
+                                                  name + ".parquet"))
+        manifest = {
+            "bucket": bucket,
+            "n_docs": n_docs,
+            "base_doc_id": base_doc_id,
+            "n_terms": postings.num_rows,
+            "sum_len_title": int(pc.sum(docmeta.column("len_title")).as_py() or 0),
+            "sum_len_body": int(pc.sum(docmeta.column("len_body")).as_py() or 0),
+            "postings_bytes": pbytes,
+            "attempt": int(m.get("attempt", 0)) + 1 if m is not None else 1,
+            "fingerprint": _fingerprint(staged_path, n_docs),
+        }
+        merge_ex.map_task({"item": bucket, "fp": _slice_fp(manifest),
+                           "rows": postings})
+        _atomic_write_json(manifest, os.path.join(index_dir, "manifest",
+                                                  name + ".json"))
+        return {"bucket": bucket, "n_docs": n_docs, "built": True}
+    return fn
+
+
+def _slice_fp(manifest: dict) -> str:
+    """The done-marker fingerprint of a bucket's merge slice: its
+    manifest's fingerprint and segment row count."""
+    return f"{manifest['fingerprint']}:{manifest['n_terms']}"
 
 
 def _write_part_files(index_dir: str, part: int, v4: pa.Table,
@@ -610,34 +704,29 @@ def _write_part_files(index_dir: str, part: int, v4: pa.Table,
 
 
 def _merge_exchange(index_dir: str, num_parts: int,
-                    merge_fp: str) -> exchange.Exchange:
+                    manifests: tuple = ()) -> exchange.Exchange:
     """The term-partitioned merge as ONE spill exchange under
-    ``merge_spill/``: map tasks read segment-file spans once (scoring
-    columns plus positions), tag each row with its part and spill rows by
-    reducer group (part % n_red); reduce tasks write, per part, the
-    positions part, then the postings part and its dict shard, from the
-    same rows."""
+    ``merge_spill/``, one map item per bucket of ``manifests``: a
+    bucket's segment rows (scoring columns plus positions), tagged with
+    their part and spilled by reducer group (part % n_red).  A build's
+    fused stage-A tasks spill each bucket as they build it
+    (``_build_bucket``); the map reads a bucket's segment file only when
+    its slice is missing.  Reduce tasks write, per part, the positions
+    part, then the postings part and its dict shard, from the same rows;
+    ``layout.part_rows`` orders them, so parts depend neither on spill
+    order nor on ``n_red``."""
     from prosearch_ray.index.segment import SCORING_COLUMNS
 
     columns = SCORING_COLUMNS + ["positions"]
-    seg_dir = os.path.join(index_dir, "segments")
-    files = [os.path.join(seg_dir, f) for f in sorted(os.listdir(seg_dir))
-             if f.endswith(".parquet")]
-    ncpu = exchange.cluster_cpus()
-    items = []
-    for i, span in enumerate(np.array_split(np.array(files, dtype=object),
-                                            min(len(files), 4 * ncpu))):
-        fl = [str(p) for p in span]
-        if fl:
-            sizes = ",".join(str(os.path.getsize(p)) for p in fl)
-            items.append({"item": i, "files": fl,
-                          "fp": f"{merge_fp}:{len(fl)}:{sizes}"})
-    n_red = int(max(1, min(num_parts, 2 * ncpu)))
+    n_red = int(max(1, min(num_parts, 2 * exchange.cluster_cpus())))
     add_part = layout.add_part_column(num_parts)
 
     def produce(it: dict):
-        tbl = add_part(pa.concat_tables([pq.read_table(p, columns=columns)
-                                         for p in it["files"]]))
+        tbl = add_part(it["rows"].select(columns) if "rows" in it else
+                       pq.read_table(os.path.join(
+                           index_dir, "segments",
+                           f"bucket={int(it['item']):08d}.parquet"),
+                           columns=columns))
         return tbl, tbl.column("part").to_numpy() % n_red
 
     def reduce(g: int, tbl) -> list:
@@ -655,21 +744,20 @@ def _merge_exchange(index_dir: str, num_parts: int,
 
     return exchange.Exchange(
         os.path.join(index_dir, "merge_spill"),
-        n_red, reduce=reduce, produce=produce, items=items,
-        config={"merge_fp": merge_fp, "n_red": n_red, "columns": columns,
-                "plan": [it["fp"] for it in items]})
+        n_red, reduce=reduce, produce=produce,
+        items=[{"item": int(m["bucket"]), "fp": _slice_fp(m)}
+               for m in manifests],
+        config={"num_parts": num_parts, "n_red": n_red, "columns": columns})
 
 
-def _run_merge(index_dir: str, num_parts: int, merge_fp: str) -> list:
-    """Run the merge exchange (``_merge_exchange``), remove part files it
-    did not write and its spill dir; returns [{part, n_terms}].  The
-    exchange replaces a Ray sort shuffle whose all-to-all materialization
-    dominated merge wall time; its done-markers make a killed merge resume
-    at item/part-group granularity."""
-    if not any(f.endswith(".parquet")
-               for f in os.listdir(os.path.join(index_dir, "segments"))):
+def _run_merge(index_dir: str, num_parts: int, manifests: list) -> list:
+    """Run the merge exchange (``_merge_exchange``) over ``manifests``'
+    buckets, remove part files it did not write and its spill dir;
+    returns [{part, n_terms}].  Its done-markers make a killed merge
+    resume at bucket/part-group granularity."""
+    if not manifests:
         return []
-    ex = _merge_exchange(index_dir, num_parts, merge_fp)
+    ex = _merge_exchange(index_dir, num_parts, manifests)
     rows = ex.run()
     live = {f"part={int(r['part']):05d}.parquet" for r in rows}
     for sub in ("positions", "postings", "dict"):
@@ -706,101 +794,78 @@ def _build_from_spill(index_dir: str, stage_a: dict, *, docs_per_bucket: int,
                       langs: FrozenSet[str], resume: bool = True,
                       t_start: Optional[float] = None) -> dict:
     """Everything of a build after stage A's map (``_stage_a_map``, whose
-    result is ``stage_a``), for one index dir: the stage-A reduce (skipped
-    on a resume with durable staged offsets), stage B and the merge.
-    Returns the build report."""
+    result is ``stage_a``), for one index dir: the fused stage-A reduce
+    (skipped on a resume with durable staged offsets, which instead
+    rebuilds only buckets whose outputs are gone) and the merge.  Returns
+    the build report."""
     t_start = time.perf_counter() if t_start is None else t_start
     phase_t: Dict[str, float] = dict(stage_a["phases"])
-
-    def _mark(name: str, t0: float) -> None:
-        phase_t[name] = round(time.perf_counter() - t0, 3)
 
     for sub in ("staged", "segments", "postings", "positions", "docmeta",
                 "manifest", "dict"):
         os.makedirs(os.path.join(index_dir, sub), exist_ok=True)
 
-    staged_dir = os.path.join(index_dir, "staged")
-    offsets_path = os.path.join(staged_dir, "_offsets.json")
+    offsets_path = _offsets_path(index_dir)
     spill_dir = os.path.join(index_dir, "spill")
     num_buckets = stage_a["num_buckets"]
-
-    if resume and os.path.exists(offsets_path):
-        off = json.load(open(offsets_path))
-        assert off["num_buckets"] == num_buckets, "resume with different bucketing"
-        counts = {int(k): v for k, v in off["counts"].items()}
-        staged_fresh = False
-        # a sharded map may have re-created spill data this dir no longer
-        # needs (its offsets are durable)
-        shutil.rmtree(spill_dir, ignore_errors=True)
+    staged_fresh = not (resume and os.path.exists(offsets_path))
+    if staged_fresh:
+        # the loser step planned every bucket's doc count
+        counts = json.load(open(os.path.join(spill_dir, COUNTS_FILE)))
     else:
-        # ----- stage A's reduce: drop the content-dedup losers, run the
-        # in-bucket upsert and write each staged bucket once
-        t0 = time.perf_counter()
-        counts = _reduce_stage_a(index_dir, stage_a["n_groups"])
-        phase_t["stage_a_bucketed_docs"] = round(
-            phase_t.get("stage_a_bucketed_docs", 0.0)
-            + time.perf_counter() - t0, 3)
+        off = json.load(open(offsets_path))
+        assert off["num_buckets"] == num_buckets and off.get(
+            "docs_per_bucket", docs_per_bucket) == docs_per_bucket, \
+            "resume with different bucketing"
+        counts = off["counts"]
+    counts = {int(k): int(v) for k, v in counts.items()}
+    offsets = docid.bucket_offsets(counts)
+    n_docs = int(sum(counts.values()))
+    # the part count follows the doc count, known before any bucket is
+    # built, so the fused tasks can spill their segment rows by part
+    num_parts = layout.num_parts_for(n_docs)
+    merge_ex = _merge_exchange(index_dir, num_parts)
+
+    t0 = time.perf_counter()
+    if staged_fresh:
+        # ----- stage A's reduce fused with the segment build: one task per
+        # bucket group writes staged, segment and merge-spill rows
+        merge_ex.prepare()
+        rows = _stage_a_reduce(index_dir, stage_a["n_groups"], counts,
+                               _build_bucket(index_dir, merge_ex, resume))
         _atomic_write_json(
             {"num_buckets": num_buckets,
              "counts": _by_int_key(counts),
-             "n_docs": int(sum(counts.values()))},
+             "n_docs": n_docs,
+             "docs_per_bucket": docs_per_bucket,
+             "n_input": stage_a["n_input"]},
             offsets_path)
-        staged_fresh = True
-        # offsets are durable -> the spill exchange is no longer needed
-        shutil.rmtree(spill_dir, ignore_errors=True)
-
-    offsets = docid.bucket_offsets(counts)
-    n_docs = int(sum(counts.values()))
-
-    # ----- stage B: one task per bucket, resumable -----
-    manifest_dir = os.path.join(index_dir, "manifest")
-    work, skipped = [], 0
-    for bucket in sorted(counts):
-        if counts[bucket] == 0:
-            continue
-        staged_path = os.path.join(staged_dir, f"bucket={bucket:08d}.parquet")
-        fp = _fingerprint(staged_path, counts[bucket])
-        mpath = os.path.join(manifest_dir, f"bucket={bucket:08d}.json")
-        attempt = 1
-        if os.path.exists(mpath):
-            try:
-                m = json.load(open(mpath))
-            except (ValueError, OSError):
-                m = None
-            name = f"bucket={bucket:08d}.parquet"
-            outputs_ok = (
-                m is not None and m.get("fingerprint") == fp
-                and os.path.exists(os.path.join(index_dir, "segments", name))
-                and os.path.exists(os.path.join(index_dir, "docmeta", name))
-            )
-            if resume and outputs_ok:
-                skipped += 1
-                continue
-            if m is not None:
-                attempt = int(m.get("attempt", 0)) + 1
-        work.append({
-            "bucket": bucket,
-            "staged_path": staged_path,
-            "base_doc_id": int(offsets[bucket]),
-            "attempt": attempt,
-            "fingerprint": fp,
-        })
-
-    if work:
-        t0 = time.perf_counter()
-        ray.data.from_items(work).map(_build_bucket(index_dir)).materialize()
-        _mark("stage_b_segments", t0)
+    else:
+        # a resume: the same per-bucket body rebuilds, from its staged
+        # file, each bucket whose outputs are gone
+        work = [b for b in sorted(counts)
+                if counts[b] and not _bucket_state(index_dir, b, counts[b])[0]]
+        rows = []
+        if work:
+            merge_ex.prepare()
+            build_bucket = _build_bucket(index_dir, merge_ex)
+            rows = ray.data.from_items(
+                [{"bucket": b, "n_docs": counts[b],
+                  "base_doc_id": int(offsets[b])} for b in work]).map(
+                lambda it: build_bucket(int(it["bucket"]), int(it["n_docs"]),
+                                        int(it["base_doc_id"]))).take_all()
+    # offsets are durable -> the stage-A spill is no longer needed (a
+    # sharded map may also have re-created spill data this dir no longer
+    # needs)
+    shutil.rmtree(spill_dir, ignore_errors=True)
+    if staged_fresh or rows:
+        phase_t["stage_b_segments"] = round(time.perf_counter() - t0, 3)
+    built = sum(1 for r in rows if r["built"])
 
     # ----- merge: term-partitioned postings + dict (forcemerge analog) -----
-    manifests = []
-    for fn in sorted(os.listdir(manifest_dir)):
-        if fn.endswith(".json"):
-            manifests.append(json.load(open(os.path.join(manifest_dir, fn))))
+    manifests = layout.load_manifests(index_dir)
     total_lt = sum(m["sum_len_title"] for m in manifests)
     total_lb = sum(m["sum_len_body"] for m in manifests)
-
-    total_seg_rows = sum(m["n_terms"] for m in manifests)
-    num_parts = layout.num_parts_for(total_seg_rows)
     # the fingerprint keys the merge's resume: a rerun whose manifests and
     # part count match a finished merge skips it
     merge_fp = merge_fingerprint(manifests, num_parts)
@@ -819,7 +884,7 @@ def _build_from_spill(index_dir: str, stage_a: dict, *, docs_per_bucket: int,
 
     t0 = time.perf_counter()
     if merge_state is None and manifests:
-        part_rows = _run_merge(index_dir, num_parts, merge_fp)
+        part_rows = _run_merge(index_dir, num_parts, manifests)
         n_terms = int(sum(r["n_terms"] for r in part_rows))
         merge_state = {"fingerprint": merge_fp, "num_parts": num_parts,
                        "n_terms": n_terms,
@@ -834,7 +899,9 @@ def _build_from_spill(index_dir: str, stage_a: dict, *, docs_per_bucket: int,
     else:
         n_terms = int(merge_state["n_terms"]) if merge_state else 0
         merged = False
-    _mark("merge_postings_dict", t0)
+    # slices of rebuilt buckets the merge did not need
+    shutil.rmtree(merge_ex.spill_dir, ignore_errors=True)
+    phase_t["merge_postings_dict"] = round(time.perf_counter() - t0, 3)
 
     stats = {
         "n_docs": n_docs,
@@ -853,8 +920,8 @@ def _build_from_spill(index_dir: str, stage_a: dict, *, docs_per_bucket: int,
 
     return {
         **stats,
-        "built_buckets": len(work),
-        "skipped_buckets": skipped,
+        "built_buckets": built,
+        "skipped_buckets": sum(1 for n in counts.values() if n) - built,
         "merged": merged,
         "staged_fresh": staged_fresh,
         "phases": phase_t,

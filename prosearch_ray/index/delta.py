@@ -380,7 +380,7 @@ def fold_deltas(index_dir: str) -> dict:
 
     _commit_fold(index_dir)
     manifests = load_manifests(index_dir)
-    num_parts = layout.num_parts_for(sum(m["n_terms"] for m in manifests))
+    num_parts = layout.num_parts_for(sum(m["n_docs"] for m in manifests))
     merge_fp = layout.merge_fingerprint(manifests, num_parts)
     old = load_merge_state(index_dir)
     unfolded = unfolded_buckets(manifests, old)
@@ -405,7 +405,7 @@ def fold_deltas(index_dir: str) -> dict:
     else:
         parts_map = _by_int_key({int(r["part"]): int(r["n_terms"])
                                  for r in _run_merge(index_dir, num_parts,
-                                                     merge_fp)})
+                                                     manifests)})
         _atomic_write_json({"fingerprint": merge_fp, "num_parts": num_parts,
                             "n_terms": int(sum(parts_map.values())),
                             "parts": parts_map, "pos_fp": merge_fp},

@@ -11,9 +11,11 @@ outputs.  Both sides leave done-markers under ``_done/``, and
 granularity, and a run with a different plan starts from an empty spill
 dir.  A Dataset map has no plan to pin and leaves no map markers.
 
-Callers: stage A of every build, unsharded or sharded (build.py), the
-term-partitioned merge (build.py) and the distributed global-dictionary
-merge (sharded.py).
+Callers: stage A of every build, unsharded or sharded, whose reduce
+tasks also build each bucket's segment and spill its rows into the
+term-partitioned merge (build.py); that merge, whose map runs only for
+buckets with no spilled slice (build.py); and the distributed
+global-dictionary merge (sharded.py).
 """
 
 from __future__ import annotations
@@ -99,13 +101,22 @@ class Exchange:
         if stale:
             build._atomic_write_json(self.config, cfg_path)
 
+    def _marker(self, it: dict) -> str:
+        return os.path.join(self.spill_dir, "_done",
+                            f"item={int(it['item']):06d}.json")
+
+    def _item_done(self, it: dict) -> bool:
+        return (_load_json(self._marker(it)) or {}).get("fp") == it["fp"]
+
     def map_task(self, it: dict) -> dict:
+        """Spill one item (``produce(it)``) and write its done-marker,
+        unless a marker with the item's ``fp`` exists.  A caller that
+        already holds an item's rows passes them as ``it["rows"]``."""
         item = int(it["item"])
-        marker = os.path.join(self.spill_dir, "_done", f"item={item:06d}.json")
-        if (_load_json(marker) or {}).get("fp") == it["fp"]:
+        if self._item_done(it):
             return {"item": item, "skipped": True}
         self._spill(item, *self.produce(it))
-        build._atomic_write_json({"fp": it["fp"]}, marker)
+        build._atomic_write_json({"fp": it["fp"]}, self._marker(it))
         return {"item": item, "skipped": False}
 
     def _spill(self, item: int, tbl: pa.Table, keys: np.ndarray) -> None:
@@ -131,12 +142,15 @@ class Exchange:
         return rows
 
     def run_map(self, ds: Optional["ray.data.Dataset"] = None) -> None:
-        """Map every planned item; or, given a Dataset ``ds`` (no stable
-        work plan, so no done-markers: a killed map reruns from a fresh
-        spill dir), each of its blocks as the item ``{"item": <random id>,
+        """Map every planned item that has no done-marker (no execution
+        when none is left); or, given a Dataset ``ds`` (no stable work
+        plan, so no done-markers: a killed map reruns from a fresh spill
+        dir), each of its blocks as the item ``{"item": <random id>,
         "rows": block}``."""
         if ds is None:
-            ray.data.from_items(self.items).map(self.map_task).materialize()
+            todo = [it for it in self.items if not self._item_done(it)]
+            if todo:
+                ray.data.from_items(todo).map(self.map_task).materialize()
             return
 
         def map_block(rows: pa.Table) -> pa.Table:

@@ -19,7 +19,7 @@ Which buckets the parts hold is part of the layout: ``_merge.json``'s
 the delta buckets past it (``unfolded_buckets``) are read from their
 segment files until a fold merges them.
 
-Skew note: the merge groupby key is ``part``; a part holds many terms and a
+Skew note: the merge exchange key is ``part``; a part holds many terms and a
 term holds at most ``num_buckets`` segment rows, so even stopword-grade terms
 cannot create an oversized group (north-rule salted-shuffle requirement —
 the (term, bucket) segmentation is the salt, the part hash spreads terms).
@@ -40,7 +40,8 @@ import pyarrow.compute as pc
 # consolidated per-term posting rows); the searcher opens no other version
 FORMAT_VERSION = 4
 
-SEG_ROWS_PER_PART = 16384
+# docs per merged part (``num_parts_for``)
+DOCS_PER_PART = 1024
 # byte/row caps for one row group of a consolidated part file: points reads
 # decompress at most ~this many payload bytes per looked-up term (the
 # measured knee)
@@ -252,12 +253,16 @@ def term_part(term: str, num_parts: int) -> int:
     return int.from_bytes(h, "big") % num_parts
 
 
-def num_parts_for(total_segment_rows: int,
-                  rows_per_part: int = SEG_ROWS_PER_PART) -> int:
-    # Keep part cardinality comfortably above worker count: Ray's
-    # sort-based groupby range-partitions on the key, and a low-cardinality
-    # key collapses the shuffle onto a handful of reducers.
-    return max(16, -(-int(total_segment_rows) // int(rows_per_part)))
+def num_parts_for(n_docs: int) -> int:
+    """Part count of an index of ``n_docs`` docs (every bucket, base and
+    delta).  The doc count is known once stage A's loser step has run,
+    before any segment exists, so the build's fused tasks can spill their
+    segment rows straight to their parts; the delta fold reads it from
+    the manifests and re-merges when it crosses a step.  Postings volume
+    grows with the doc count, so parts stay about the same size.  The
+    floor of 16 keeps the merge reduce (one task per part group,
+    ``min(num_parts, 2 * CPUs)``) 16 wide on a small index."""
+    return max(16, -(-int(n_docs) // DOCS_PER_PART))
 
 
 def add_part_column(num_parts: int):

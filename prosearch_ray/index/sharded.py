@@ -658,8 +658,9 @@ def build_sharded_index(
     ctl_dir = os.path.join(root, "fused_spill")
     stage_a = _stage_a_map(source, dirs, ctl_dir, langs=langs,
                            docs_per_bucket=docs_per_bucket, resume=resume)
-    # a shard's report times its own reduce; the map is the root's
-    # corpus_partition and cross_shard_dedup phases
+    # a shard's report times its own fused reduce (stage_b_segments) and
+    # merge; the map is the root's corpus_partition and cross_shard_dedup
+    # phases
     sizing = {**stage_a, "phases": {}}
 
     def build_one(s: int):

@@ -191,3 +191,107 @@ def test_fold_kill_resume_byte_identical(fold_base, tmp_path, kill):
 
     delta.fold_deltas(killed)
     assert _tree_bytes(killed) == _tree_bytes(clean)
+
+
+FUSED_SNIPPET = """
+import os, signal, sys
+sys.path.insert(0, {repo!r})
+import ray
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR")
+from ray.data import DataContext
+DataContext.get_current().enable_progress_bars = False
+from prosearch_ray.index import build
+
+driver = os.getpid()
+kill = {kill!r}
+victim = os.path.join("manifest", "bucket=00000005.json")
+write_json = build._atomic_write_json
+
+def write(obj, path):
+    # runs inside the fused stage-A task, which captures this module global
+    if kill == "slice" and path.endswith(victim):
+        # the bucket's merge slice and its done-marker exist, its
+        # manifest does not
+        os.kill(driver, signal.SIGKILL)
+        os.kill(os.getpid(), signal.SIGKILL)
+    write_json(obj, path)
+    if kill == "manifest" and path.endswith(victim):
+        # the manifest exists, the group's done-marker does not
+        os.kill(driver, signal.SIGKILL)
+        os.kill(os.getpid(), signal.SIGKILL)
+
+build._atomic_write_json = write
+r = build.build_index({src!r}, {idx!r}, docs_per_bucket=64)
+print("DONE", r["built_buckets"], r["skipped_buckets"])
+ray.shutdown()
+"""
+
+
+def _index_bytes(index_dir):
+    out = {}
+    for sub in ("postings", "positions", "dict", "staged", "docmeta"):
+        d = os.path.join(index_dir, sub)
+        for f in sorted(os.listdir(d)):
+            if f.endswith(".parquet"):
+                with open(os.path.join(d, f), "rb") as fh:
+                    out[f"{sub}/{f}"] = fh.read()
+    with open(os.path.join(index_dir, "stats.json"), "rb") as fh:
+        out["stats.json"] = fh.read()
+    return out
+
+
+@pytest.fixture(scope="module")
+def fused_clean(tmp_path_factory):
+    """A 1200-doc corpus as parquet files and its uninterrupted build."""
+    from prosearch_ray.fixtures.gen import generate_corpus
+
+    root = tmp_path_factory.mktemp("fused")
+    src = str(root / "src")
+    os.makedirs(src)
+    corpus = generate_corpus(1200)
+    for i in range(3):
+        pq.write_table(corpus.slice(i * 400, 400),
+                       os.path.join(src, f"part{i}.parquet"),
+                       row_group_size=100)
+    clean = str(root / "clean")
+    subprocess.run([sys.executable, "-c", FUSED_SNIPPET.format(
+        repo=REPO, kill=None, src=src, idx=clean)],
+        cwd=REPO, capture_output=True, text=True, check=True)
+    return src, clean
+
+
+@pytest.mark.parametrize("kill", ["slice", "manifest"])
+def test_kill_inside_fused_task_resumes_byte_identical(fused_clean, tmp_path,
+                                                       kill):
+    """SIGKILL the build inside a fused stage-A task: between a bucket's
+    merge slice and its manifest, or after its manifest but before the
+    group's done-marker.  The resumed build matches an uninterrupted one
+    byte for byte, and no finished bucket was built twice."""
+    src, clean = fused_clean
+    idx = str(tmp_path / "killed")
+    p = subprocess.run([sys.executable, "-c", FUSED_SNIPPET.format(
+        repo=REPO, kill=kill, src=src, idx=idx)],
+        cwd=REPO, capture_output=True, text=True)
+    assert p.returncode == -signal.SIGKILL, p.stderr[-2000:]
+    slices = os.path.join(idx, "merge_spill", "_done")
+    assert "item=000005.json" in os.listdir(slices)
+    assert os.path.exists(os.path.join(idx, "manifest",
+                                       "bucket=00000005.json")) == (
+        kill == "manifest")
+    # bucket 5's group (5 % n_groups) has no done-marker yet
+    assert not os.path.exists(os.path.join(idx, "staged", "_offsets.json"))
+    assert not any(f.startswith("group=0001")
+                   for f in os.listdir(os.path.join(idx, "spill", "_done")))
+
+    out = subprocess.run([sys.executable, "-c", FUSED_SNIPPET.format(
+        repo=REPO, kill=None, src=src, idx=idx)],
+        cwd=REPO, capture_output=True, text=True, check=True)
+    assert any(l.startswith("DONE") for l in out.stdout.splitlines())
+    mdir = os.path.join(idx, "manifest")
+    manifests = [json.load(open(os.path.join(mdir, f)))
+                 for f in sorted(os.listdir(mdir))]
+    assert len(manifests) == len(os.listdir(os.path.join(clean, "manifest")))
+    assert all(m["attempt"] == 1 for m in manifests)
+    assert _index_bytes(idx) == _index_bytes(clean)
+    assert not os.path.exists(os.path.join(idx, "merge_spill"))

@@ -542,7 +542,9 @@ def test_cross_shard_losers_distributed_matches_driver(ray_session,
         docs_per_bucket=128)
     assert seen["files"]
     assert seen["dist"] == seen["drv"]
-    assert len(seen["drv"]) > 0  # the fixture corpus contains cross-shard dups
+    losers, counts = seen["drv"]
+    assert len(losers) > 0  # the fixture corpus contains cross-shard dups
+    assert {d for d, _ in counts} == {0, 1, 2} and 0 < sum(counts.values())
 
 
 def test_global_dict_distributed_merge_matches_driver(both_indexes,

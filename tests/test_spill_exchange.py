@@ -189,18 +189,19 @@ def test_spill_map_item_skip_marker(ray_session, tmp_path, monkeypatch):
 
 
 def test_merge_resumes_mid_scoring_map(ray_session, tmp_path, monkeypatch):
-    """A build killed inside the merge map (half the map items done, no
-    _merge.json) resumes the one merge exchange: finished items keep their
-    markers, no second (positions) spill exchange runs, and postings,
-    positions and dict come out byte-identical to a clean build."""
+    """A merge whose map reads segment files (the delta fold's re-merge,
+    or a resume that lost ``merge_spill/``), killed with half its bucket
+    items done and no _merge.json, resumes the one merge exchange:
+    finished items keep their markers, no second (positions) spill
+    exchange runs, and postings, positions and dict come out
+    byte-identical to a clean build."""
     import json
 
     import ray.data as rd
 
     from prosearch_ray.fixtures.gen import generate_corpus
     from prosearch_ray.index import exchange, layout
-    from prosearch_ray.index.build import (_merge_exchange, build_index,
-                                           merge_fingerprint)
+    from prosearch_ray.index.build import _merge_exchange, build_index
 
     corpus = generate_corpus(800)
     ref = str(tmp_path / "ref")
@@ -208,7 +209,8 @@ def test_merge_resumes_mid_scoring_map(ray_session, tmp_path, monkeypatch):
     idx = str(tmp_path / "idx")
     build_index(rd.from_arrow(corpus), idx, docs_per_bucket=64)
 
-    # kill state: stage B done, the merge never reduced
+    # kill state: every bucket built, merge_spill/ gone, the merge never
+    # reduced
     os.remove(os.path.join(idx, "_merge.json"))
     for sub in ("postings", "dict", "positions"):
         for f in os.listdir(os.path.join(idx, sub)):
@@ -216,9 +218,8 @@ def test_merge_resumes_mid_scoring_map(ray_session, tmp_path, monkeypatch):
     mdir = os.path.join(idx, "manifest")
     manifests = [json.load(open(os.path.join(mdir, f)))
                  for f in sorted(os.listdir(mdir)) if f.endswith(".json")]
-    num_parts = layout.num_parts_for(sum(m["n_terms"] for m in manifests))
-    ex = _merge_exchange(idx, num_parts,
-                         merge_fingerprint(manifests, num_parts))
+    num_parts = layout.num_parts_for(sum(m["n_docs"] for m in manifests))
+    ex = _merge_exchange(idx, num_parts, manifests)
     assert len(ex.items) >= 4
     before = _finish_half(ex)
 
