@@ -485,7 +485,9 @@ def _stage_a_reduce(index_dir: str, n_groups: int, counts: dict,
                                     int(offsets[bucket]), docs))
         return out
 
-    return exchange.Exchange(spill_dir, n_groups, reduce=reduce).run_reduce()
+    # a group done in a killed run built nothing in this one
+    return exchange.Exchange(spill_dir, n_groups, reduce=reduce,
+                             replayed={"built": False}).run_reduce()
 
 
 def content_dup_losers(keys: pa.Table) -> pa.Table:
@@ -714,7 +716,11 @@ def _merge_exchange(index_dir: str, num_parts: int,
     its slice is missing.  Reduce tasks write, per part, the positions
     part, then the postings part and its dict shard, from the same rows;
     ``layout.part_rows`` orders them, so parts depend neither on spill
-    order nor on ``n_red``."""
+    order nor on ``n_red``.  The config pins no bucket set (the fused
+    tasks spill before the last manifest exists): each slice's done-marker
+    carries its bucket's manifest fingerprint, and each reduce group's the
+    fingerprint of the whole merge input, so a merge killed in its reduce
+    and resumed over another bucket set reduces every group again."""
     from prosearch_ray.index.segment import SCORING_COLUMNS
 
     columns = SCORING_COLUMNS + ["positions"]
@@ -747,7 +753,8 @@ def _merge_exchange(index_dir: str, num_parts: int,
         n_red, reduce=reduce, produce=produce,
         items=[{"item": int(m["bucket"]), "fp": _slice_fp(m)}
                for m in manifests],
-        config={"num_parts": num_parts, "n_red": n_red, "columns": columns})
+        config={"num_parts": num_parts, "n_red": n_red, "columns": columns},
+        input_fp=merge_fingerprint(manifests, num_parts))
 
 
 def _run_merge(index_dir: str, num_parts: int, manifests: list) -> list:

@@ -77,7 +77,11 @@ class Exchange:
     (None: no map task spilled rows for group ``g``).  Map items carry an
     ``item`` number and an ``fp`` the done-marker must match.  ``dir_of``
     maps a key to its spill directory (default ``spill_dir/g=KKKK``);
-    ``wipe`` names directories cleared together with a stale spill dir."""
+    ``wipe`` names directories cleared together with a stale spill dir.
+    A group's done-marker counts only when it records this exchange's
+    ``input_fp`` (the identity of the reduce's input set, where the
+    config does not pin it); rows read back from a marker get the
+    ``replayed`` fields."""
 
     spill_dir: str
     n_groups: int
@@ -87,6 +91,8 @@ class Exchange:
     config: Optional[dict] = None
     dir_of: Optional[Callable] = None
     wipe: Tuple[str, ...] = ()
+    input_fp: Optional[str] = None
+    replayed: dict = field(default_factory=dict)
 
     def prepare(self, fresh: bool = False) -> None:
         """Keep the spill dir only when its ``_config.json`` equals this
@@ -129,16 +135,17 @@ class Exchange:
     def reduce_task(self, it: dict) -> list:
         g = int(it["g"])
         marker = os.path.join(self.spill_dir, "_done", f"group={g:04d}.json")
-        done = _load_json(marker)
-        if done is not None and "rows" in done:
-            return done["rows"]
+        done = _load_json(marker) or {}
+        if "rows" in done and done.get("input_fp") == self.input_fp:
+            return [{**r, **self.replayed} for r in done["rows"]]
         gdir = group_dir(self.spill_dir, g)
         tbl = None
         if os.path.isdir(gdir):
             tbl = pads.dataset([os.path.join(gdir, f) for f in sorted(os.listdir(gdir))
                                 if f.endswith(".parquet")]).to_table()
         rows = self.reduce(g, tbl)
-        build._atomic_write_json({"rows": rows}, marker)
+        build._atomic_write_json({"rows": rows, "input_fp": self.input_fp},
+                                 marker)
         return rows
 
     def run_map(self, ds: Optional["ray.data.Dataset"] = None) -> None:

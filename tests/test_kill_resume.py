@@ -193,6 +193,77 @@ def test_fold_kill_resume_byte_identical(fold_base, tmp_path, kill):
     assert _tree_bytes(killed) == _tree_bytes(clean)
 
 
+REMERGE_SNIPPET = """
+import os, signal, sys
+sys.path.insert(0, {repo!r})
+import pyarrow as pa
+import ray
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR")
+from ray.data import DataContext
+DataContext.get_current().enable_progress_bars = False
+from prosearch_ray.index import build, delta
+
+driver = os.getpid()
+done_dir = os.path.join({idx!r}, "merge_spill", "_done")
+write_part = build._write_part_files
+
+def write(*args, **kwargs):
+    # runs inside a merge reduce task, which captures this module global
+    if any(f.startswith("group=") for f in os.listdir(done_dir)):
+        # one reduce group is done, the next one is writing its parts
+        os.kill(driver, signal.SIGKILL)
+        os.kill(os.getpid(), signal.SIGKILL)
+    return write_part(*args, **kwargs)
+
+if {kill!r}:
+    build._write_part_files = write
+    delta.fold_deltas({idx!r})
+else:
+    delta.add_documents({idx!r}, pa.table({doc!r}))
+    delta.fold_deltas({idx!r})
+print("DONE")
+ray.shutdown()
+"""
+
+
+def test_remerge_killed_mid_reduce_then_new_bucket(fold_base, tmp_path):
+    """A full re-merge fold killed after some reduce groups finished, then
+    one more delta bucket and a fold over the grown bucket set: the kept
+    ``merge_spill/`` must not serve the finished groups' old part rows,
+    so the parts equal a fold that was never killed."""
+    import shutil
+
+    doc = _fold_docs(1)[0]
+    roots = {}
+    for name in ("clean", "killed"):
+        root = roots[name] = str(tmp_path / name)
+        shutil.copytree(fold_base, root)
+        # no merge state: the next fold re-merges every bucket
+        os.remove(os.path.join(root, "_merge.json"))
+
+    def run(idx, kill):
+        return subprocess.run([sys.executable, "-c", REMERGE_SNIPPET.format(
+            repo=REPO, idx=idx, kill=kill, doc=doc)],
+            cwd=REPO, capture_output=True, text=True)
+
+    p = run(roots["killed"], True)
+    assert p.returncode == -signal.SIGKILL, p.stderr[-2000:]
+    assert any(f.startswith("group=") for f in os.listdir(os.path.join(
+        roots["killed"], "merge_spill", "_done")))
+    for root in roots.values():
+        p = run(root, False)
+        assert p.returncode == 0, p.stderr[-2000:]
+
+    def parts(root):
+        return {k: v for k, v in _tree_bytes(root).items()
+                if k.split(os.sep)[0] in ("postings", "positions", "dict")
+                or k in ("_merge.json", "stats.json")}
+
+    assert parts(roots["killed"]) == parts(roots["clean"])
+    assert not os.path.exists(os.path.join(roots["killed"], "merge_spill"))
+
+
 FUSED_SNIPPET = """
 import os, signal, sys
 sys.path.insert(0, {repo!r})
@@ -283,15 +354,19 @@ def test_kill_inside_fused_task_resumes_byte_identical(fused_clean, tmp_path,
     assert not os.path.exists(os.path.join(idx, "staged", "_offsets.json"))
     assert not any(f.startswith("group=0001")
                    for f in os.listdir(os.path.join(idx, "spill", "_done")))
+    mdir = os.path.join(idx, "manifest")
+    n_kept = len(os.listdir(mdir))
 
     out = subprocess.run([sys.executable, "-c", FUSED_SNIPPET.format(
         repo=REPO, kill=None, src=src, idx=idx)],
         cwd=REPO, capture_output=True, text=True, check=True)
-    assert any(l.startswith("DONE") for l in out.stdout.splitlines())
-    mdir = os.path.join(idx, "manifest")
+    done = [l.split() for l in out.stdout.splitlines() if l.startswith("DONE")]
     manifests = [json.load(open(os.path.join(mdir, f)))
                  for f in sorted(os.listdir(mdir))]
     assert len(manifests) == len(os.listdir(os.path.join(clean, "manifest")))
+    # the report counts the buckets this run built, not those of groups
+    # the killed run finished
+    assert done == [["DONE", str(len(manifests) - n_kept), str(n_kept)]]
     assert all(m["attempt"] == 1 for m in manifests)
     assert _index_bytes(idx) == _index_bytes(clean)
     assert not os.path.exists(os.path.join(idx, "merge_spill"))
