@@ -21,11 +21,18 @@ Replaces the reference's crawl→commit→tantivy-segment path
          losers, runs the in-bucket last-write-wins upsert and, per bucket,
          writes the staged file, builds the segment (tokenize, postings,
          docmeta), spills its rows by term part into ``merge_spill/`` and
-         writes the bucket's manifest (its resume marker)
+         writes the bucket's manifest (its commit and resume marker).
+         ``_build_bucket`` is this per-bucket writer, and the only one: a
+         delta add (delta.py) writes its buckets through it too, without
+         the spill
       ── merge reduce (execution 3): per part, the positions part, the
          postings part and its dict shard (forcemerge analog).  The merge
          map reads segment files only for buckets with no spilled slice (a
          resume that lost ``merge_spill/``, the delta fold's re-merge).
+         The merge is the delta fold's merge step (``delta._merge_step``,
+         the one writer of ``_merge.json`` and stats.json): a fresh build
+         merges every part, a rerun over a finished merge skips it, and a
+         resume over unfolded delta buckets folds only those.
 
 Scale notes (explicitly designed for the 100 TB case):
 - ONE content shuffle (the bucket exchange) and one pass over content:
@@ -61,9 +68,7 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
-from prosearch_ray.index import docid, exchange, layout
-from prosearch_ray.index.layout import merge_fingerprint
-from prosearch_ray.index.segment import build_segment
+from prosearch_ray.index import docid, exchange, layout, segment
 
 DEFAULT_LANGS: FrozenSet[str] = frozenset(["java", "py", "rs", "js", "go", "md", "txt"])
 CORPUS_COLUMNS = ["repo", "path", "commit", "lang", "content"]
@@ -620,17 +625,21 @@ def _bucket_state(index_dir: str, bucket: int, n_docs: int) -> tuple:
     return done, m
 
 
-def _build_bucket(index_dir: str, merge_ex: exchange.Exchange,
+def _build_bucket(index_dir: str, num_buckets: int,
+                  merge_ex: Optional[exchange.Exchange] = None,
                   resume: bool = True):
-    """The per-bucket body of the fused stage-A task and of the rebuild of
-    a bucket whose outputs are gone: ``fn(bucket, n_docs, base_doc_id,
-    docs=None) -> {bucket, n_docs, built}``.  Given ``docs`` (the bucket's
-    canonical rows) it writes them as the staged file; without, it reads
-    the staged file.  Then it writes the segment and docmeta files, spills
-    the segment rows into the merge exchange ``merge_ex`` (slice, then its
-    done-marker) and writes the manifest, the bucket's resume marker,
-    last.  With ``resume``, a bucket whose manifest is valid is left
-    alone."""
+    """The one per-bucket writer, for base and delta buckets alike: the
+    body of the fused stage-A task, of a resume's rebuild of a bucket whose
+    outputs are gone and of each chunk of ``delta.add_documents``:
+    ``fn(bucket, n_docs, base_doc_id, docs=None) -> {bucket, n_docs,
+    built}``.  Given ``docs`` (the bucket's canonical rows) it writes them
+    as the staged file; without, it reads the staged file.  Then it writes
+    the segment and docmeta files, spills the segment rows into the
+    build's merge exchange ``merge_ex``, if given (slice, then its
+    done-marker), and writes the manifest last: the bucket's commit and
+    resume marker, flagged ``delta`` for a bucket at or past
+    ``num_buckets``.  With ``resume``, a bucket whose manifest is valid is
+    left alone."""
     def fn(bucket: int, n_docs: int, base_doc_id: int,
            docs: Optional[pa.Table] = None) -> dict:
         if docs is not None and docs.num_rows != n_docs:
@@ -653,7 +662,9 @@ def _build_bucket(index_dir: str, merge_ex: exchange.Exchange,
             _write_staged(docs, staged_path)
         if n_docs == 0:
             return {"bucket": bucket, "n_docs": 0, "built": False}
-        postings, docmeta = build_segment(bucket, docs, base_doc_id)
+        # through the module at call time, so a patched build_segment
+        # (perfbench's tracing) sees every caller
+        postings, docmeta = segment.build_segment(bucket, docs, base_doc_id)
         pbytes = _atomic_write_table(postings, os.path.join(
             index_dir, "segments", name + ".parquet"))
         _atomic_write_table(docmeta, os.path.join(index_dir, "docmeta",
@@ -669,8 +680,12 @@ def _build_bucket(index_dir: str, merge_ex: exchange.Exchange,
             "attempt": int(m.get("attempt", 0)) + 1 if m is not None else 1,
             "fingerprint": _fingerprint(staged_path, n_docs),
         }
-        merge_ex.map_task({"item": bucket, "fp": _slice_fp(manifest),
-                           "rows": postings})
+        if bucket >= num_buckets:
+            # layout.unfolded_buckets stops at the last base bucket
+            manifest["delta"] = True
+        if merge_ex is not None:
+            merge_ex.map_task({"item": bucket, "fp": _slice_fp(manifest),
+                               "rows": postings})
         _atomic_write_json(manifest, os.path.join(index_dir, "manifest",
                                                   name + ".json"))
         return {"bucket": bucket, "n_docs": n_docs, "built": True}
@@ -721,9 +736,7 @@ def _merge_exchange(index_dir: str, num_parts: int,
     carries its bucket's manifest fingerprint, and each reduce group's the
     fingerprint of the whole merge input, so a merge killed in its reduce
     and resumed over another bucket set reduces every group again."""
-    from prosearch_ray.index.segment import SCORING_COLUMNS
-
-    columns = SCORING_COLUMNS + ["positions"]
+    columns = segment.SCORING_COLUMNS + ["positions"]
     n_red = int(max(1, min(num_parts, 2 * exchange.cluster_cpus())))
     add_part = layout.add_part_column(num_parts)
 
@@ -754,16 +767,14 @@ def _merge_exchange(index_dir: str, num_parts: int,
         items=[{"item": int(m["bucket"]), "fp": _slice_fp(m)}
                for m in manifests],
         config={"num_parts": num_parts, "n_red": n_red, "columns": columns},
-        input_fp=merge_fingerprint(manifests, num_parts))
+        input_fp=layout.merge_fingerprint(manifests, num_parts))
 
 
 def _run_merge(index_dir: str, num_parts: int, manifests: list) -> list:
-    """Run the merge exchange (``_merge_exchange``) over ``manifests``'
-    buckets, remove part files it did not write and its spill dir;
-    returns [{part, n_terms}].  Its done-markers make a killed merge
-    resume at bucket/part-group granularity."""
-    if not manifests:
-        return []
+    """Run the merge exchange (``_merge_exchange``) over the buckets of
+    ``manifests`` (at least one), remove part files it did not write and
+    its spill dir; returns [{part, n_terms}].  Its done-markers make a
+    killed merge resume at bucket/part-group granularity."""
     ex = _merge_exchange(index_dir, num_parts, manifests)
     rows = ex.run()
     live = {f"part={int(r['part']):05d}.parquet" for r in rows}
@@ -839,7 +850,8 @@ def _build_from_spill(index_dir: str, stage_a: dict, *, docs_per_bucket: int,
         # bucket group writes staged, segment and merge-spill rows
         merge_ex.prepare()
         rows = _stage_a_reduce(index_dir, stage_a["n_groups"], counts,
-                               _build_bucket(index_dir, merge_ex, resume))
+                               _build_bucket(index_dir, num_buckets,
+                                             merge_ex, resume))
         _atomic_write_json(
             {"num_buckets": num_buckets,
              "counts": _by_int_key(counts),
@@ -855,7 +867,7 @@ def _build_from_spill(index_dir: str, stage_a: dict, *, docs_per_bucket: int,
         rows = []
         if work:
             merge_ex.prepare()
-            build_bucket = _build_bucket(index_dir, merge_ex)
+            build_bucket = _build_bucket(index_dir, num_buckets, merge_ex)
             rows = ray.data.from_items(
                 [{"bucket": b, "n_docs": counts[b],
                   "base_doc_id": int(offsets[b])} for b in work]).map(
@@ -869,67 +881,28 @@ def _build_from_spill(index_dir: str, stage_a: dict, *, docs_per_bucket: int,
         phase_t["stage_b_segments"] = round(time.perf_counter() - t0, 3)
     built = sum(1 for r in rows if r["built"])
 
-    # ----- merge: term-partitioned postings + dict (forcemerge analog) -----
-    manifests = layout.load_manifests(index_dir)
-    total_lt = sum(m["sum_len_title"] for m in manifests)
-    total_lb = sum(m["sum_len_body"] for m in manifests)
-    # the fingerprint keys the merge's resume: a rerun whose manifests and
-    # part count match a finished merge skips it
-    merge_fp = merge_fingerprint(manifests, num_parts)
-    merge_path = os.path.join(index_dir, "_merge.json")
-    merge_state = None
-    if resume and os.path.exists(merge_path):
-        try:
-            ms = json.load(open(merge_path))
-            # without a matching pos_fp the positions parts may not match
-            # the postings (an older build killed between two merge
-            # phases): the merge redoes all three
-            if ms.get("fingerprint") == merge_fp == ms.get("pos_fp"):
-                merge_state = ms
-        except (ValueError, OSError):
-            pass
+    # ----- merge: the merge step of every fold (delta._merge_step), which
+    # here runs one full merge over the spilled slices, or folds only the
+    # delta buckets a resume finds unfolded
+    from prosearch_ray.index.delta import _merge_step
 
+    merge_path = os.path.join(index_dir, "_merge.json")
+    if not resume and os.path.exists(merge_path):
+        os.remove(merge_path)  # no merge state to resume: merge every part
     t0 = time.perf_counter()
-    if merge_state is None and manifests:
-        part_rows = _run_merge(index_dir, num_parts, manifests)
-        n_terms = int(sum(r["n_terms"] for r in part_rows))
-        merge_state = {"fingerprint": merge_fp, "num_parts": num_parts,
-                       "n_terms": n_terms,
-                       # per-part term counts enable the delta path's
-                       # INCREMENTAL merge (rewrite only affected parts)
-                       "parts": _by_int_key({
-                           int(r["part"]): int(r["n_terms"])
-                           for r in part_rows}),
-                       "pos_fp": merge_fp}
-        _atomic_write_json(merge_state, merge_path)
-        merged = True
-    else:
-        n_terms = int(merge_state["n_terms"]) if merge_state else 0
-        merged = False
+    kind, stats = _merge_step(index_dir, {
+        "num_buckets": num_buckets, "docs_per_bucket": docs_per_bucket,
+        "langs": sorted(langs), "format_version": layout.FORMAT_VERSION})
     # slices of rebuilt buckets the merge did not need
     shutil.rmtree(merge_ex.spill_dir, ignore_errors=True)
     phase_t["merge_postings_dict"] = round(time.perf_counter() - t0, 3)
-
-    stats = {
-        "n_docs": n_docs,
-        "num_buckets": num_buckets,
-        "docs_per_bucket": docs_per_bucket,
-        "total_len_title": total_lt,
-        "total_len_body": total_lb,
-        "avgdl_title": (total_lt / n_docs) if n_docs else 0.0,
-        "avgdl_body": (total_lb / n_docs) if n_docs else 0.0,
-        "n_terms": n_terms,
-        "num_parts": num_parts,
-        "langs": sorted(langs),
-        "format_version": layout.FORMAT_VERSION,
-    }
-    _atomic_write_json(stats, os.path.join(index_dir, "stats.json"))
 
     return {
         **stats,
         "built_buckets": built,
         "skipped_buckets": sum(1 for n in counts.values() if n) - built,
-        "merged": merged,
+        "merged": kind == "merge",
+        "folded": kind == "fold",
         "staged_fresh": staged_fresh,
         "phases": phase_t,
         "wall_s": time.perf_counter() - t_start,

@@ -6,22 +6,25 @@ term-delete serve.rs:456-467, one-doc POST /index serve.rs:630-671).
 Model (mirrors tantivy's segments + deletes + merge policy):
 - ``delete_docs``      appends doc_keys to a tombstone Parquet; the searcher
   loads the tombstoned doc_id set as its alive mask.
-- ``add_documents``    builds DELTA buckets: new docs get fresh doc_ids above
-  the current max, one new bucket per ``docs_per_bucket`` chunk of the delta
-  (bucket ids continue past the base build's), tokenized/encoded by the same
-  vectorized segment kernel.  The add stops after the bucket (staged,
-  segment, docmeta, manifest, offsets) and the N/avgdl refresh of
-  ``stats.json``: the bucket stays UNFOLDED — not yet in the term-partitioned
-  parts — and ``IndexSearcher`` serves it from its segment file as an
-  overlay (a freshly committed tantivy segment).  Re-adding an existing
-  doc_key tombstones the old doc first — last write wins, exactly the
-  reference's semantics.
+- ``add_documents``    writes DELTA buckets: one new bucket per
+  ``docs_per_bucket`` chunk of the delta, through the build's per-bucket
+  writer (``build._build_bucket``: staged, segment, docmeta, then the
+  manifest as the commit marker).  Bucket ids and doc ids continue past
+  the committed manifests, and ``_offsets.json`` counts are rewritten
+  from them, so an add killed after a manifest leaves a valid index.  The
+  add then refreshes stats.json's N/avgdl: the bucket stays UNFOLDED — not
+  yet in the term-partitioned parts — and ``IndexSearcher`` serves it
+  from its segment file as an overlay (a freshly committed tantivy
+  segment).  Re-adding an existing doc_key tombstones the old doc first —
+  last write wins, exactly the reference's semantics.
 - ``fold_deltas``      the merge policy's fold: appends every unfolded
   bucket's rows to the parts they touch (staged, then committed, so a kill
   anywhere resumes to the same bytes).  ``add_documents`` folds once
   ``LAZY_MAX_SEGS`` buckets are unfolded; ``compact`` folds before it
-  reads, and ``build_index(resume=True)`` re-merges them.  Folding never
-  changes a term's logical postings, so a searcher's caches survive it.
+  reads.  A build runs the same merge step (``_merge_step``), so
+  ``build_index(resume=True)`` skips the delta buckets and folds only
+  them.  Folding never changes a term's logical postings, so a
+  searcher's caches survive it.
 - ``compact``          full rebuild from the staged+delta docs drops
   tombstones and re-packs doc_ids (the forcemerge + GC analog,
   tantivy-cli/src/commands/merge.rs:18-32).
@@ -44,7 +47,7 @@ import pyarrow.parquet as pq
 
 import ray.data
 
-from prosearch_ray.index import docid
+from prosearch_ray.index import docid, exchange, layout, segment
 from prosearch_ray.index.layout import (load_manifests, load_merge_state,
                                         unfolded_buckets)
 from prosearch_ray.index.build import (
@@ -52,10 +55,12 @@ from prosearch_ray.index.build import (
     DEFAULT_LANGS,
     _atomic_write_json,
     _atomic_write_table,
+    _build_bucket,
     _by_int_key,
     _canonicalize_bucket,
     _normalize_batch,
-    _write_staged,
+    _offsets_path,
+    _run_merge,
     build_index,
 )
 
@@ -139,11 +144,11 @@ def delete_docs(index_dir: str, doc_keys: Iterable[str]) -> int:
 
 
 def add_documents(index_dir: str, source, *, langs=DEFAULT_LANGS,
-                  n_input_estimate: Optional[int] = None,
                   prenormalized: bool = False) -> dict:
     """Delta build: upsert a corpus of new/changed docs into an existing
     index.  Old versions of re-added doc_keys are tombstoned (delete-then-
-    reinsert); new docs are tokenized into fresh delta buckets, which stay
+    reinsert); new docs are written as fresh delta buckets by the build's
+    per-bucket writer (``build._build_bucket``, manifest last), and stay
     unfolded until ``LAZY_MAX_SEGS`` of them trigger ``fold_deltas``
     (``folded`` in the report).
 
@@ -152,8 +157,6 @@ def add_documents(index_dir: str, source, *, langs=DEFAULT_LANGS,
     ``prenormalized=True`` takes a Table that already went through
     ``_normalize_batch`` — a sharded caller normalizes the whole delta
     ONCE and hands each shard its slice."""
-    from prosearch_ray.index.segment import build_segment
-
     _commit_fold(index_dir)
     stats = _load_stats(index_dir)
     num_buckets = stats["num_buckets"]
@@ -184,75 +187,46 @@ def add_documents(index_dir: str, source, *, langs=DEFAULT_LANGS,
             return {"added": 0, "tombstoned": 0}
         delta = pa.concat_tables(batches, promote_options="default")
     # in-delta upsert: keep max (commit, sha) per doc_key
-    delta = _canonicalize_bucket(delta)
+    delta = _canonicalize_bucket(delta).drop_columns(["bucket"])
 
     # delete-then-reinsert: tombstone existing versions of these keys
     tombstoned = delete_docs(index_dir, delta.column("doc_key").to_pylist())
 
-    # fresh doc_ids above everything assigned so far (base + prior deltas)
-    off = json.load(open(os.path.join(index_dir, "staged", "_offsets.json")))
-    next_id = int(off.get("next_doc_id", off["n_docs"]))
-    manifest_dir = os.path.join(index_dir, "manifest")
-    existing_buckets = [int(f.split("=")[1].split(".")[0])
-                        for f in os.listdir(manifest_dir) if f.endswith(".json")]
-    next_bucket = max(existing_buckets, default=num_buckets - 1) + 1
-    next_bucket = max(next_bucket, num_buckets)
-
-    added = delta.num_rows
-    pos = 0
-    chunk_idx = 0
-    while pos < added:
-        chunk = delta.slice(pos, docs_per_bucket)
-        bucket = next_bucket + chunk_idx
-        base_doc_id = next_id + pos
-        name = f"bucket={bucket:08d}.parquet"
-        _write_staged(chunk.drop_columns(["bucket"]) if "bucket" in
-                      chunk.column_names else chunk,
-                      os.path.join(index_dir, "staged", name))
-        postings, docmeta = build_segment(bucket, chunk, base_doc_id)
-        _atomic_write_table(postings, os.path.join(index_dir, "segments", name))
-        _atomic_write_table(docmeta, os.path.join(index_dir, "docmeta", name))
-        _atomic_write_json({
-            "bucket": bucket, "n_docs": chunk.num_rows,
-            "base_doc_id": base_doc_id, "n_terms": postings.num_rows,
-            "sum_len_title": int(pc.sum(docmeta.column("len_title")).as_py() or 0),
-            "sum_len_body": int(pc.sum(docmeta.column("len_body")).as_py() or 0),
-            "postings_bytes": 0, "attempt": 1,
-            "fingerprint": f"delta:{chunk.num_rows}",
-            "delta": True,
-        }, os.path.join(manifest_dir, f"bucket={bucket:08d}.json"))
-        pos += chunk.num_rows
-        chunk_idx += 1
-
-    # record REAL per-bucket counts: doc_ids are contiguous, so the
-    # bucket-sorted cumsum of counts reproduces every base_doc_id (base and
-    # delta alike) — a later build_index(resume=True) then computes correct
-    # offsets and n_docs instead of under-counting delta docs.
-    off["next_doc_id"] = next_id + added
-    pos2, i2 = 0, 0
-    while pos2 < added:
-        n = min(docs_per_bucket, added - pos2)
-        off["counts"][str(next_bucket + i2)] = n
-        pos2 += n
-        i2 += 1
-    off["counts"] = _by_int_key(off["counts"])
-    off["n_docs"] = int(sum(off["counts"].values()))
-    _atomic_write_json(off, os.path.join(index_dir, "staged", "_offsets.json"))
-
-    # the bucket is served unfolded (searcher overlay) until the policy
-    # folds: stats.json's N/avgdl count it now, its part rows come later
-    new_buckets = [next_bucket + i for i in range(chunk_idx)]
+    # bucket ids and doc ids continue past every committed manifest (doc
+    # ids are a contiguous cumsum in bucket order), so an add killed after
+    # writing a manifest leaves no id for the next add to reuse
     manifests = load_manifests(index_dir)
-    report = _write_stats(index_dir, manifests)
+    next_bucket = max([num_buckets - 1] + [m["bucket"] for m in manifests]) + 1
+    next_id = max([0] + [m["base_doc_id"] + m["n_docs"] for m in manifests])
+    build_bucket = _build_bucket(index_dir, num_buckets)
+    new_buckets = []
+    for pos in range(0, delta.num_rows, docs_per_bucket):
+        chunk = delta.slice(pos, docs_per_bucket)
+        new_buckets.append(next_bucket + len(new_buckets))
+        build_bucket(new_buckets[-1], chunk.num_rows, next_id + pos, chunk)
+
+    # _offsets.json counts follow the manifests, so build_index(resume=True)
+    # derives the same base_doc_ids and N
+    manifests = load_manifests(index_dir)
+    off_path = _offsets_path(index_dir)
+    off = exchange._load_json(off_path)
+    off["counts"] = _by_int_key({**off["counts"], **{
+        str(m["bucket"]): m["n_docs"] for m in manifests}})
+    off["n_docs"] = int(sum(off["counts"].values()))
+    _atomic_write_json(off, off_path)
+
+    # the buckets are served unfolded (searcher overlay) until the policy
+    # folds: stats.json's N/avgdl count them now, their part rows come later
     unfolded = unfolded_buckets(manifests, load_merge_state(index_dir))
     folded = unfolded is None or len(unfolded) >= LAZY_MAX_SEGS
-    if folded:
-        report = fold_deltas(index_dir)
+    stats = (fold_deltas(index_dir) if folded
+             else _write_stats(index_dir, manifests, stats))
     # new_buckets lets a sharded caller lift this delta's dict contribution
     # (the delta segments' (term, df, df_title, df_body) rows) into the
     # global-dictionary overlay without re-merging the corpus vocabulary
-    return {"added": added, "tombstoned": tombstoned,
-            "new_buckets": new_buckets, "folded": folded, **report}
+    return {"added": delta.num_rows, "tombstoned": tombstoned,
+            "new_buckets": new_buckets, "folded": folded,
+            "n_docs": stats["n_docs"], "n_terms": stats["n_terms"]}
 
 
 INCR_FOLD_THREAD_PARTS = 48  # ≤ this many touched parts → driver threads.
@@ -272,10 +246,7 @@ def _incremental_part_merge(index_dir: str, num_parts: int,
     proportional to the delta, not the index.  The rewritten parts land in
     ``FOLD_DIR`` for ``_commit_fold`` to move into place.  Returns the
     updated {part: n_terms} map."""
-    from prosearch_ray.index import layout
     from prosearch_ray.index.build import _write_part_files
-    from prosearch_ray.index.exchange import key_slices
-    from prosearch_ray.index.segment import SCORING_COLUMNS
     from prosearch_ray.state.broadcast import bget, bput
 
     staged = os.path.join(index_dir, FOLD_DIR)
@@ -284,9 +255,9 @@ def _incremental_part_merge(index_dir: str, num_parts: int,
     files = [os.path.join(index_dir, "segments", f"bucket={b:08d}.parquet")
              for b in new_buckets]
     tbl = layout.add_part_column(num_parts)(pads.dataset(files).to_table(
-        columns=SCORING_COLUMNS + ["positions"]))
+        columns=segment.SCORING_COLUMNS + ["positions"]))
     by_part = {part: rows.drop_columns(["part"]) for part, rows in
-               key_slices(tbl, tbl.column("part").to_numpy())}
+               exchange.key_slices(tbl, tbl.column("part").to_numpy())}
 
     def fold_part(part: int, seg: pa.Table, positions: bool) -> int:
         """Old consolidated rows first, then the delta's (delta buckets are
@@ -366,76 +337,92 @@ def _commit_fold(index_dir: str) -> None:
     shutil.rmtree(staged, ignore_errors=True)
 
 
-def fold_deltas(index_dir: str) -> dict:
-    """Fold every unfolded delta bucket into the term-partitioned parts and
-    refresh ``_merge.json`` and stats.json.
+def _merge_step(index_dir: str, base: dict) -> tuple:
+    """The one merge step, of a build (``build._build_from_spill``) and of
+    a fold (``fold_deltas``): brings the parts and ``_merge.json`` up to
+    every bucket manifest, then refreshes stats.json (``_write_stats``,
+    with ``base``'s bucketing, langs and format).
 
-    Incremental when ``_merge.json`` covers every other bucket at the same
-    part count: only the parts the buckets' terms touch are rewritten,
-    staged under ``FOLD_DIR`` and committed by ``_commit_fold``.  Otherwise
-    a full resumable merge runs (``num_parts`` crossed a sizing threshold,
-    or the merge state covers something else)."""
-    from prosearch_ray.index import layout
-    from prosearch_ray.index.build import _run_merge
-
+    Nothing is merged when ``_merge.json`` covers every manifest.  The
+    fold is incremental when it covers every other bucket at the same part
+    count: only the parts the unfolded buckets' terms touch are rewritten,
+    staged under ``FOLD_DIR`` and committed by ``_commit_fold``.
+    Otherwise a full resumable merge runs (``build._run_merge``, fed by a
+    fresh build's spilled slices): there is no merge state yet,
+    ``num_parts`` crossed a sizing threshold, or the merge state covers
+    something else.  Returns (``"merge"``, ``"fold"`` or None, stats)."""
     _commit_fold(index_dir)
     manifests = load_manifests(index_dir)
     num_parts = layout.num_parts_for(sum(m["n_docs"] for m in manifests))
     merge_fp = layout.merge_fingerprint(manifests, num_parts)
     old = load_merge_state(index_dir)
     unfolded = unfolded_buckets(manifests, old)
-    if old is not None and old.get("fingerprint") == merge_fp \
-            and old.get("pos_fp") == merge_fp:
-        pass  # nothing unfolded
+    if not manifests or (old is not None and old.get("fingerprint")
+                         == merge_fp == old.get("pos_fp")):
+        kind = None  # nothing to merge
     elif (unfolded is not None and old is not None and "parts" in old
           and old.get("num_parts") == num_parts
           # positions parts must provably match the same state, else
           # folding a delta into them would bake in the drift
           and old.get("pos_fp") == old.get("fingerprint")):
+        kind = "fold"
         parts_map = _incremental_part_merge(index_dir, num_parts, unfolded,
                                             old["parts"])
-        n_terms = int(sum(parts_map.values()))
-        _atomic_write_json(
-            {"from": old["fingerprint"],
-             "merge": {"fingerprint": merge_fp, "num_parts": num_parts,
-                       "n_terms": n_terms, "parts": parts_map,
-                       "pos_fp": merge_fp}},
-            os.path.join(index_dir, FOLD_DIR, FOLD_MARKER))
-        _commit_fold(index_dir)
     else:
+        kind = "merge"
         parts_map = _by_int_key({int(r["part"]): int(r["n_terms"])
                                  for r in _run_merge(index_dir, num_parts,
                                                      manifests)})
-        _atomic_write_json({"fingerprint": merge_fp, "num_parts": num_parts,
-                            "n_terms": int(sum(parts_map.values())),
-                            "parts": parts_map, "pos_fp": merge_fp},
-                           os.path.join(index_dir, "_merge.json"))
-    return _write_stats(index_dir, manifests)
+    if kind is not None:
+        # per-part term counts let a later fold rewrite only the parts
+        # its buckets touch
+        merge = {"fingerprint": merge_fp, "num_parts": num_parts,
+                 "n_terms": int(sum(parts_map.values())),
+                 "parts": parts_map, "pos_fp": merge_fp}
+        if kind == "fold":
+            _atomic_write_json({"from": old["fingerprint"], "merge": merge},
+                               os.path.join(index_dir, FOLD_DIR, FOLD_MARKER))
+            _commit_fold(index_dir)
+        else:
+            _atomic_write_json(merge, os.path.join(index_dir, "_merge.json"))
+    return kind, _write_stats(index_dir, manifests, base)
 
 
-def _write_stats(index_dir: str, manifests: List[dict]) -> dict:
-    """Refresh stats.json: N and avgdl count every bucket, folded or not
-    (tombstoned docs still count until compaction, matching tantivy's
-    deleted-doc accounting); term and part counts are the merged parts'.
-    An unchanged file is not rewritten."""
-    old = _load_stats(index_dir)
+def fold_deltas(index_dir: str) -> dict:
+    """Fold every unfolded delta bucket into the term-partitioned parts and
+    refresh ``_merge.json`` and stats.json (``_merge_step``); returns the
+    stats."""
+    return _merge_step(index_dir, _load_stats(index_dir))[1]
+
+
+def _write_stats(index_dir: str, manifests: List[dict], base: dict) -> dict:
+    """The one writer of stats.json: N and avgdl count every bucket,
+    folded or not (tombstoned docs still count until compaction, matching
+    tantivy's deleted-doc accounting); term and part counts are the merged
+    parts' (none before the first merge); bucketing, langs and format are
+    ``base``'s.  An unchanged file is not rewritten.  Returns the stats."""
+    path = os.path.join(index_dir, "stats.json")
     merge = load_merge_state(index_dir) or {}
     n_docs = sum(m["n_docs"] for m in manifests)
     total_lt = sum(m["sum_len_title"] for m in manifests)
     total_lb = sum(m["sum_len_body"] for m in manifests)
     stats = {
-        **old,
         "n_docs": n_docs,
+        "num_buckets": base["num_buckets"],
+        "docs_per_bucket": base["docs_per_bucket"],
         "total_len_title": total_lt,
         "total_len_body": total_lb,
         "avgdl_title": (total_lt / n_docs) if n_docs else 0.0,
         "avgdl_body": (total_lb / n_docs) if n_docs else 0.0,
-        "n_terms": int(merge.get("n_terms", old["n_terms"])),
-        "num_parts": int(merge.get("num_parts", old["num_parts"])),
+        "n_terms": int(merge.get("n_terms", 0)),
+        "num_parts": int(merge.get("num_parts",
+                                   layout.num_parts_for(n_docs))),
+        "langs": base["langs"],
+        "format_version": base["format_version"],
     }
-    if stats != old:
-        _atomic_write_json(stats, os.path.join(index_dir, "stats.json"))
-    return {"n_docs": n_docs, "n_terms": stats["n_terms"]}
+    if stats != exchange._load_json(path):
+        _atomic_write_json(stats, path)
+    return stats
 
 
 def live_docs(index_dir: str) -> tuple:
@@ -485,8 +472,7 @@ def compact(index_dir: str, out_dir: str, *, docs_per_bucket: Optional[int] = No
     staged docs — drops deletes, re-packs doc_ids contiguously (forcemerge +
     garbage-collect analog).  The source index's unfolded deltas are folded
     first, so it stays a fully merged index of record."""
-    fold_deltas(index_dir)
-    stats = _load_stats(index_dir)
+    stats = fold_deltas(index_dir)
     live, n_est = live_docs(index_dir)
     return build_index(live, out_dir,
                        docs_per_bucket=docs_per_bucket or stats["docs_per_bucket"],

@@ -241,8 +241,11 @@ def unfolded_buckets(manifests: List[dict],
     """Buckets whose rows the merged parts do not hold yet: the manifests
     past the longest bucket-ordered prefix that ``_merge.json``'s
     fingerprint covers (delta buckets take the highest ids, so the folded
-    set is always a prefix).  Every bucket when there is no merge state;
-    None when no prefix matches, which only a full re-merge repairs."""
+    set is always a prefix).  The search stops at the last base bucket:
+    the per-bucket writer flags ``delta`` the manifest of every bucket at
+    or past the build's ``num_buckets``.  Every bucket when there is no
+    merge state; None when no prefix matches, which only a full re-merge
+    repairs."""
     if merge is None:
         return [m["bucket"] for m in manifests]
     for k in range(len(manifests), -1, -1):

@@ -426,7 +426,6 @@ def add_documents_sharded(root: str, source, *,
             if sub.num_rows == 0:
                 return None
             return s, add_documents(dirs[s], sub, langs=langs,
-                                    n_input_estimate=sub.num_rows,
                                     prenormalized=True)
 
         with ThreadPoolExecutor(max_workers=workers) as ex:
@@ -458,8 +457,7 @@ def add_documents_sharded(root: str, source, *,
             if not os.path.isdir(sdir):
                 return None
             sub = rd.read_parquet(sdir)
-            return s, add_documents(dirs[s], sub, langs=langs,
-                                    n_input_estimate=sub.count())
+            return s, add_documents(dirs[s], sub, langs=langs)
 
         with ThreadPoolExecutor(max_workers=workers) as ex:
             reps = [r for r in ex.map(fold_part, range(num_shards)) if r]

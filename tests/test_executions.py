@@ -2,7 +2,8 @@
 ``StreamingExecutor.execute``: a fresh build runs stage A's map, the fused
 stage-A reduce (staged, segment and merge-spill rows per bucket) and the
 merge reduce — three — and a rerun of a finished build runs none, not even
-a count of its source."""
+a count of its source.  A one-doc add, the write behind every
+``POST /index``, runs none either, even when it folds."""
 
 import pytest
 
@@ -74,3 +75,27 @@ def test_finished_dataset_rerun_skips_before_sizing(ray_session, tiny_corpus,
     assert rerun["n_docs"] == rep["n_docs"] and rerun["built_buckets"] == 0
     with pytest.raises(AssertionError, match="different bucketing"):
         build_index(source(), idx, docs_per_bucket=32)
+
+
+def test_one_doc_adds_run_no_execution(ray_session, tiny_corpus, tmp_path,
+                                       executions):
+    """``LAZY_MAX_SEGS`` one-doc Table adds start no execution: each
+    writes its delta bucket in process, and the last one's fold rewrites
+    its few parts on driver threads."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from prosearch_ray.index.build import build_index
+    from prosearch_ray.index.delta import LAZY_MAX_SEGS, add_documents
+
+    idx = str(tmp_path / "idx")
+    build_index(rd.from_arrow(tiny_corpus), idx, docs_per_bucket=64)
+    executions.clear()
+    for i in range(LAZY_MAX_SEGS):
+        res = add_documents(idx, pa.table({
+            "repo": ["execorg/r"], "path": [f"f{i}.py"],
+            "commit": ["a" * 40], "lang": ["py"],
+            "content": [f"qqexec{i} merge hash"]}))
+        assert res["added"] == 1
+        assert res["folded"] == (i == LAZY_MAX_SEGS - 1)
+        assert executions == []

@@ -2,7 +2,9 @@
 process, rerun, and require (a) finished buckets untouched (attempt==1),
 (b) the final index byte-identical to an uninterrupted build.  The same
 contract holds for the delta fold: a writer killed between an add and its
-fold, or inside the fold, resumes to the uninterrupted bytes."""
+fold, or inside the fold, resumes to the uninterrupted bytes.  An add
+killed after its manifest leaves ids the next add does not reuse, and a
+resumed build over delta buckets folds them without rebuilding them."""
 
 import json
 import os
@@ -122,6 +124,13 @@ elif kill == "commit":  # the fold has moved one staged file into place
                 die()
         return replace(src, dst)
     os.replace = commit_move
+elif kill == "offsets":  # the first add's manifest exists, its offsets not
+    replace = os.replace
+    def offsets_move(src, dst):
+        if str(dst).endswith("_offsets.json"):
+            die()
+        return replace(src, dst)
+    os.replace = offsets_move
 for i in range(delta.LAZY_MAX_SEGS):
     delta.add_documents({idx!r}, pa.table({docs!r}[i]))
 print("DONE")
@@ -191,6 +200,93 @@ def test_fold_kill_resume_byte_identical(fold_base, tmp_path, kill):
 
     delta.fold_deltas(killed)
     assert _tree_bytes(killed) == _tree_bytes(clean)
+
+
+def test_add_killed_after_manifest_then_add(fold_base, tmp_path):
+    """SIGKILL a one-doc add after its bucket manifest and before
+    ``_offsets.json``, then add another doc: the second add takes its ids
+    past the committed manifests, so every doc id is distinct, each doc is
+    found by its own term and N counts every id once."""
+    import shutil
+
+    import numpy as np
+    import pyarrow as pa
+
+    from prosearch_ray.index import delta
+    from prosearch_ray.query.searcher import IndexSearcher
+
+    idx = str(tmp_path / "killed")
+    shutil.copytree(fold_base, idx)
+    docs = _fold_docs(delta.LAZY_MAX_SEGS)
+    p = subprocess.run(
+        [sys.executable, "-c",
+         ADD_SNIPPET.format(repo=REPO, idx=idx, kill="offsets", docs=docs)],
+        cwd=REPO, capture_output=True, text=True)
+    assert p.returncode == -signal.SIGKILL, p.stderr
+    delta.add_documents(idx, pa.table(docs[1]))
+
+    meta = os.path.join(idx, "docmeta")
+    ids = np.concatenate([
+        pq.read_table(os.path.join(meta, f), columns=["doc_id"])
+        .column("doc_id").to_numpy()
+        for f in sorted(os.listdir(meta)) if f.endswith(".parquet")])
+    assert len(np.unique(ids)) == len(ids)
+    s = IndexSearcher(idx)
+    assert s.n_docs == len(ids)
+    for i in range(2):
+        hits, _ = s.search(f"qqkill{i}", 10)
+        assert [str(s.doc_keys[int(d)]) for d in hits] == [
+            f"killorg/r/src/k{i}.py"]
+
+
+def test_resume_after_deltas_folds_only_them(fold_base, tmp_path):
+    """Three one-doc adds, then ``build_index(resume=True)``: the resume
+    rebuilds no bucket (every manifest keeps ``attempt`` 1), rewrites no
+    part file that no delta term hashes to, and leaves the index
+    ``fold_deltas`` makes of a copy, byte for byte."""
+    import shutil
+
+    import pyarrow as pa
+
+    from prosearch_ray.index import delta, layout
+    from prosearch_ray.index.build import build_index
+    from prosearch_ray.query.searcher import IndexSearcher
+
+    idx = str(tmp_path / "idx")
+    shutil.copytree(fold_base, idx)
+    new = []
+    for d in _fold_docs(3):
+        new += delta.add_documents(idx, pa.table(d))["new_buckets"]
+    folded = str(tmp_path / "folded")
+    shutil.copytree(idx, folded)
+    delta.fold_deltas(folded)
+
+    num_parts = layout.load_merge_state(idx)["num_parts"]
+    terms = pq.read_table([os.path.join(idx, "segments",
+                                        f"bucket={b:08d}.parquet")
+                           for b in new], columns=["term"])
+    touched = {f"part={layout.term_part(t, num_parts):05d}.parquet"
+               for t in set(terms.column("term").to_pylist())}
+
+    def part_mtimes():
+        return {(sub, f): os.path.getmtime(os.path.join(idx, sub, f))
+                for sub in ("postings", "positions", "dict")
+                for f in os.listdir(os.path.join(idx, sub))}
+
+    before = part_mtimes()
+    rep = build_index(None, idx, docs_per_bucket=64)
+    assert rep["built_buckets"] == 0 and not rep["merged"] and rep["folded"]
+    assert all(m["attempt"] == 1 for m in layout.load_manifests(idx))
+    after = part_mtimes()
+    changed = {f for (sub, f), t in before.items() if after[(sub, f)] != t}
+    assert changed and changed <= touched < {f for _, f in before}
+    assert _tree_bytes(idx) == _tree_bytes(folded)
+    a, b = IndexSearcher(idx), IndexSearcher(folded)
+    for q in ("qqkill0", "qqkill2", "merge hash", "return the value"):
+        ids, scores = a.search(q, 20)
+        want_ids, want_scores = b.search(q, 20)
+        assert list(ids) == list(want_ids) and len(ids)
+        assert list(scores) == list(want_scores)
 
 
 REMERGE_SNIPPET = """
